@@ -3,8 +3,9 @@
 Workflow: build a ParametricSystem, split it at a singular equilibrium with
 build_split_system, certify a validity region with certify_ls_region, then
 study the reduced map through ReducedMap / series_coefficients /
-trace_branches. The generic split-variable machinery (imft module) backs the
-same certification for regular points.
+trace_branches. Certification has one engine, the generic split-variable
+imft module: it certifies implicit maps at regular points directly, and the
+kernel split (ls_bounds module) is that engine with exact base blocks.
 """
 
 __version__ = "0.1.0"
@@ -14,6 +15,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     DomainError,
+    InexactKernel,
     LscertError,
     NewtonDiverged,
     NonFinite,
@@ -28,7 +30,11 @@ from .errors import (
     UnsupportedDimensions,
 )
 from .imft import (
+    BaseBlocks,
+    CertifiedRegion,
+    FrontierPoint,
     ImftQuantities,
+    RegionEntry,
     SplitFunction,
     SupremumEstimator,
     WitnessResult,
@@ -41,10 +47,7 @@ from .imft import (
     witness_check,
 )
 from .ls_bounds import (
-    CertifiedRegion,
-    FrontierPoint,
     LsBoundQuantities,
-    RegionEntry,
     SplitSystem,
     build_split_system,
     certify_ls_region,
@@ -92,6 +95,7 @@ __all__ = [
     "UnknownModel", "NotEquilibrium", "ParseError", "ArityError",
     "UnknownIdentifier", "DomainError", "SingularDyf", "SingularReducedJacobian",
     "NewtonDiverged", "SingularNewtonSystem", "UnsupportedDimensions", "ConfigError",
+    "InexactKernel",
     # systems and decomposition
     "ParametricSystem", "EvaluationPoint", "evaluation_point", "from_callable",
     "builtin_model", "system_from_expressions", "newton_full", "refine_equilibrium",
@@ -100,11 +104,11 @@ __all__ = [
     # generic split certification
     "SplitFunction", "split_function", "SupremumEstimator", "ImftQuantities",
     "compute_M", "estimate_L", "imft_quantities", "check_conditions", "certify_region",
-    "witness_check", "WitnessResult",
+    "witness_check", "WitnessResult", "BaseBlocks",
+    "CertifiedRegion", "RegionEntry", "FrontierPoint",
     # kernel-split certification
     "SplitSystem", "build_split_system", "LsBoundQuantities", "compute_ls_M",
     "estimate_ls_L", "ls_quantities", "certify_ls_region", "check_ls_conditions",
-    "CertifiedRegion", "RegionEntry", "FrontierPoint",
     # reduction
     "ReducedMap", "ReducedPoint", "solve_phi", "SeriesCoefficients",
     "series_coefficients", "classify_series", "BranchPoint", "TraceResult",

@@ -70,6 +70,14 @@ class SingularDyf(LscertError):
     """D_y f at the base point is numerically singular (cond > 1e14)."""
 
 
+class InexactKernel(LscertError):
+    """The computed kernel basis V is not annihilated by J (||J V|| not small).
+
+    The kernel-split base norm M_par treats the alpha block J V as a hard
+    zero, which is only sound when it is one up to the rank tolerance.
+    """
+
+
 class SingularReducedJacobian(LscertError):
     """The perpendicular Jacobian block W^T J Vperp is numerically singular."""
 

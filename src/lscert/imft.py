@@ -10,20 +10,29 @@ B(y0, r_y) whenever both strict inequalities hold:
 where M_x, M_y are base-point operator norms and L_x, L_y are suprema of
 Jacobian deviations over the stated balls. Sampled L estimates are maxima
 over finite subsets and therefore lower bounds on the true suprema; analytic
-overrides restore rigour when a closed form is available.
+overrides restore rigour when a closed form is available. Every L value,
+sampled or overridden, passes one check: finite and nonnegative, or the run
+fails with NonFinite.
+
+This is the only certification engine. The kernel-split certificate of the
+ls_bounds module is this one with x := (alpha, lambda), y := beta and the
+exact base blocks passed as BaseBlocks; the result types therefore also
+answer to the kernel-split spellings (M_par, L_perp, r_par, r_par_max, ...).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, SingularDyf
+from .errors import LscertError, NewtonDiverged, NonFinite, SingularDyf, SingularNewtonSystem
 from .norms import check_norm_kind, induced_norm, inverse_norm, vector_norm
 from .sampling import ball_points, max_over
-from .system import fd_jacobians
+from .system import damped_newton, fd_jacobians
 
 DEFAULT_SAMPLES_PER_DIM = 17
 
@@ -91,6 +100,32 @@ class SupremumEstimator:
         return self.mode == "analytic" and self.override_L_y is not None
 
 
+def _aliased(**aliases: str):
+    """Give a result type the kernel-split spellings of its generic fields.
+
+    Each alias reads the field it names and is accepted by the constructor in
+    its place, so FrontierPoint(r_perp=0.5, r_par_max=1.5) equals
+    FrontierPoint(r_y=0.5, r_x_max=1.5).
+    """
+    def wrap(cls):
+        init = cls.__init__
+
+        @functools.wraps(init)
+        def __init__(self, *args, **kwargs):
+            for alias, name in aliases.items():
+                if alias in kwargs:
+                    kwargs[name] = kwargs.pop(alias)
+            init(self, *args, **kwargs)
+
+        cls.__init__ = __init__
+        for alias, name in aliases.items():
+            setattr(cls, alias, property(attrgetter(name), doc=f"Alias of {name}."))
+        return cls
+    return wrap
+
+
+@_aliased(M_par="M_x", M_perp="M_y", L_par="L_x", L_perp="L_y",
+          L_par_rigorous="L_x_rigorous", L_perp_rigorous="L_y_rigorous")
 @dataclass(frozen=True)
 class ImftQuantities:
     """Base-point norms plus deviation-bound evaluators for one run."""
@@ -117,6 +152,7 @@ class ConditionCheck:
     margin_contraction: float
 
 
+@_aliased(r_par="r_x", r_perp="r_y")
 @dataclass(frozen=True)
 class RegionEntry:
     r_x: float
@@ -126,6 +162,7 @@ class RegionEntry:
     margin_contraction: float
 
 
+@_aliased(r_perp="r_y", r_par_max="r_x_max")
 @dataclass(frozen=True)
 class FrontierPoint:
     r_y: float
@@ -134,6 +171,8 @@ class FrontierPoint:
 
 @dataclass(frozen=True)
 class CertifiedRegion:
+    """Grid verdicts, the certified frontier and the rigour flag."""
+
     entries: tuple[RegionEntry, ...]
     frontier: tuple[FrontierPoint, ...]
     rigorous: bool
@@ -142,6 +181,31 @@ class CertifiedRegion:
     def any_certified(self) -> bool:
         return any(e.certified for e in self.entries)
 
+    def max_certified_r_x(self) -> float | None:
+        radii = [f.r_x_max for f in self.frontier if f.r_x_max is not None]
+        return max(radii) if radii else None
+
+    max_certified_r_par = max_certified_r_x
+
+
+@dataclass(frozen=True)
+class BaseBlocks:
+    """The Jacobian blocks at the base point that the bounds are measured from.
+
+    By default they are f.dx(x0, y0) and f.dy(x0, y0). A caller that knows
+    them exactly passes its own: the kernel split keeps its alpha block a
+    hard zero this way. `singular` is the error raised when dy is
+    numerically singular.
+    """
+
+    dx: np.ndarray
+    dy: np.ndarray
+    singular: type[LscertError] = SingularDyf
+
+    @classmethod
+    def at(cls, f: SplitFunction, x0: np.ndarray, y0: np.ndarray) -> BaseBlocks:
+        return cls(dx=f.dx(x0, y0), dy=f.dy(x0, y0))
+
 
 def compute_M(
     f: SplitFunction,
@@ -149,29 +213,31 @@ def compute_M(
     y0: np.ndarray,
     norm_kind: str = "spectral",
     x_weights: np.ndarray | None = None,
+    base: BaseBlocks | None = None,
 ) -> tuple[float, float]:
     """Base-point norms M_x = ||D_x f||, M_y = ||(D_y f)^-1||.
 
-    Raises SingularDyf when D_y f is numerically singular (cond > 1e14).
-    Optional x_weights stretch the domain ball per coordinate, which turns
-    the induced norm into ||D_x f diag(w)||.
+    Raises base.singular (SingularDyf by default) when D_y f is numerically
+    singular (cond > 1e14). Optional x_weights stretch the domain ball per
+    coordinate, which turns the induced norm into ||D_x f diag(w)||.
     """
     check_norm_kind(norm_kind)
-    dx = f.dx(x0, y0)
+    if base is None:
+        base = BaseBlocks.at(f, x0, y0)
+    dx = base.dx
     if x_weights is not None:
         dx = dx * np.asarray(x_weights, dtype=float)[None, :]
     m_x = induced_norm(dx, norm_kind)
-    m_y = inverse_norm(f.dy(x0, y0), norm_kind, error=SingularDyf)
+    m_y = inverse_norm(base.dy, norm_kind, error=base.singular)
     return m_x, m_y
 
 
-def _sampled_L_x(f, x0, y0, r_x, est, norm_kind, x_weights) -> float:
-    base = f.dx(x0, y0)
+def _sampled_L_x(f, x0, y0, base_dx, r_x, est, norm_kind, x_weights) -> float:
     w = None if x_weights is None else np.asarray(x_weights, dtype=float)
     pts = ball_points(np.asarray(x0, float), r_x, est.samples_per_dim, norm_kind, weights=w)
 
     def deviation(p):
-        d = f.dx(p, y0) - base
+        d = f.dx(p, y0) - base_dx
         if w is not None:
             d = d * w[None, :]
         return induced_norm(d, norm_kind)
@@ -179,8 +245,7 @@ def _sampled_L_x(f, x0, y0, r_x, est, norm_kind, x_weights) -> float:
     return est.safety_factor * max_over(pts, deviation)
 
 
-def _sampled_L_y(f, x0, y0, r_x, r_y, est, norm_kind, x_weights) -> float:
-    base = f.dy(x0, y0)
+def _sampled_L_y(f, x0, y0, base_dy, r_x, r_y, est, norm_kind, x_weights) -> float:
     w = None if x_weights is None else np.asarray(x_weights, dtype=float)
     pts_x = ball_points(np.asarray(x0, float), r_x, est.samples_per_dim, norm_kind, weights=w)
     pts_y = ball_points(np.asarray(y0, float), r_y, est.samples_per_dim, norm_kind)
@@ -188,9 +253,37 @@ def _sampled_L_y(f, x0, y0, r_x, r_y, est, norm_kind, x_weights) -> float:
 
     def deviation(pair):
         px, py = pair
-        return induced_norm(f.dy(px, py) - base, norm_kind)
+        return induced_norm(f.dy(px, py) - base_dy, norm_kind)
 
     return est.safety_factor * max_over(pairs, deviation)
+
+
+def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights) -> float:
+    """L_x(r_x) for which = "x", L_y(r_x, r_y) for "y": override or sampled.
+
+    Every L the package uses comes through here, so this is where both checks
+    live: the radii must be finite and nonnegative (ValueError), and so must
+    the bound (NonFinite), because a negative or NaN L would certify radius
+    pairs that no true bound allows.
+    """
+    for name, r in zip(("r_x", "r_y"), radii):
+        if not (np.isfinite(r) and r >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {r}")
+    if which == "x":
+        if est.uses_override_x():
+            value = est.override_L_x(*radii)
+        else:
+            value = _sampled_L_x(f, x0, y0, base.dx, *radii, est, norm_kind, x_weights)
+    elif est.uses_override_y():
+        value = est.override_L_y(*radii)
+    else:
+        value = _sampled_L_y(f, x0, y0, base.dy, *radii, est, norm_kind, x_weights)
+    value = float(value)
+    if not (np.isfinite(value) and value >= 0.0):
+        label = "L_x (L_par)" if which == "x" else "L_y (L_perp)"
+        raise NonFinite(f"deviation bound {label} at radii {radii} must be finite and "
+                        f"nonnegative, got {value}")
+    return value
 
 
 def estimate_L(
@@ -202,23 +295,14 @@ def estimate_L(
     estimator: SupremumEstimator,
     norm_kind: str = "spectral",
     x_weights: np.ndarray | None = None,
+    base: BaseBlocks | None = None,
 ) -> tuple[float, float]:
     """Deviation bounds (L_x, L_y) for the given radii."""
     check_norm_kind(norm_kind)
-    for name, r in (("r_x", r_x), ("r_y", r_y)):
-        if not (np.isfinite(r) and r >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {r}")
-    if estimator.uses_override_x():
-        l_x = float(estimator.override_L_x(r_x))
-    else:
-        l_x = _sampled_L_x(f, x0, y0, r_x, estimator, norm_kind, x_weights)
-    if estimator.uses_override_y():
-        l_y = float(estimator.override_L_y(r_x, r_y))
-    else:
-        l_y = _sampled_L_y(f, x0, y0, r_x, r_y, estimator, norm_kind, x_weights)
-    if not (np.isfinite(l_x) and np.isfinite(l_y)) or l_x < 0 or l_y < 0:
-        raise NonFinite(f"deviation bounds must be finite and nonnegative, got ({l_x}, {l_y})")
-    return l_x, l_y
+    if base is None:
+        base = BaseBlocks.at(f, x0, y0)
+    context = (f, x0, y0, base, estimator, norm_kind, x_weights)
+    return _deviation_bound("x", (r_x,), *context), _deviation_bound("y", (r_x, r_y), *context)
 
 
 def imft_quantities(
@@ -228,27 +312,25 @@ def imft_quantities(
     estimator: SupremumEstimator,
     norm_kind: str = "spectral",
     x_weights: np.ndarray | None = None,
+    base: BaseBlocks | None = None,
 ) -> ImftQuantities:
     """Bundle M values with cached L evaluators for repeated grid queries."""
-    m_x, m_y = compute_M(f, x0, y0, norm_kind, x_weights)
+    if base is None:
+        base = BaseBlocks.at(f, x0, y0)
+    m_x, m_y = compute_M(f, x0, y0, norm_kind, x_weights, base)
+    context = (f, x0, y0, base, estimator, norm_kind, x_weights)
     cache_x: dict[float, float] = {}
     cache_y: dict[tuple[float, float], float] = {}
 
     def l_x(r: float) -> float:
         if r not in cache_x:
-            if estimator.uses_override_x():
-                cache_x[r] = float(estimator.override_L_x(r))
-            else:
-                cache_x[r] = _sampled_L_x(f, x0, y0, r, estimator, norm_kind, x_weights)
+            cache_x[r] = _deviation_bound("x", (r,), *context)
         return cache_x[r]
 
     def l_y(rx: float, ry: float) -> float:
         key = (rx, ry)
         if key not in cache_y:
-            if estimator.uses_override_y():
-                cache_y[key] = float(estimator.override_L_y(rx, ry))
-            else:
-                cache_y[key] = _sampled_L_y(f, x0, y0, rx, ry, estimator, norm_kind, x_weights)
+            cache_y[key] = _deviation_bound("y", key, *context)
         return cache_y[key]
 
     return ImftQuantities(
@@ -323,9 +405,10 @@ def certify_region(
     estimator: SupremumEstimator | None = None,
     norm_kind: str = "spectral",
     x_weights: np.ndarray | None = None,
+    base: BaseBlocks | None = None,
 ) -> tuple[CertifiedRegion, ImftQuantities]:
     estimator = estimator or SupremumEstimator()
-    q = imft_quantities(f, x0, y0, estimator, norm_kind, x_weights)
+    q = imft_quantities(f, x0, y0, estimator, norm_kind, x_weights, base)
     return certify_grid(q, r_x_grid, r_y_grid), q
 
 
@@ -339,28 +422,11 @@ def newton_solve_y(
     max_backtracks: int = 30,
 ) -> np.ndarray | None:
     """Damped Newton in y for f(x, y) = target; None when it stalls."""
-    y = np.array(y_start, dtype=float)
-    r = f.value(x, y) - target
-    rnorm = float(np.linalg.norm(r))
-    for _ in range(max_iters):
-        if rnorm <= tol:
-            return y
-        try:
-            step = np.linalg.solve(f.dy(x, y), -r)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        for _ in range(max_backtracks):
-            y_new = y + t * step
-            r_new = f.value(x, y_new) - target
-            rnorm_new = float(np.linalg.norm(r_new))
-            if np.isfinite(rnorm_new) and rnorm_new < rnorm:
-                break
-            t *= 0.5
-        else:
-            return None
-        y, r, rnorm = y_new, r_new, rnorm_new
-    return y if rnorm <= tol else None
+    try:
+        return damped_newton(lambda y: f.value(x, y) - target, lambda y: f.dy(x, y),
+                             y_start, tol, max_iters, max_backtracks)
+    except (SingularNewtonSystem, NewtonDiverged):
+        return None
 
 
 @dataclass(frozen=True)

@@ -1,38 +1,50 @@
-"""Implicit-function certification specialised to the kernel/range splitting.
+"""Kernel-split certification as a thin layer over the imft engine.
 
 At a singular equilibrium the state is rewritten as x = V alpha + Vperp beta
 and the range part of the residual, W^T Phi(V alpha + Vperp beta, lambda),
 plays the role of the split function with (alpha, lambda) as the surviving
-variables and beta as the implicitly solved ones. The base-point and
-deviation quantities below feed the same two strict inequalities as the
-generic module; what is specialised is their structure:
+variables and beta as the implicitly solved ones. The certificate is the
+generic imft certificate of that split function, with two exact base blocks
+in place of the recomputed ones:
 
-* M_par uses a hard zero block for d(W^T Phi)/d alpha at the base, which is
-  exact because J V = 0 up to the rank tolerance (asserted at build time),
-* M_perp is the inverse norm of the reduced block W^T J Vperp,
-* the deviation terms xi_1, xi_2 subtract those base blocks.
+* the (alpha, lambda) block is [0 | W^T D_lambda Phi(x0, lambda0)], with a
+  hard zero alpha block, which is exact because J V = 0 up to the rank
+  tolerance (checked at build time, InexactKernel otherwise),
+* the beta block is the reduced block W^T J Vperp; when it is numerically
+  singular the error is SingularReducedJacobian.
+
+The entry points below keep the kernel-split names (r_par, r_perp, M_par,
+L_perp, ...), which the shared result types accept as aliases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, NotEquilibrium, SingularReducedJacobian
+from .errors import InexactKernel, NotEquilibrium, SingularReducedJacobian
 from .imft import (
-    CertifiedRegion as _GenericRegion,
+    BaseBlocks,
+    CertifiedRegion,
+    FrontierPoint,
     ImftQuantities,
     SplitFunction,
     SupremumEstimator,
     certify_grid,
     check_conditions,
+    compute_M,
+    estimate_L,
+    imft_quantities,
 )
-from .norms import check_norm_kind, induced_norm, inverse_norm
-from .sampling import ball_points, max_over
+from .norms import induced_norm
 from .subspace import DEFAULT_RANK_TOL, SubspaceDecomposition, compute_decomposition
 from .system import DEFAULT_EQUILIBRIUM_TOL, EvaluationPoint, ParametricSystem
+
+# the kernel-split names of the shared result types; FrontierPoint is
+# imported above so that it stays importable from this module too
+LsBoundQuantities = ImftQuantities
+check_ls_conditions = check_conditions
 
 
 @dataclass(frozen=True)
@@ -78,17 +90,22 @@ class SplitSystem:
     def jac_par(self, alpha, beta, lam) -> np.ndarray:
         """d(W^T Phi)/d(alpha, lambda), shape (n-q, q+m)."""
         x = self.state(np.atleast_1d(alpha), np.atleast_1d(beta))
-        lam = np.atleast_1d(lam)
+        return self._jac_par_at(x, np.atleast_1d(lam))
+
+    def jac_perp(self, alpha, beta, lam) -> np.ndarray:
+        """d(W^T Phi)/d(beta), shape (n-q, n-q)."""
+        x = self.state(np.atleast_1d(alpha), np.atleast_1d(beta))
+        return self._jac_perp_at(x, np.atleast_1d(lam))
+
+    def _jac_par_at(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         w_t = self.decomp.W.T
         return np.hstack([
             w_t @ self.sys.dphi_dx(x, lam) @ self.decomp.V,
             w_t @ self.sys.dphi_dlambda(x, lam),
         ])
 
-    def jac_perp(self, alpha, beta, lam) -> np.ndarray:
-        """d(W^T Phi)/d(beta), shape (n-q, n-q)."""
-        x = self.state(np.atleast_1d(alpha), np.atleast_1d(beta))
-        return self.decomp.W.T @ self.sys.dphi_dx(x, np.atleast_1d(lam)) @ self.decomp.Vperp
+    def _jac_perp_at(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return self.decomp.W.T @ self.sys.dphi_dx(x, lam) @ self.decomp.Vperp
 
     def xi1(self, alpha, lam) -> np.ndarray:
         """Deviation of the (alpha, lambda) block from its base value.
@@ -111,13 +128,24 @@ class SplitSystem:
         def fun(p, beta):
             return self.evaluator(p[:q], beta, p[q:])
 
+        # the engine calls these once per lattice point with 1-D float
+        # points, so they skip the argument normalisation of jac_par/jac_perp
         def jac_x(p, beta):
-            return self.jac_par(p[:q], beta, p[q:])
+            return self._jac_par_at(self.state(p[:q], beta), p[q:])
 
         def jac_y(p, beta):
-            return self.jac_perp(p[:q], beta, p[q:])
+            return self._jac_perp_at(self.state(p[:q], beta), p[q:])
 
         return SplitFunction(n_x=q + m, n_y=self.n_perp, fun=fun, jac_x=jac_x, jac_y=jac_y)
+
+    @property
+    def base_blocks(self) -> BaseBlocks:
+        """Exact base blocks of the split view: [0 | dlambda_base] and reduced_block."""
+        return BaseBlocks(
+            dx=np.hstack([np.zeros((self.n_perp, self.q)), self.dlambda_base]),
+            dy=self.reduced_block,
+            singular=SingularReducedJacobian,
+        )
 
 
 def build_split_system(
@@ -128,8 +156,9 @@ def build_split_system(
 ) -> SplitSystem:
     """Decompose at a singular equilibrium and cache the base blocks.
 
-    Raises NotEquilibrium when the residual exceeds equilibrium_tol and
-    propagates NonSingularJacobian from the decomposition when q = 0.
+    Raises NotEquilibrium when the residual exceeds equilibrium_tol,
+    propagates NonSingularJacobian from the decomposition when q = 0, and
+    raises InexactKernel when J V is not small against J.
     """
     if not base.is_equilibrium(equilibrium_tol):
         raise NotEquilibrium(
@@ -142,8 +171,9 @@ def build_split_system(
     # the hard zero block in M_par is only sound if J really kills V
     kernel_residual = induced_norm(jac @ decomp.V, "spectral") if decomp.q else 0.0
     scale = induced_norm(jac, "spectral")
-    assert kernel_residual <= max(rank_tol * scale, 1e2 * np.finfo(float).eps * max(scale, 1.0)), (
-        f"||J V|| = {kernel_residual:.3e} is not small against ||J|| = {scale:.3e}")
+    if kernel_residual > max(rank_tol * scale, 1e2 * np.finfo(float).eps * max(scale, 1.0)):
+        raise InexactKernel(
+            f"||J V|| = {kernel_residual:.3e} is not small against ||J|| = {scale:.3e}")
     return SplitSystem(
         sys=sys,
         decomp=decomp,
@@ -154,30 +184,6 @@ def build_split_system(
         reduced_block=decomp.W.T @ jac @ decomp.Vperp,
         dlambda_base=decomp.W.T @ sys.dphi_dlambda(base.x0, base.lambda0),
     )
-
-
-@dataclass(frozen=True)
-class LsBoundQuantities:
-    """Specialised base norms and deviation evaluators."""
-
-    M_par: float
-    M_perp: float
-    L_par: Callable[[float], float]
-    L_perp: Callable[[float, float], float]
-    norm_kind: str
-    L_par_rigorous: bool
-    L_perp_rigorous: bool
-
-    @property
-    def rigorous(self) -> bool:
-        return self.L_par_rigorous and self.L_perp_rigorous
-
-    def as_imft(self) -> ImftQuantities:
-        return ImftQuantities(
-            M_x=self.M_par, M_y=self.M_perp, L_x=self.L_par, L_y=self.L_perp,
-            norm_kind=self.norm_kind,
-            L_x_rigorous=self.L_par_rigorous, L_y_rigorous=self.L_perp_rigorous,
-        )
 
 
 def compute_ls_M(
@@ -193,44 +199,8 @@ def compute_ls_M(
     SingularReducedJacobian, which signals a kernel the rank tolerance
     missed.
     """
-    check_norm_kind(norm_kind)
-    base = np.hstack([np.zeros((ss.n_perp, ss.q)), ss.dlambda_base])
-    if par_weights is not None:
-        base = base * np.asarray(par_weights, dtype=float)[None, :]
-    m_par = induced_norm(base, norm_kind)
-    m_perp = inverse_norm(ss.reduced_block, norm_kind, error=SingularReducedJacobian)
-    return m_par, m_perp
-
-
-def _sampled_L_par(ss, r_par, est, norm_kind, par_weights) -> float:
-    w = None if par_weights is None else np.asarray(par_weights, dtype=float)
-    pts = ball_points(ss.par_center, r_par, est.samples_per_dim, norm_kind, weights=w)
-    q = ss.q
-    base_l = ss.dlambda_base
-
-    def deviation(p):
-        block = ss.jac_par(p[:q], ss.beta0, p[q:])
-        block[:, q:] -= base_l
-        if w is not None:
-            block = block * w[None, :]
-        return induced_norm(block, norm_kind)
-
-    return est.safety_factor * max_over(pts, deviation)
-
-
-def _sampled_L_perp(ss, r_par, r_perp, est, norm_kind, par_weights) -> float:
-    w = None if par_weights is None else np.asarray(par_weights, dtype=float)
-    pts_par = ball_points(ss.par_center, r_par, est.samples_per_dim, norm_kind, weights=w)
-    pts_perp = ball_points(ss.beta0, r_perp, est.samples_per_dim, norm_kind)
-    q = ss.q
-    base = ss.reduced_block
-    pairs = [(p, b) for p in pts_par for b in pts_perp]
-
-    def deviation(pair):
-        p, beta = pair
-        return induced_norm(ss.jac_perp(p[:q], beta, p[q:]) - base, norm_kind)
-
-    return est.safety_factor * max_over(pairs, deviation)
+    return compute_M(ss.as_split_function(), ss.par_center, ss.beta0, norm_kind, par_weights,
+                     ss.base_blocks)
 
 
 def estimate_ls_L(
@@ -248,21 +218,8 @@ def estimate_ls_L(
     of the (alpha, lambda) ball and the beta ball. Estimator overrides are
     functions of r_par and of (r_par, r_perp) respectively.
     """
-    check_norm_kind(norm_kind)
-    for name, r in (("r_par", r_par), ("r_perp", r_perp)):
-        if not (np.isfinite(r) and r >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {r}")
-    if estimator.uses_override_x():
-        l_par = float(estimator.override_L_x(r_par))
-    else:
-        l_par = _sampled_L_par(ss, r_par, estimator, norm_kind, par_weights)
-    if estimator.uses_override_y():
-        l_perp = float(estimator.override_L_y(r_par, r_perp))
-    else:
-        l_perp = _sampled_L_perp(ss, r_par, r_perp, estimator, norm_kind, par_weights)
-    if not (np.isfinite(l_par) and np.isfinite(l_perp)) or l_par < 0 or l_perp < 0:
-        raise NonFinite(f"deviation bounds must be finite and nonnegative, got ({l_par}, {l_perp})")
-    return l_par, l_perp
+    return estimate_L(ss.as_split_function(), ss.par_center, ss.beta0, r_par, r_perp,
+                      estimator, norm_kind, par_weights, ss.base_blocks)
 
 
 def ls_quantities(
@@ -270,66 +227,10 @@ def ls_quantities(
     estimator: SupremumEstimator,
     norm_kind: str = "spectral",
     par_weights: np.ndarray | None = None,
-) -> LsBoundQuantities:
+) -> ImftQuantities:
     """Bundle the specialised norms with cached deviation evaluators."""
-    m_par, m_perp = compute_ls_M(ss, norm_kind, par_weights)
-    cache_par: dict[float, float] = {}
-    cache_perp: dict[tuple[float, float], float] = {}
-
-    def l_par(r: float) -> float:
-        if r not in cache_par:
-            if estimator.uses_override_x():
-                cache_par[r] = float(estimator.override_L_x(r))
-            else:
-                cache_par[r] = _sampled_L_par(ss, r, estimator, norm_kind, par_weights)
-        return cache_par[r]
-
-    def l_perp(r_par: float, r_perp: float) -> float:
-        key = (r_par, r_perp)
-        if key not in cache_perp:
-            if estimator.uses_override_y():
-                cache_perp[key] = float(estimator.override_L_y(r_par, r_perp))
-            else:
-                cache_perp[key] = _sampled_L_perp(ss, r_par, r_perp, estimator, norm_kind, par_weights)
-        return cache_perp[key]
-
-    return LsBoundQuantities(
-        M_par=m_par, M_perp=m_perp, L_par=l_par, L_perp=l_perp, norm_kind=norm_kind,
-        L_par_rigorous=estimator.uses_override_x(),
-        L_perp_rigorous=estimator.uses_override_y(),
-    )
-
-
-@dataclass(frozen=True)
-class RegionEntry:
-    r_par: float
-    r_perp: float
-    certified: bool
-    margin_domain: float
-    margin_contraction: float
-
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    r_perp: float
-    r_par_max: float | None
-
-
-@dataclass(frozen=True)
-class CertifiedRegion:
-    """Grid verdicts, the certified frontier and the rigour flag."""
-
-    entries: tuple[RegionEntry, ...]
-    frontier: tuple[FrontierPoint, ...]
-    rigorous: bool
-
-    @property
-    def any_certified(self) -> bool:
-        return any(e.certified for e in self.entries)
-
-    def max_certified_r_par(self) -> float | None:
-        radii = [f.r_par_max for f in self.frontier if f.r_par_max is not None]
-        return max(radii) if radii else None
+    return imft_quantities(ss.as_split_function(), ss.par_center, ss.beta0, estimator,
+                           norm_kind, par_weights, ss.base_blocks)
 
 
 def certify_ls_region(
@@ -339,24 +240,12 @@ def certify_ls_region(
     estimator: SupremumEstimator | None = None,
     norm_kind: str = "spectral",
     par_weights: np.ndarray | None = None,
-    quantities: LsBoundQuantities | None = None,
-) -> tuple[CertifiedRegion, LsBoundQuantities]:
+    quantities: ImftQuantities | None = None,
+) -> tuple[CertifiedRegion, ImftQuantities]:
     """Scan the radius grid with the specialised quantities.
 
-    Same strict inequalities as the generic module; the scan and the
-    one-level frontier bisection are shared with it.
+    Same strict inequalities, scan and one-level frontier bisection as the
+    generic module.
     """
-    estimator = estimator or SupremumEstimator()
-    q = quantities or ls_quantities(ss, estimator, norm_kind, par_weights)
-    generic: _GenericRegion = certify_grid(q.as_imft(), r_par_grid, r_perp_grid)
-    entries = tuple(
-        RegionEntry(e.r_x, e.r_y, e.certified, e.margin_domain, e.margin_contraction)
-        for e in generic.entries
-    )
-    frontier = tuple(FrontierPoint(f.r_y, f.r_x_max) for f in generic.frontier)
-    return CertifiedRegion(entries=entries, frontier=frontier, rigorous=generic.rigorous), q
-
-
-def check_ls_conditions(q: LsBoundQuantities, r_par: float, r_perp: float):
-    """Single-pair verdict; thin wrapper over the generic strict check."""
-    return check_conditions(q.as_imft(), r_par, r_perp)
+    q = quantities or ls_quantities(ss, estimator or SupremumEstimator(), norm_kind, par_weights)
+    return certify_grid(q, r_par_grid, r_perp_grid), q

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NewtonDiverged, SingularNewtonSystem, UnsupportedDimensions
 from .ls_bounds import FrontierPoint, SplitSystem
 from .norms import vector_norm
+from .system import damped_newton
 
 DEGENERATE_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -42,39 +43,18 @@ def solve_phi(
 
     Damped Newton with halving backtracks, seeded at beta_init (default the
     base beta0). Raises SingularNewtonSystem when a linear solve fails and
-    NewtonDiverged when the iteration budget runs out above tolerance.
+    NewtonDiverged when the iteration budget runs out above tolerance; both
+    messages name alpha and lambda.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    beta = np.array(ss.beta0 if beta_init is None else beta_init, dtype=float)
-    r = ss.evaluator(alpha, beta, lam)
-    rnorm = float(np.linalg.norm(r))
-    for _ in range(max_iters):
-        if rnorm <= tol:
-            return beta
-        try:
-            step = np.linalg.solve(ss.jac_perp(alpha, beta, lam), -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNewtonSystem(
-                f"range-block Jacobian singular at alpha={alpha}, lambda={lam}") from exc
-        t = 1.0
-        for _ in range(max_backtracks):
-            beta_new = beta + t * step
-            r_new = ss.evaluator(alpha, beta_new, lam)
-            rnorm_new = float(np.linalg.norm(r_new))
-            if np.isfinite(rnorm_new) and rnorm_new < rnorm:
-                break
-            t *= 0.5
-        else:
-            raise NewtonDiverged(
-                f"no descent after {max_backtracks} backtracks at alpha={alpha}, lambda={lam} "
-                f"(residual {rnorm:.3e})")
-        beta, r, rnorm = beta_new, r_new, rnorm_new
-    if rnorm <= tol:
-        return beta
-    raise NewtonDiverged(
-        f"residual {rnorm:.3e} above tolerance {tol:g} after {max_iters} iterations "
-        f"at alpha={alpha}, lambda={lam}")
+    try:
+        return damped_newton(lambda beta: ss.evaluator(alpha, beta, lam),
+                             lambda beta: ss.jac_perp(alpha, beta, lam),
+                             ss.beta0 if beta_init is None else beta_init,
+                             tol, max_iters, max_backtracks)
+    except (SingularNewtonSystem, NewtonDiverged) as exc:
+        raise type(exc)(f"range block: {exc} at alpha={alpha}, lambda={lam}") from exc
 
 
 @dataclass(frozen=True)

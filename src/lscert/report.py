@@ -92,7 +92,7 @@ def quantities_dict(m_x: float, m_y: float, l_x, l_y, r_x_grid, r_y_grid,
 
 def region_rows(region, names: tuple[str, str] = ("r_par", "r_perp")) -> list[dict]:
     return [
-        {names[0]: _r_first(e), names[1]: _r_second(e), "certified": e.certified,
+        {names[0]: e.r_x, names[1]: e.r_y, "certified": e.certified,
          "margin_domain": e.margin_domain, "margin_contraction": e.margin_contraction}
         for e in region.entries
     ]
@@ -100,27 +100,9 @@ def region_rows(region, names: tuple[str, str] = ("r_par", "r_perp")) -> list[di
 
 def frontier_rows(region, names: tuple[str, str] = ("r_par", "r_perp")) -> list[dict]:
     return [
-        {names[1]: _f_level(f), f"{names[0]}_max": _f_max(f)}
+        {names[1]: f.r_y, f"{names[0]}_max": f.r_x_max}
         for f in region.frontier
     ]
-
-
-# region dataclasses come in two field spellings (r_par/r_perp and r_x/r_y);
-# these accessors keep the serializers agnostic
-def _r_first(e):
-    return e.r_par if hasattr(e, "r_par") else e.r_x
-
-
-def _r_second(e):
-    return e.r_perp if hasattr(e, "r_perp") else e.r_y
-
-
-def _f_level(f):
-    return f.r_perp if hasattr(f, "r_perp") else f.r_y
-
-
-def _f_max(f):
-    return f.r_par_max if hasattr(f, "r_par_max") else f.r_x_max
 
 
 def certification_report(meta: dict, decomposition: dict | None, quantities: dict,
@@ -161,7 +143,7 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 def region_csv(region, names: tuple[str, str] = ("r_par", "r_perp")) -> str:
     header = [names[0], names[1], "certified", "margin_domain", "margin_contraction"]
     rows = [
-        [_r_first(e), _r_second(e), e.certified, e.margin_domain, e.margin_contraction]
+        [e.r_x, e.r_y, e.certified, e.margin_domain, e.margin_contraction]
         for e in region.entries
     ]
     return csv_text(header, rows)

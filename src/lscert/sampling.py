@@ -97,14 +97,16 @@ def ball_points(
 
 
 def thread_count() -> int:
+    """Sampling threads: LS_CERTIFY_THREADS, clamped to [1, cpu_count]."""
+    cpus = os.cpu_count() or 1
     raw = os.environ.get(THREADS_ENV)
     if raw is not None:
         try:
             n = int(raw)
         except ValueError as exc:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        return max(1, n)
-    return os.cpu_count() or 1
+        return max(1, min(n, cpus))
+    return cpus
 
 
 def max_over(points: Iterable[np.ndarray], value: Callable[[np.ndarray], float]) -> float:

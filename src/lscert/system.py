@@ -15,7 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NonSingularJacobian, UnknownModel
+from .errors import (
+    DimensionMismatch,
+    NewtonDiverged,
+    NonFinite,
+    NonSingularJacobian,
+    SingularNewtonSystem,
+    UnknownModel,
+)
 from .subspace import DEFAULT_RANK_TOL, compute_decomposition
 
 DEFAULT_EQUILIBRIUM_TOL = 1e-10
@@ -251,6 +258,50 @@ def is_bifurcation_candidate(
     return True, decomp.q
 
 
+def damped_newton(
+    residual: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray],
+    z0: np.ndarray,
+    tol: float = 1e-12,
+    max_iters: int = 50,
+    max_backtracks: int = 30,
+) -> np.ndarray:
+    """Newton on residual(z) = 0 with halving backtracks; the package's one Newton loop.
+
+    Each step takes the first t in 1, 1/2, 1/4, ... whose residual norm is
+    finite and strictly smaller. Raises SingularNewtonSystem when a linear
+    solve fails and NewtonDiverged when no step descends within
+    max_backtracks or the residual is still above tol after max_iters steps.
+    """
+    z = np.array(z0, dtype=float)
+    r = residual(z)
+    rnorm = float(np.linalg.norm(r))
+    for _ in range(max_iters):
+        if rnorm <= tol:
+            return z
+        try:
+            step = np.linalg.solve(jacobian(z), -r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularNewtonSystem(
+                f"Newton linear system is singular (residual {rnorm:.3e})") from exc
+        t = 1.0
+        for _ in range(max_backtracks):
+            z_new = z + t * step
+            r_new = residual(z_new)
+            rnorm_new = float(np.linalg.norm(r_new))
+            if np.isfinite(rnorm_new) and rnorm_new < rnorm:
+                break
+            t *= 0.5
+        else:
+            raise NewtonDiverged(
+                f"no descent after {max_backtracks} backtracks (residual {rnorm:.3e})")
+        z, r, rnorm = z_new, r_new, rnorm_new
+    if rnorm <= tol:
+        return z
+    raise NewtonDiverged(
+        f"residual {rnorm:.3e} above tolerance {tol:g} after {max_iters} iterations")
+
+
 def newton_full(
     sys: ParametricSystem,
     x: np.ndarray,
@@ -265,29 +316,12 @@ def newton_full(
     system; callers sweeping many start points treat None as 'no root from
     here'.
     """
-    x = np.array(x, dtype=float)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    r = sys.phi(x, lam)
-    rnorm = float(np.linalg.norm(r))
-    for _ in range(max_iters):
-        if rnorm <= tol:
-            return x
-        try:
-            step = np.linalg.solve(sys.dphi_dx(x, lam), -r)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        for _ in range(max_backtracks):
-            x_new = x + t * step
-            r_new = sys.phi(x_new, lam)
-            rnorm_new = float(np.linalg.norm(r_new))
-            if np.isfinite(rnorm_new) and rnorm_new < rnorm:
-                break
-            t *= 0.5
-        else:
-            return None
-        x, r, rnorm = x_new, r_new, rnorm_new
-    return x if rnorm <= tol else None
+    try:
+        return damped_newton(lambda z: sys.phi(z, lam), lambda z: sys.dphi_dx(z, lam),
+                             x, tol, max_iters, max_backtracks)
+    except (SingularNewtonSystem, NewtonDiverged):
+        return None
 
 
 def refine_equilibrium(

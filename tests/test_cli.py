@@ -171,6 +171,28 @@ def test_imft_requires_partition(tmp_path, capsys):
     assert "partition" in captured.err
 
 
+# a negative override L enlarges both margins past what any true bound allows:
+# tanh2 would certify r_par = 3 and 5 (its true boundary is r_par < 2), the
+# parabola y = x^2 would certify r_x = 3 with r_y = 0.1 (where y = 9)
+@pytest.mark.parametrize("command, config, estimator, grids", [
+    ("ls-certify", "tanh2_certify_analytic.json",
+     {"mode": "analytic", "L_par": "0", "L_perp": "0 - 5"},
+     {"certify": {"r_par_grid": [3.0, 5.0], "r_perp_grid": [1.0]}}),
+    ("imft-certify", "parabola_imft.json",
+     {"mode": "analytic", "L_x": "0 - 5", "L_y": "0"},
+     {"imft": {"x_indices": [0], "y_indices": [1], "r_x_grid": [3.0], "r_y_grid": [0.1]}}),
+], ids=["ls-certify", "imft-certify"])
+def test_negative_override_fails_instead_of_certifying(tmp_path, capsys, command, config,
+                                                       estimator, grids):
+    payload = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
+    payload.update(grids, estimator=estimator)
+    code = main([command, "--config", write_config(tmp_path, "negative.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "nonnegative" in captured.err
+    assert captured.out == ""
+
+
 # --- error handling ----------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from lscert import (
     witness_check,
 )
 from lscert.imft import certify_grid
-from lscert.sampling import THREADS_ENV, ball_points, max_over
+from lscert.sampling import THREADS_ENV, ball_points, max_over, thread_count
 
 
 def parabola():
@@ -182,6 +184,11 @@ def test_thread_env_var_gives_identical_results(monkeypatch):
     for threads in ("1", "3", "8"):
         monkeypatch.setenv(THREADS_ENV, threads)
         assert max_over(points, value) == base
+
+
+def test_thread_count_is_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "100000")
+    assert 1 <= thread_count() <= (os.cpu_count() or 1)
 
 
 def test_max_over_rejects_non_finite():

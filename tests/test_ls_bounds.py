@@ -6,6 +6,7 @@ import pytest
 
 import lscert
 from lscert import (
+    InexactKernel,
     NotEquilibrium,
     SingularReducedJacobian,
     SupremumEstimator,
@@ -105,6 +106,22 @@ def test_build_rejects_non_equilibrium(tanh2_system):
     with pytest.raises(NotEquilibrium) as err:
         build_split_system(tanh2_system, point)
     assert "refine" in str(err.value)
+
+
+def test_build_rejects_a_basis_that_j_does_not_annihilate(monkeypatch, tanh2_system):
+    # with V and Vperp swapped, ||J V|| = ||J|| = 2, so the hard zero alpha
+    # block of M_par would be false; the check must hold under python -O too
+    decompose = lscert.ls_bounds.compute_decomposition
+
+    def swapped(jac, rank_tol):
+        d = decompose(jac, rank_tol)
+        return dataclasses.replace(d, V=d.Vperp, Vperp=d.V)
+
+    monkeypatch.setattr(lscert.ls_bounds, "compute_decomposition", swapped)
+    point = lscert.evaluation_point(tanh2_system, [0.0, 0.0], [1.0])
+    with pytest.raises(InexactKernel) as err:
+        build_split_system(tanh2_system, point)
+    assert "||J V||" in str(err.value)
 
 
 def test_singular_reduced_block_is_reported(tanh2_split):
