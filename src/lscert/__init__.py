@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedDimensions,
 )
 from .imft import (
-    BaseBlocks,
     CertifiedRegion,
     FrontierPoint,
     ImftQuantities,
@@ -104,7 +103,7 @@ __all__ = [
     # generic split certification
     "SplitFunction", "split_function", "SupremumEstimator", "ImftQuantities",
     "compute_M", "estimate_L", "imft_quantities", "check_conditions", "certify_region",
-    "witness_check", "WitnessResult", "BaseBlocks",
+    "witness_check", "WitnessResult",
     "CertifiedRegion", "RegionEntry", "FrontierPoint",
     # kernel-split certification
     "SplitSystem", "build_split_system", "LsBoundQuantities", "compute_ls_M",

@@ -181,11 +181,9 @@ class CertifiedRegion:
     def any_certified(self) -> bool:
         return any(e.certified for e in self.entries)
 
-    def max_certified_r_x(self) -> float | None:
+    def max_certified_r_par(self) -> float | None:
         radii = [f.r_x_max for f in self.frontier if f.r_x_max is not None]
         return max(radii) if radii else None
-
-    max_certified_r_par = max_certified_r_x
 
 
 @dataclass(frozen=True)
@@ -405,10 +403,9 @@ def certify_region(
     estimator: SupremumEstimator | None = None,
     norm_kind: str = "spectral",
     x_weights: np.ndarray | None = None,
-    base: BaseBlocks | None = None,
 ) -> tuple[CertifiedRegion, ImftQuantities]:
     estimator = estimator or SupremumEstimator()
-    q = imft_quantities(f, x0, y0, estimator, norm_kind, x_weights, base)
+    q = imft_quantities(f, x0, y0, estimator, norm_kind, x_weights)
     return certify_grid(q, r_x_grid, r_y_grid), q
 
 

@@ -122,19 +122,23 @@ class SplitSystem:
         return self.jac_perp(alpha, beta, lam) - self.reduced_block
 
     def as_split_function(self) -> SplitFunction:
-        """Generic split-variable view with x := (alpha, lambda), y := beta."""
+        """Generic split-variable view with x := (alpha, lambda), y := beta.
+
+        As with jac_par/jac_perp, beta may be a scalar when n - q = 1.
+        """
         q, m = self.q, self.m
 
         def fun(p, beta):
             return self.evaluator(p[:q], beta, p[q:])
 
-        # the engine calls these once per lattice point with 1-D float
-        # points, so they skip the argument normalisation of jac_par/jac_perp
+        # the engine calls these once per lattice point; SplitFunction.dx/dy
+        # pass float arrays, so ravel (which lifts a 0-d beta to 1-D) is all
+        # the normalisation they need, cheaper than jac_par/jac_perp's
         def jac_x(p, beta):
-            return self._jac_par_at(self.state(p[:q], beta), p[q:])
+            return self._jac_par_at(self.state(p[:q], beta.ravel()), p[q:])
 
         def jac_y(p, beta):
-            return self._jac_perp_at(self.state(p[:q], beta), p[q:])
+            return self._jac_perp_at(self.state(p[:q], beta.ravel()), p[q:])
 
         return SplitFunction(n_x=q + m, n_y=self.n_perp, fun=fun, jac_x=jac_x, jac_y=jac_y)
 

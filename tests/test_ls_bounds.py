@@ -101,6 +101,19 @@ def test_specialised_quantities_match_generic_view(tanh2_split):
         assert q_ls.L_perp(r, 0.5) == q_gen.L_y(r, 0.5)
 
 
+def test_split_view_accepts_a_scalar_beta(tanh2_split):
+    # n - q = 1 here, so beta may be a scalar, as it may for jac_par/jac_perp
+    f = tanh2_split.as_split_function()
+    p = np.array([0.3, 1.2])
+    np.testing.assert_array_equal(f.value(p, 0.25), f.value(p, [0.25]))
+    np.testing.assert_array_equal(f.dx(p, 0.25), f.dx(p, [0.25]))
+    np.testing.assert_array_equal(f.dy(p, 0.25), f.dy(p, [0.25]))
+    target = f.value(tanh2_split.par_center, tanh2_split.beta0)
+    y = lscert.imft.newton_solve_y(f, p, 0.25, target)
+    assert y is not None
+    np.testing.assert_array_equal(y, lscert.imft.newton_solve_y(f, p, [0.25], target))
+
+
 def test_build_rejects_non_equilibrium(tanh2_system):
     point = lscert.evaluation_point(tanh2_system, [0.3, 0.1], [1.0])
     with pytest.raises(NotEquilibrium) as err:
