@@ -46,7 +46,6 @@ from .imft import (
     witness_check,
 )
 from .ls_bounds import (
-    LsBoundQuantities,
     SplitSystem,
     build_split_system,
     certify_ls_region,
@@ -106,7 +105,7 @@ __all__ = [
     "witness_check", "WitnessResult",
     "CertifiedRegion", "RegionEntry", "FrontierPoint",
     # kernel-split certification
-    "SplitSystem", "build_split_system", "LsBoundQuantities", "compute_ls_M",
+    "SplitSystem", "build_split_system", "compute_ls_M",
     "estimate_ls_L", "ls_quantities", "certify_ls_region", "check_ls_conditions",
     # reduction
     "ReducedMap", "ReducedPoint", "solve_phi", "SeriesCoefficients",

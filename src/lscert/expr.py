@@ -332,11 +332,19 @@ def to_source(
     return rec(node)
 
 
-def program_source(nodes: list[Node], state_names=None, param_names=None) -> str:
-    return "; ".join(to_source(nd, state_names, param_names) for nd in nodes)
-
-
 # --- dual-number evaluation ------------------------------------------------
+
+
+def sech_power(v: float, k: int) -> float:
+    """1 / cosh(v)**k, or its limit 0.0 where cosh(v)**k overflows.
+
+    That happens for |v| above about 710 / k, where the true value is below
+    the smallest normal float.
+    """
+    try:
+        return 1.0 / math.cosh(v) ** k
+    except OverflowError:
+        return 0.0
 
 
 class DualVector:
@@ -416,10 +424,10 @@ def _eval(node: Node, xs, ls, dual: bool, names, total: int = 0) -> "DualVector 
             if nd.name == "tanh":
                 out = math.tanh(v)
                 if dual:
-                    return DualVector(out, a.der * (1.0 / math.cosh(v) ** 2))
+                    return DualVector(out, a.der * sech_power(v, 2))
                 return out
             if nd.name == "sech":
-                out = 1.0 / math.cosh(v)
+                out = sech_power(v, 1)
                 if dual:
                     return DualVector(out, a.der * (-out * math.tanh(v)))
                 return out

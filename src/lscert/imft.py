@@ -23,6 +23,7 @@ answer to the kernel-split spellings (M_par, L_perp, r_par, r_par_max, ...).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -230,30 +231,15 @@ def compute_M(
     return m_x, m_y
 
 
-def _sampled_L_x(f, x0, y0, base_dx, r_x, est, norm_kind, x_weights) -> float:
-    w = None if x_weights is None else np.asarray(x_weights, dtype=float)
-    pts = ball_points(np.asarray(x0, float), r_x, est.samples_per_dim, norm_kind, weights=w)
-
-    def deviation(p):
-        d = f.dx(p, y0) - base_dx
-        if w is not None:
-            d = d * w[None, :]
+def _sampled_L(block, base_block, pts_x, pts_y, norm_kind, weights=None) -> float:
+    """Max of ||(block(px, py) - base_block) diag(weights)|| over pts_x x pts_y."""
+    def deviation(pair):
+        d = block(*pair) - base_block
+        if weights is not None:
+            d = d * weights[None, :]
         return induced_norm(d, norm_kind)
 
-    return est.safety_factor * max_over(pts, deviation)
-
-
-def _sampled_L_y(f, x0, y0, base_dy, r_x, r_y, est, norm_kind, x_weights) -> float:
-    w = None if x_weights is None else np.asarray(x_weights, dtype=float)
-    pts_x = ball_points(np.asarray(x0, float), r_x, est.samples_per_dim, norm_kind, weights=w)
-    pts_y = ball_points(np.asarray(y0, float), r_y, est.samples_per_dim, norm_kind)
-    pairs = [(px, py) for px in pts_x for py in pts_y]
-
-    def deviation(pair):
-        px, py = pair
-        return induced_norm(f.dy(px, py) - base_dy, norm_kind)
-
-    return est.safety_factor * max_over(pairs, deviation)
+    return max_over(itertools.product(pts_x, pts_y), deviation)
 
 
 def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights) -> float:
@@ -262,20 +248,25 @@ def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights) -
     Every L the package uses comes through here, so this is where both checks
     live: the radii must be finite and nonnegative (ValueError), and so must
     the bound (NonFinite), because a negative or NaN L would certify radius
-    pairs that no true bound allows.
+    pairs that no true bound allows. L_x samples the x-ball at y0, L_y the
+    product of the x- and y-balls.
     """
     for name, r in zip(("r_x", "r_y"), radii):
         if not (np.isfinite(r) and r >= 0):
             raise ValueError(f"{name} must be finite and nonnegative, got {r}")
-    if which == "x":
-        if est.uses_override_x():
-            value = est.override_L_x(*radii)
-        else:
-            value = _sampled_L_x(f, x0, y0, base.dx, *radii, est, norm_kind, x_weights)
-    elif est.uses_override_y():
+    if which == "x" and est.uses_override_x():
+        value = est.override_L_x(*radii)
+    elif which == "y" and est.uses_override_y():
         value = est.override_L_y(*radii)
     else:
-        value = _sampled_L_y(f, x0, y0, base.dy, *radii, est, norm_kind, x_weights)
+        w = None if x_weights is None else np.asarray(x_weights, dtype=float)
+        pts_x = ball_points(np.asarray(x0, float), radii[0], est.samples_per_dim, norm_kind, weights=w)
+        if which == "x":
+            value = _sampled_L(f.dx, base.dx, pts_x, [y0], norm_kind, w)
+        else:
+            pts_y = ball_points(np.asarray(y0, float), radii[1], est.samples_per_dim, norm_kind)
+            value = _sampled_L(f.dy, base.dy, pts_x, pts_y, norm_kind)
+        value = est.safety_factor * value
     value = float(value)
     if not (np.isfinite(value) and value >= 0.0):
         label = "L_x (L_par)" if which == "x" else "L_y (L_perp)"

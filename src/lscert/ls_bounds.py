@@ -41,9 +41,8 @@ from .norms import induced_norm
 from .subspace import DEFAULT_RANK_TOL, SubspaceDecomposition, compute_decomposition
 from .system import DEFAULT_EQUILIBRIUM_TOL, EvaluationPoint, ParametricSystem
 
-# the kernel-split names of the shared result types; FrontierPoint is
-# imported above so that it stays importable from this module too
-LsBoundQuantities = ImftQuantities
+# the kernel-split name of the shared check; FrontierPoint is imported above
+# so that it stays importable from this module too
 check_ls_conditions = check_conditions
 
 
@@ -87,17 +86,13 @@ class SplitSystem:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         return self.decomp.W.T @ self.sys.phi(self.state(alpha, beta), lam)
 
-    def jac_par(self, alpha, beta, lam) -> np.ndarray:
-        """d(W^T Phi)/d(alpha, lambda), shape (n-q, q+m)."""
-        x = self.state(np.atleast_1d(alpha), np.atleast_1d(beta))
-        return self._jac_par_at(x, np.atleast_1d(lam))
-
     def jac_perp(self, alpha, beta, lam) -> np.ndarray:
         """d(W^T Phi)/d(beta), shape (n-q, n-q)."""
         x = self.state(np.atleast_1d(alpha), np.atleast_1d(beta))
         return self._jac_perp_at(x, np.atleast_1d(lam))
 
     def _jac_par_at(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """d(W^T Phi)/d(alpha, lambda) at state x, shape (n-q, q+m)."""
         w_t = self.decomp.W.T
         return np.hstack([
             w_t @ self.sys.dphi_dx(x, lam) @ self.decomp.V,
@@ -107,16 +102,6 @@ class SplitSystem:
     def _jac_perp_at(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         return self.decomp.W.T @ self.sys.dphi_dx(x, lam) @ self.decomp.Vperp
 
-    def xi1(self, alpha, lam) -> np.ndarray:
-        """Deviation of the (alpha, lambda) block from its base value.
-
-        Evaluated at beta = beta0; the base subtracts the hard zero alpha
-        block and the lambda block W^T D_lambda Phi(x0, lambda0).
-        """
-        block = self.jac_par(alpha, self.beta0, lam)
-        block[:, self.q:] -= self.dlambda_base
-        return block
-
     def xi2(self, alpha, beta, lam) -> np.ndarray:
         """Deviation of the beta block from W^T J Vperp."""
         return self.jac_perp(alpha, beta, lam) - self.reduced_block
@@ -124,7 +109,7 @@ class SplitSystem:
     def as_split_function(self) -> SplitFunction:
         """Generic split-variable view with x := (alpha, lambda), y := beta.
 
-        As with jac_par/jac_perp, beta may be a scalar when n - q = 1.
+        As with jac_perp, beta may be a scalar when n - q = 1.
         """
         q, m = self.q, self.m
 
@@ -133,7 +118,7 @@ class SplitSystem:
 
         # the engine calls these once per lattice point; SplitFunction.dx/dy
         # pass float arrays, so ravel (which lifts a 0-d beta to 1-D) is all
-        # the normalisation they need, cheaper than jac_par/jac_perp's
+        # the normalisation they need, cheaper than jac_perp's
         def jac_x(p, beta):
             return self._jac_par_at(self.state(p[:q], beta.ravel()), p[q:])
 

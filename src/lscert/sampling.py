@@ -15,19 +15,12 @@ is conservative.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import NonFinite
 from .norms import vector_norm
-
-THREADS_ENV = "LS_CERTIFY_THREADS"
-
-# below this many points the thread-pool overhead always loses
-_THREAD_THRESHOLD = 8192
 
 
 def _lattice_sizes(samples_per_dim: int) -> list[int]:
@@ -96,36 +89,13 @@ def ball_points(
     return np.concatenate(chunks, axis=0)
 
 
-def thread_count() -> int:
-    """Sampling threads: LS_CERTIFY_THREADS, clamped to [1, cpu_count]."""
-    cpus = os.cpu_count() or 1
-    raw = os.environ.get(THREADS_ENV)
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        return max(1, min(n, cpus))
-    return cpus
-
-
 def max_over(points: Iterable[np.ndarray], value: Callable[[np.ndarray], float]) -> float:
-    """Max of `value` over the points, parallel when it can plausibly pay off.
+    """Max of `value` over the points, read lazily in the calling thread.
 
-    The reduction is a plain max, which is exact and order-independent in
-    floating point, so the threaded and sequential paths agree bit for bit.
+    The reduction is a plain max, so the result is deterministic. No points
+    give 0.0; a non-finite maximum raises NonFinite.
     """
-    pts = list(points)
-    if not pts:
-        return 0.0
-    n = thread_count()
-    if n > 1 and len(pts) >= _THREAD_THRESHOLD:
-        size = (len(pts) + n - 1) // n
-        blocks = [pts[i : i + size] for i in range(0, len(pts), size)]
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            best = max(pool.map(lambda blk: max(value(p) for p in blk), blocks))
-    else:
-        best = max(value(p) for p in pts)
+    best = max(map(value, points), default=0.0)
     if not np.isfinite(best):
         raise NonFinite("supremum sampling produced a non-finite value")
     return float(best)

@@ -23,6 +23,7 @@ from .errors import (
     SingularNewtonSystem,
     UnknownModel,
 )
+from .expr import sech_power
 from .subspace import DEFAULT_RANK_TOL, compute_decomposition
 
 DEFAULT_EQUILIBRIUM_TOL = 1e-10
@@ -161,15 +162,15 @@ def _tanh2() -> ParametricSystem:
     def jac_x(x, lam):
         l = lam[0]
         return np.array([
-            [-1.0, l * (1.0 / math.cosh(l * x[1]) ** 2)],
-            [l * (1.0 / math.cosh(l * x[0]) ** 2), -1.0],
+            [-1.0, l * sech_power(l * x[1], 2)],
+            [l * sech_power(l * x[0], 2), -1.0],
         ])
 
     def jac_lambda(x, lam):
         l = lam[0]
         return np.array([
-            [x[1] * (1.0 / math.cosh(l * x[1]) ** 2)],
-            [x[0] * (1.0 / math.cosh(l * x[0]) ** 2)],
+            [x[1] * sech_power(l * x[1], 2)],
+            [x[0] * sech_power(l * x[0], 2)],
         ])
 
     return ParametricSystem(n=2, m=1, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name="tanh2")

@@ -60,37 +60,54 @@ def test_ls_certify_summary_line_and_exit(tmp_path, capsys):
     assert json.loads(out.read_text(encoding="utf-8"))["meta"]["command"] == "ls-certify"
 
 
-def test_reports_are_deterministic_and_match_golden(tmp_path):
-    texts = []
-    for i in range(2):
-        out = tmp_path / f"run{i}.json"
-        code = main(["ls-certify", "--config",
-                     str(CONFIGS / "tanh2_certify_analytic.json"), "--out", str(out)])
-        assert code == 0
-        texts.append(non_meta_text(json.loads(out.read_text(encoding="utf-8"))))
-    assert texts[0] == texts[1]
-    golden = (GOLDEN / "tanh2_analytic_nonmeta.json").read_text(encoding="utf-8")
-    assert texts[0] == golden
+GOLDEN_CASES = (
+    ("ls-certify", "tanh2_certify_analytic.json", "tanh2_analytic_nonmeta.json"),
+    ("ls-certify", "tanh2_certify_sampled.json", "tanh2_sampled_nonmeta.json"),
+    ("imft-certify", "parabola_imft.json", "parabola_imft_nonmeta.json"),
+)
+
+
+def test_reports_are_deterministic_and_match_golden(tmp_path, monkeypatch):
+    # sampling runs in the calling thread and reads no environment variable,
+    # so a malformed thread-count setting left over from older releases is inert
+    monkeypatch.setenv("LS_CERTIFY_THREADS", "abc")
+    for command, config, golden in GOLDEN_CASES:
+        texts = []
+        for i in range(2):
+            out = tmp_path / f"{golden}.run{i}.json"
+            code = main([command, "--config", str(CONFIGS / config), "--out", str(out)])
+            assert code == 0, config
+            texts.append(non_meta_text(json.loads(out.read_text(encoding="utf-8"))))
+        assert texts[0] == texts[1], config
+        assert texts[0] == (GOLDEN / golden).read_text(encoding="utf-8"), config
 
 
 def test_builtin_and_expression_models_agree_bitwise(tmp_path):
     # the expression evaluator mirrors the builtin arithmetic operation for
-    # operation, so even sampled deviation estimates match bit for bit
-    expr_cfg = write_config(tmp_path, "expr.json", {
-        "model": {"kind": "expr", "n": 2, "m": 1,
-                  "source": "-x1 + tanh(l1*x2); -x2 + tanh(l1*x1)"},
-        "base_point": {"x0": [0.0, 0.0], "lambda0": [1.0]},
-        "estimator": {"mode": "sampled", "samples_per_dim": 9},
-        "certify": {"r_par_grid": [0.5, 1.0, 1.5], "r_perp_grid": [0.5, 2.0]},
-    })
-    out_expr = tmp_path / "expr_out.json"
-    out_builtin = tmp_path / "builtin_out.json"
-    assert main(["ls-certify", "--config", expr_cfg, "--out", str(out_expr)]) == 0
-    assert main(["ls-certify", "--config", str(CONFIGS / "tanh2_certify_sampled.json"),
-                 "--out", str(out_builtin)]) == 0
-    expr_doc = json.loads(out_expr.read_text(encoding="utf-8"))
-    builtin_doc = json.loads(out_builtin.read_text(encoding="utf-8"))
-    assert non_meta_text(expr_doc) == non_meta_text(builtin_doc)
+    # operation, so even sampled deviation estimates match bit for bit; the
+    # r_perp = 400 case drives tanh arguments past where cosh^2 overflows
+    cases = (
+        (9, {"r_par_grid": [0.5, 1.0, 1.5], "r_perp_grid": [0.5, 2.0]}),
+        (5, {"r_par_grid": [1.0], "r_perp_grid": [400.0]}),
+    )
+    models = {
+        "builtin": {"kind": "builtin", "name": "tanh2"},
+        "expr": {"kind": "expr", "n": 2, "m": 1,
+                 "source": "-x1 + tanh(l1*x2); -x2 + tanh(l1*x1)"},
+    }
+    for spd, grid in cases:
+        texts = {}
+        for name, model in models.items():
+            cfg = write_config(tmp_path, f"{name}.json", {
+                "model": model,
+                "base_point": {"x0": [0.0, 0.0], "lambda0": [1.0]},
+                "estimator": {"mode": "sampled", "samples_per_dim": spd},
+                "certify": grid,
+            })
+            out = tmp_path / f"{name}_out.json"
+            assert main(["ls-certify", "--config", cfg, "--out", str(out)]) == 0, (name, grid)
+            texts[name] = non_meta_text(json.loads(out.read_text(encoding="utf-8")))
+        assert texts["expr"] == texts["builtin"], grid
 
 
 def test_nothing_certified_exits_two(tmp_path, capsys):

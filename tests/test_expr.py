@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,18 @@ def test_overflow_raises_nonfinite():
         expr.eval_values(expr.parse("exp(x1)", 1, 0), [1000.0], [])
     with pytest.raises(NonFinite):
         expr.eval_dual(expr.parse("x1 ^ 9", 1, 0), [1e200], [])
+
+
+def test_sech_powers_underflow_to_zero_instead_of_overflowing():
+    # cosh(v)^2 overflows past |v| ~ 355 and cosh(v) past ~ 710; the true
+    # values there are below the smallest normal float
+    tanh = expr.parse("tanh(x1)", 1, 0)
+    assert expr.eval_dual(tanh, [400.0], [])[1][0, 0] == 0.0
+    assert expr.eval_dual(tanh, [354.0], [])[1][0, 0] == 1.0 / math.cosh(354.0) ** 2
+    sech = expr.parse("sech(x1)", 1, 0)
+    assert expr.eval_values(sech, [800.0], [])[0] == 0.0
+    values, d_x, _ = expr.eval_dual(sech, [800.0], [])
+    assert values[0] == 0.0 and d_x[0, 0] == 0.0
 
 
 def test_custom_variable_names_for_radius_overrides():

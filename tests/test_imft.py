@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,7 @@ from lscert import (
     witness_check,
 )
 from lscert.imft import certify_grid
-from lscert.sampling import THREADS_ENV, ball_points, max_over, thread_count
+from lscert.sampling import ball_points, max_over
 
 
 def parabola():
@@ -174,21 +172,6 @@ def test_empty_y_block_certifies_on_domain_condition_alone():
     assert q.M_y == 0.0
     check = check_conditions(q, 1.0, 0.0)
     assert check.certified and check.margin_domain == np.inf
-
-
-def test_thread_env_var_gives_identical_results(monkeypatch):
-    points = [np.array([float(i)]) for i in range(20000)]
-    value = lambda p: float(np.cos(p[0]) * p[0] % 7.3)
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    base = max_over(points, value)
-    for threads in ("1", "3", "8"):
-        monkeypatch.setenv(THREADS_ENV, threads)
-        assert max_over(points, value) == base
-
-
-def test_thread_count_is_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "100000")
-    assert 1 <= thread_count() <= (os.cpu_count() or 1)
 
 
 def test_max_over_rejects_non_finite():

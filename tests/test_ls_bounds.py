@@ -102,7 +102,7 @@ def test_specialised_quantities_match_generic_view(tanh2_split):
 
 
 def test_split_view_accepts_a_scalar_beta(tanh2_split):
-    # n - q = 1 here, so beta may be a scalar, as it may for jac_par/jac_perp
+    # n - q = 1 here, so beta may be a scalar, as it may for jac_perp
     f = tanh2_split.as_split_function()
     p = np.array([0.3, 1.2])
     np.testing.assert_array_equal(f.value(p, 0.25), f.value(p, [0.25]))
