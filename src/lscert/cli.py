@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from . import expr as _expr
 from . import ls_bounds, reduction, report
 from .config import (
     ConfigError,
@@ -32,9 +31,9 @@ from .config import (
     build_system,
     load_config,
 )
-from .errors import LscertError
+from .errors import ArityError, LscertError, ParseError, UnknownIdentifier
 from .imft import SplitFunction, certify_grid, imft_quantities
-from .system import builtin_model, evaluation_point
+from .system import evaluation_point
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -122,32 +121,16 @@ def _cmd_ls_certify(args) -> int:
 
 
 def _combined_split(model: ModelConfig, section: ImftSection, bp) -> SplitFunction:
-    """Build f(x, y) over the combined (state ++ parameter) vector."""
-    if model.kind == "builtin":
-        sys_ = builtin_model(model.name, model.params)
-        n, m, k = sys_.n, sys_.m, sys_.n
+    """Build f(x, y) over the combined (state ++ parameter) vector.
 
-        def full_value(u):
-            return sys_.phi(u[:n], u[n:])
-
-        def full_jac(u):
-            return np.hstack([sys_.dphi_dx(u[:n], u[n:]), sys_.dphi_dlambda(u[:n], u[n:])])
-    else:
-        n, m = model.n, model.m
-        k = len(section.y_indices)
-        names = _expr.default_names(n, m)
-        try:
-            asts = _expr.parse_components(model.source, k, *names)
-        except LscertError as exc:
-            raise ConfigError("model.source", str(exc)) from exc
-
-        def full_value(u):
-            return _expr.eval_values(asts, u[:n], u[n:], names=names)
-
-        def full_jac(u):
-            _, jx, jl = _expr.eval_dual(asts, u[:n], u[n:], n_state=n, names=names)
-            return np.hstack([jx, jl])
-
+    An expression model has one component per y coordinate; a builtin has
+    its own n, which y_indices must match.
+    """
+    try:
+        sys_ = build_system(model, components=len(section.y_indices))
+    except (ParseError, ArityError, UnknownIdentifier) as exc:
+        raise ConfigError("model.source", str(exc)) from exc
+    n, m, k = sys_.n, sys_.m, sys_.k
     total = n + m
     x_idx = np.asarray(section.x_indices, dtype=int)
     y_idx = np.asarray(section.y_indices, dtype=int)
@@ -172,12 +155,28 @@ def _combined_split(model: ModelConfig, section: ImftSection, bp) -> SplitFuncti
         u[y_idx] = y
         return u
 
+    def value(x, y):
+        u = assemble(x, y)
+        return sys_.phi(u[:n], u[n:])
+
+    def full_jac(x, y):
+        u = assemble(x, y)
+        return np.hstack([sys_.dphi_dx(u[:n], u[n:]), sys_.dphi_dlambda(u[:n], u[n:])])
+
+    def full_jacs(X, Y):
+        u = np.empty((len(X), total))
+        u[:, x_idx] = X
+        u[:, y_idx] = Y
+        return np.concatenate(sys_.jacobians(u[:, :n], u[:, n:]), axis=2)
+
     return SplitFunction(
         n_x=len(x_idx),
         n_y=len(y_idx),
-        fun=lambda x, y: full_value(assemble(x, y)),
-        jac_x=lambda x, y: full_jac(assemble(x, y))[:, x_idx],
-        jac_y=lambda x, y: full_jac(assemble(x, y))[:, y_idx],
+        fun=value,
+        jac_x=lambda x, y: full_jac(x, y)[:, x_idx],
+        jac_y=lambda x, y: full_jac(x, y)[:, y_idx],
+        jac_x_many=lambda X, Y: full_jacs(X, Y)[:, :, x_idx],
+        jac_y_many=lambda X, Y: full_jacs(X, Y)[:, :, y_idx],
     )
 
 

@@ -351,11 +351,13 @@ def load_config(path: str) -> RunConfig:
 # --- builders ----------------------------------------------------------------
 
 
-def build_system(model: ModelConfig) -> ParametricSystem:
+def build_system(model: ModelConfig, components: int | None = None) -> ParametricSystem:
+    """The model's system; `components` sets an expression model's component count
+    (default n), while a builtin has its own."""
     try:
         if model.kind == "builtin":
             return builtin_model(model.name, model.params)
-        return system_from_expressions(model.source, model.n, model.m)
+        return system_from_expressions(model.source, model.n, model.m, components)
     except LscertError:
         raise
     except ValueError as exc:

@@ -493,6 +493,143 @@ def eval_dual(
     return vals, jac[:, :n], jac[:, n:]
 
 
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """fn over the elements as Python floats, so each result is eval_dual's own."""
+    return np.array([fn(v) for v in values.tolist()], dtype=float)
+
+
+def _eval_many(node: Node, xs, ls, names, count: int, total: int) -> DualVector:
+    """eval_dual's walker over `count` points at once: val (count,), der (count, total).
+
+    Array arithmetic is used only where it is exact IEEE arithmetic (+ - * /,
+    sqrt, abs, copysign, selection), so it rounds as the per-point floats do;
+    transcendentals and powers go through _each, because numpy's vectorised
+    tanh/cosh/exp/log/power round differently from the math module.
+    """
+
+    def ev(nd: Node) -> DualVector:
+        if isinstance(nd, Const):
+            return DualVector(np.full(count, nd.value), np.zeros((count, total)))
+        if isinstance(nd, StateVar):
+            return xs[nd.index]
+        if isinstance(nd, ParamVar):
+            return ls[nd.index]
+        if isinstance(nd, Neg):
+            a = ev(nd.arg)
+            return DualVector(-a.val, -a.der)
+        if isinstance(nd, Pow):
+            a = ev(nd.base)
+            k = nd.exponent
+            if k == 0:
+                return DualVector(np.ones(count), np.zeros_like(a.der))
+            try:
+                val = _each(lambda v: v**k, a.val)
+                slope = _each(lambda v: k * v ** (k - 1), a.val)
+            except OverflowError as exc:
+                raise NonFinite(f"overflow evaluating '{_offending(nd, names)}'") from exc
+            return DualVector(val, slope[:, None] * a.der)
+        if isinstance(nd, Binary):
+            a, b = ev(nd.left), ev(nd.right)
+            if nd.op == "+":
+                return DualVector(a.val + b.val, a.der + b.der)
+            if nd.op == "-":
+                return DualVector(a.val - b.val, a.der - b.der)
+            if nd.op == "*":
+                return DualVector(a.val * b.val, a.der * b.val[:, None] + a.val[:, None] * b.der)
+            if np.any(b.val == 0.0):
+                raise DomainError(f"division by zero in '{_offending(nd, names)}'")
+            q = a.val / b.val
+            return DualVector(q, (a.der - q[:, None] * b.der) / b.val[:, None])
+        assert isinstance(nd, Func)
+        if nd.name in BINARY_FUNCTIONS:
+            a, b = ev(nd.args[0]), ev(nd.args[1])
+            if np.any(np.abs(a.val - b.val) <= KINK_TOL):
+                raise DomainError(
+                    f"{nd.name} arguments tie within {KINK_TOL:g} in '{_offending(nd, names)}'; "
+                    "derivative undefined at the kink")
+            pick_a = (a.val < b.val) == (nd.name == "min")
+            return DualVector(np.where(pick_a, a.val, b.val), np.where(pick_a[:, None], a.der, b.der))
+        a = ev(nd.args[0])
+        v = a.val
+        try:
+            if nd.name == "tanh":
+                return DualVector(_each(math.tanh, v), a.der * _each(lambda t: sech_power(t, 2), v)[:, None])
+            if nd.name == "sech":
+                out = _each(lambda t: sech_power(t, 1), v)
+                slope = np.array([-o * math.tanh(t) for o, t in zip(out.tolist(), v.tolist())])
+                return DualVector(out, a.der * slope[:, None])
+            if nd.name == "sin":
+                return DualVector(_each(math.sin, v), a.der * _each(math.cos, v)[:, None])
+            if nd.name == "cos":
+                return DualVector(_each(math.cos, v), a.der * _each(lambda t: -math.sin(t), v)[:, None])
+            if nd.name == "exp":
+                out = _each(math.exp, v)
+                return DualVector(out, a.der * out[:, None])
+            if nd.name == "log":
+                if np.any(v <= 0.0):
+                    raise DomainError(f"log of non-positive value {v[v <= 0.0][0].item()!r} "
+                                      f"in '{_offending(nd, names)}'")
+                return DualVector(_each(math.log, v), a.der / v[:, None])
+            if nd.name == "sqrt":
+                if np.any(v <= 0.0):
+                    bad = v[v <= 0.0][0].item()
+                    raise DomainError(
+                        f"sqrt of {'negative value' if bad < 0 else 'zero (derivative singular)'} "
+                        f"{bad!r} in '{_offending(nd, names)}'")
+                out = np.sqrt(v)
+                return DualVector(out, a.der / (2.0 * out)[:, None])
+            assert nd.name == "abs"
+            if np.any(np.abs(v) <= KINK_TOL):
+                raise DomainError(
+                    f"abs argument within {KINK_TOL:g} of the kink in '{_offending(nd, names)}'; "
+                    "derivative undefined there")
+            return DualVector(np.abs(v), a.der * np.copysign(1.0, v)[:, None])
+        except OverflowError as exc:
+            raise NonFinite(f"overflow evaluating '{_offending(nd, names)}'") from exc
+
+    return ev(node)
+
+
+def eval_dual_many(
+    asts: list[Node],
+    X: np.ndarray,
+    Lam: np.ndarray,
+    n_state: int | None = None,
+    names: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eval_dual at each row of X (N, n) and Lam (N, m), in one walk of each tree.
+
+    Returns (values, d_values/d_x, d_values/d_lambda) with shapes (N, k),
+    (N, k, n), (N, k, m); row i equals eval_dual(asts, X[i], Lam[i]) bit for
+    bit. Errors carry eval_dual's messages, but when several points fail,
+    the one reported need not be the first failing point in row order: the
+    walk goes node by node over all points, not point by point.
+    """
+    X = np.asarray(X, dtype=float)
+    Lam = np.asarray(Lam, dtype=float)
+    count = X.shape[0]
+    n = X.shape[1] if n_state is None else n_state
+    m = Lam.shape[1]
+    if names is None:
+        names = default_names(n, m)
+    total = n + m
+    seeds = np.eye(total)
+    xs = [DualVector(X[:, i].copy(), np.repeat(seeds[i:i + 1], count, axis=0)) for i in range(n)]
+    ls = [DualVector(Lam[:, j].copy(), np.repeat(seeds[n + j:n + j + 1], count, axis=0))
+          for j in range(m)]
+    vals = np.empty((count, len(asts)))
+    jac = np.empty((count, len(asts), total))
+    # overflow and NaN propagate as in eval_dual and are caught by the check below
+    with np.errstate(all="ignore"):
+        for row, ast in enumerate(asts):
+            out = _eval_many(ast, xs, ls, names, count, total)
+            vals[:, row] = out.val
+            jac[:, row] = out.der
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(jac))):
+        raise NonFinite("expression evaluation produced a non-finite value or derivative")
+    return vals, jac[:, :, :n], jac[:, :, n:]
+
+
 def _seed(total: int, hot: int) -> np.ndarray:
     der = np.zeros(total)
     der[hot] = 1.0

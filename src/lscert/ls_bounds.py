@@ -125,7 +125,24 @@ class SplitSystem:
         def jac_y(p, beta):
             return self._jac_perp_at(self.state(p[:q], beta.ravel()), p[q:])
 
-        return SplitFunction(n_x=q + m, n_y=self.n_perp, fun=fun, jac_x=jac_x, jac_y=jac_y)
+        # the batched blocks repeat the per-point products slice by slice
+        # (stacked matmul at the same shapes, same association), which keeps
+        # them bitwise equal; einsum or one flattened GEMM would round differently
+        w_t, v, v_perp = self.decomp.W.T[None], self.decomp.V[None], self.decomp.Vperp[None]
+
+        def jacobians_at(P, B):
+            states = (v @ P[:, :q, None])[..., 0] + (v_perp @ B[:, :, None])[..., 0]
+            return self.sys.jacobians(states, P[:, q:])
+
+        def jac_x_many(P, B):
+            jx, jl = jacobians_at(P, B)
+            return np.concatenate([w_t @ jx @ v, w_t @ jl], axis=2)
+
+        def jac_y_many(P, B):
+            return w_t @ jacobians_at(P, B)[0] @ v_perp
+
+        return SplitFunction(n_x=q + m, n_y=self.n_perp, fun=fun, jac_x=jac_x, jac_y=jac_y,
+                             jac_x_many=jac_x_many, jac_y_many=jac_y_many)
 
     @property
     def base_blocks(self) -> BaseBlocks:

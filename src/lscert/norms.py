@@ -47,6 +47,26 @@ def induced_norm(a: np.ndarray, kind: str = "spectral") -> float:
     return float(np.linalg.norm(a, _MAT_ORD[kind]))
 
 
+def induced_norms(a: np.ndarray, kind: str = "spectral") -> np.ndarray:
+    """induced_norm of each matrix in a stack of shape (N, r, c), bit for bit.
+
+    Each norm is taken with the operation induced_norm uses on one matrix:
+    the same SVD or absolute sums along the same axis, and for a single row
+    or column the dot product np.linalg.norm takes (a summed square would
+    round differently).
+    """
+    a = np.asarray(a, dtype=float)
+    count, rows, cols = a.shape
+    if rows * cols == 0:
+        return np.zeros(count)
+    if not np.all(np.isfinite(a)):
+        raise NonFinite("matrix contains non-finite entries")
+    if min(rows, cols) == 1 and kind == "spectral":
+        v = a.reshape(count, 1, rows * cols)
+        return np.sqrt(v @ v.transpose(0, 2, 1))[:, 0, 0]
+    return np.linalg.norm(a, _MAT_ORD[kind], axis=(1, 2))
+
+
 def inverse_norm(a: np.ndarray, kind: str = "spectral", error: type[Exception] = SingularDyf) -> float:
     """Norm of the matrix inverse, guarding against near-singularity.
 

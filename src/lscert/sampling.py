@@ -40,9 +40,10 @@ def ball_points(
     """Sample points of the closed ball {v : ||(v - c)/w|| <= r}.
 
     Returns an array of shape (npoints, dim). `weights` stretches the ball
-    per coordinate (default all ones). Duplicates between the lattice chain
-    and the explicit boundary points are harmless for a max-reduce and are
-    not removed.
+    per coordinate (default all ones). Each point appears once: of rows
+    that are equal bit for bit (coarser lattice levels land on finer ones
+    for odd samples_per_dim, and boundary points on lattice points), the
+    first is kept, in order.
     """
     center = np.asarray(center, dtype=float)
     if center.ndim != 1:
@@ -86,7 +87,10 @@ def ball_points(
             u = u / vector_norm(u, norm_kind)
             boundary.append(center + radius * (w * u))
     chunks.append(np.array(boundary))
-    return np.concatenate(chunks, axis=0)
+    points = np.concatenate(chunks, axis=0)
+    rows = points.view(np.dtype((np.void, points.itemsize * dim)))[:, 0]
+    _, first = np.unique(rows, return_index=True)
+    return points[np.sort(first)]
 
 
 def max_over(points: Iterable[np.ndarray], value: Callable[[np.ndarray], float]) -> float:

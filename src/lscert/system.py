@@ -31,11 +31,18 @@ DEFAULT_EQUILIBRIUM_TOL = 1e-10
 _FD_REL_STEP = float(np.cbrt(np.finfo(float).eps))
 
 ArrayFun = Callable[[np.ndarray, np.ndarray], np.ndarray]
+BatchJac = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class ParametricSystem:
-    """Residual map with state dimension n and parameter dimension m."""
+    """Residual map with state dimension n and parameter dimension m.
+
+    The residual has n components, except for the expression models of the
+    generic split view (imft-certify), which have as many as y coordinates:
+    `components`, when set. `batch_jacobians`, when set, computes both
+    Jacobian blocks at many points in one pass (see `jacobians`).
+    """
 
     n: int
     m: int
@@ -44,25 +51,52 @@ class ParametricSystem:
     jac_lambda: ArrayFun
     name: str = "custom"
     smoothness_order: int = 2  # assumed continuous derivatives, documentation only
+    batch_jacobians: BatchJac | None = None
+    components: int | None = None
+
+    @property
+    def k(self) -> int:
+        """Number of residual components."""
+        return self.n if self.components is None else self.components
 
     def phi(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         x, lam = self._check(x, lam)
         out = np.asarray(self.fun(x, lam), dtype=float).ravel()
-        if out.shape != (self.n,):
-            raise DimensionMismatch(f"residual has shape {out.shape}, expected ({self.n},)")
+        if out.shape != (self.k,):
+            raise DimensionMismatch(f"residual has shape {out.shape}, expected ({self.k},)")
         return out
 
     def dphi_dx(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         x, lam = self._check(x, lam)
         out = np.asarray(self.jac_x(x, lam), dtype=float)
-        if out.shape != (self.n, self.n):
-            raise DimensionMismatch(f"state Jacobian has shape {out.shape}, expected {(self.n, self.n)}")
+        if out.shape != (self.k, self.n):
+            raise DimensionMismatch(f"state Jacobian has shape {out.shape}, expected {(self.k, self.n)}")
         return out
 
     def dphi_dlambda(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         x, lam = self._check(x, lam)
-        out = np.asarray(self.jac_lambda(x, lam), dtype=float).reshape(self.n, self.m)
+        out = np.asarray(self.jac_lambda(x, lam), dtype=float).reshape(self.k, self.m)
         return out
+
+    def jacobians(self, X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both Jacobian blocks at each row of X (N, n) and Lam (N, m).
+
+        Returns (N, k, n) and (N, k, m) arrays whose slices equal dphi_dx and
+        dphi_dlambda at the same points bit for bit. Systems without a batched
+        form stack the per-point calls.
+        """
+        X = np.asarray(X, dtype=float).reshape(-1, self.n)
+        Lam = np.asarray(Lam, dtype=float).reshape(len(X), self.m)
+        if self.batch_jacobians is None:
+            jx = np.stack([self.dphi_dx(x, lam) for x, lam in zip(X, Lam)])
+            jl = np.stack([self.dphi_dlambda(x, lam) for x, lam in zip(X, Lam)])
+            return jx, jl
+        jx, jl = self.batch_jacobians(X, Lam)
+        count = len(X)
+        if jx.shape != (count, self.k, self.n) or jl.shape != (count, self.k, self.m):
+            raise DimensionMismatch(f"batched Jacobians have shapes {jx.shape} and {jl.shape}, "
+                                    f"expected {(count, self.k, self.n)} and {(count, self.k, self.m)}")
+        return jx, jl
 
     def _check(self, x, lam) -> tuple[np.ndarray, np.ndarray]:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -142,12 +176,22 @@ def from_callable(
     jac_lambda: ArrayFun | None = None,
     name: str = "custom",
 ) -> ParametricSystem:
-    """Wrap a residual callable, filling missing Jacobians by differences."""
+    """Wrap a residual callable, filling missing Jacobians by differences.
+
+    With both filled, the batched form takes one difference pass per point
+    for both blocks.
+    """
+    batch = None
+    if jac_x is None and jac_lambda is None:
+        def batch(X, Lam):
+            blocks = [fd_jacobians(fun, n, m, x, lam) for x, lam in zip(X, Lam)]
+            return np.stack([jx for jx, _ in blocks]), np.stack([jl for _, jl in blocks])
     if jac_x is None:
         jac_x = lambda x, lam: fd_jacobians(fun, n, m, x, lam)[0]
     if jac_lambda is None:
         jac_lambda = lambda x, lam: fd_jacobians(fun, n, m, x, lam)[1]
-    return ParametricSystem(n=n, m=m, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name=name)
+    return ParametricSystem(n=n, m=m, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name=name,
+                            batch_jacobians=batch)
 
 
 # --- built-in models ---------------------------------------------------------
@@ -173,7 +217,19 @@ def _tanh2() -> ParametricSystem:
             [x[0] * sech_power(l * x[0], 2)],
         ])
 
-    return ParametricSystem(n=2, m=1, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name="tanh2")
+    def jacobians(X, Lam):
+        l = Lam[:, 0]
+        # sech_power per element: numpy's cosh rounds differently from math.cosh
+        s = [np.array([sech_power(v, 2) for v in (l * X[:, i]).tolist()]) for i in range(2)]
+        jx = np.empty((len(X), 2, 2))
+        jx[:, 0, 0] = jx[:, 1, 1] = -1.0
+        jx[:, 0, 1] = l * s[1]
+        jx[:, 1, 0] = l * s[0]
+        jl = np.stack([X[:, 1] * s[1], X[:, 0] * s[0]], axis=1)[:, :, None]
+        return jx, jl
+
+    return ParametricSystem(n=2, m=1, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name="tanh2",
+                            batch_jacobians=jacobians)
 
 
 def _pitchfork_normal_form() -> ParametricSystem:
@@ -186,8 +242,13 @@ def _pitchfork_normal_form() -> ParametricSystem:
     def jac_lambda(x, lam):
         return np.array([[x[0]]])
 
+    def jacobians(X, Lam):
+        # the square per element, as the numpy scalar power jac_x takes
+        squares = np.array([v ** 2 for v in X[:, 0]])
+        return (Lam[:, 0] - 3.0 * squares).reshape(-1, 1, 1), X.reshape(-1, 1, 1).copy()
+
     return ParametricSystem(n=1, m=1, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda,
-                            name="pitchfork_normal_form")
+                            name="pitchfork_normal_form", batch_jacobians=jacobians)
 
 
 def _linear(params: dict) -> ParametricSystem:
@@ -208,6 +269,8 @@ def _linear(params: dict) -> ParametricSystem:
         jac_x=lambda x, lam: a,
         jac_lambda=lambda x, lam: b,
         name="linear",
+        batch_jacobians=lambda X, Lam: (np.broadcast_to(a, (len(X), n, n)),
+                                        np.broadcast_to(b, (len(X), n, m))),
     )
 
 
@@ -226,12 +289,16 @@ def builtin_model(name: str, params: dict | None = None) -> ParametricSystem:
     raise UnknownModel(f"unknown built-in model {name!r}; available: {', '.join(_BUILTINS)}")
 
 
-def system_from_expressions(source: str, n: int, m: int) -> ParametricSystem:
-    """Build a system whose residual and Jacobians come from the DSL."""
+def system_from_expressions(source: str, n: int, m: int,
+                            components: int | None = None) -> ParametricSystem:
+    """Build a system whose residual and Jacobians come from the DSL.
+
+    The source has n components unless `components` says otherwise.
+    """
     from . import expr as _expr
 
-    asts = _expr.parse(source, n, m)
     names = _expr.default_names(n, m)
+    asts = _expr.parse_components(source, n if components is None else components, *names)
 
     def fun(x, lam):
         return _expr.eval_values(asts, x, lam, names=names)
@@ -242,7 +309,11 @@ def system_from_expressions(source: str, n: int, m: int) -> ParametricSystem:
     def jac_lambda(x, lam):
         return _expr.eval_dual(asts, x, lam, n_state=n, names=names)[2]
 
-    return ParametricSystem(n=n, m=m, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name="expr")
+    def jacobians(X, Lam):
+        return _expr.eval_dual_many(asts, X, Lam, n_state=n, names=names)[1:]
+
+    return ParametricSystem(n=n, m=m, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name="expr",
+                            batch_jacobians=jacobians, components=components)
 
 
 def is_bifurcation_candidate(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 import lscert
 from lscert import expr as expr_mod
+from lscert.imft import BaseBlocks
+from lscert.norms import induced_norm
+from lscert.sampling import ball_points
 
 
 @pytest.fixture(scope="session")
@@ -186,3 +190,34 @@ def central_difference_jacobian(node, names, x, lam, h: float = 1e-6):
         step[j] = h * max(1.0, abs(lam[j]))
         dl[j] = (f(x, lam + step) - f(x, lam - step)) / (2.0 * step[j])
     return dx, dl
+
+
+# --- per-point reference for the sampled deviation suprema --------------------
+
+
+def per_point_L(f, x0, y0, r_x, r_y, samples_per_dim, norm_kind="spectral", x_weights=None,
+                base=None):
+    """(L_x, L_y) as the per-point loop takes them, one pair at a time.
+
+    The reference the chunked sampler in lscert.imft is held to bit for bit:
+    max of ||(block(px, py) - base_block) diag(w)|| over
+    itertools.product(pts_x, pts_y), on the same ball points, with
+    L_x over the x-ball at y0 and L_y over the x-ball times the y-ball.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    base = base or BaseBlocks.at(f, x0, y0)
+    w = None if x_weights is None else np.asarray(x_weights, dtype=float)
+
+    def sup(block, base_block, pts_x, pts_y, weights=None):
+        def deviation(pair):
+            d = block(*pair) - base_block
+            if weights is not None:
+                d = d * weights[None, :]
+            return induced_norm(d, norm_kind)
+
+        return max(map(deviation, itertools.product(pts_x, pts_y)), default=0.0)
+
+    pts_x = ball_points(x0, r_x, samples_per_dim, norm_kind, weights=w)
+    pts_y = ball_points(y0, r_y, samples_per_dim, norm_kind)
+    return sup(f.dx, base.dx, pts_x, [y0], w), sup(f.dy, base.dy, pts_x, pts_y)

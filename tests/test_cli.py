@@ -213,6 +213,40 @@ def test_negative_override_fails_instead_of_certifying(tmp_path, capsys, command
 # --- error handling ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("source, r_x, message", [
+    # sampled in batches, exp overflows at x1 = 1.5 before log sees x1 = -1.5;
+    # the pair-by-pair order reaches x1 = -1.5 first
+    ("x2 - exp(400*x1^3) - log(x1 + 1)", 1.5,
+     "error: log of non-positive value -0.5 in 'log(x1 + 1.0)'\n"),
+    ("x2 - abs(x1 - 0.1)", 0.1,
+     "error: abs argument within 1e-12 of the kink in 'abs(x1 - 0.1)'; "
+     "derivative undefined there\n"),
+], ids=["log-before-exp", "abs-kink"])
+def test_sampling_errors_are_those_of_the_first_failing_pair(tmp_path, capsys, source, r_x,
+                                                              message):
+    payload = json.loads((CONFIGS / "parabola_imft.json").read_text(encoding="utf-8"))
+    payload["model"]["source"] = source
+    payload["imft"].update(r_x_grid=[r_x], r_y_grid=[0.1])
+    code = main(["imft-certify", "--config", write_config(tmp_path, "err.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == message
+    assert captured.out == ""
+
+
+def test_imft_malformed_builtin_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "ragged.json", {
+        "model": {"kind": "builtin", "name": "linear",
+                  "params": {"A": [[1, 2], [3]], "b": [[1], [2]]}},
+        "base_point": {"x0": [0.0], "y0": [0.0, 0.0]},
+        "imft": {"x_indices": [2], "y_indices": [0, 1], "r_x_grid": [0.1], "r_y_grid": [0.2]},
+    })
+    code = main(["imft-certify", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: config error at model: ")
+
+
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "unknown.json", {
         "model": {"kind": "builtin", "name": "tanh2"},

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lscert import (
     ArityError,
     DomainError,
+    LscertError,
     NonFinite,
     ParseError,
     UnknownIdentifier,
@@ -117,6 +118,33 @@ def test_dual_vs_central_difference_on_500_cases():
             assert worst <= 1e-6, (
                 f"derivative mismatch {worst:.2e} for "
                 f"{expr.to_source(node, *names)!r} at x={x}, lam={lam}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_duals_equal_per_point_duals_bitwise(seed):
+    # each generated tree at its own point and at points around it; rows where
+    # eval_dual fails are evaluated alone and must fail with the same message
+    rng = np.random.default_rng(seed)
+    for node, names, x, lam in generate_expression_cases(8, seed=seed):
+        xs = np.vstack([x, x + rng.uniform(-1.0, 1.0, size=(15, x.size))])
+        ls = np.vstack([lam, lam + rng.uniform(-1.0, 1.0, size=(15, lam.size))])
+        rows = []
+        for xi, li in zip(xs, ls):
+            try:
+                rows.append((xi, li, expr.eval_dual([node], xi, li, names=names)))
+            except LscertError as exc:
+                with pytest.raises(type(exc)) as err:
+                    expr.eval_dual_many([node], xi[None], li[None], names=names)
+                assert str(err.value) == str(exc)
+        if not rows:
+            continue
+        many = expr.eval_dual_many([node], np.array([r[0] for r in rows]),
+                                   np.array([r[1] for r in rows]).reshape(len(rows), -1),
+                                   names=names)
+        for i, (_, _, one) in enumerate(rows):
+            for got, want in zip(many, one):
+                assert got[i].tobytes() == want.tobytes(), expr.to_source(node, *names)
 
 
 def test_division_by_zero_reports_offending_subexpression():

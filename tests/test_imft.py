@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lscert
 from lscert import (
     NonFinite,
     SingularDyf,
@@ -15,8 +16,13 @@ from lscert import (
     split_function,
     witness_check,
 )
+from lscert import imft
+from lscert.cli import _combined_split
+from lscert.config import parse_config
 from lscert.imft import certify_grid
+from lscert.norms import NORM_KINDS, induced_norm, induced_norms
 from lscert.sampling import ball_points, max_over
+from conftest import per_point_L
 
 
 def parabola():
@@ -191,3 +197,92 @@ def test_frontier_reports_largest_certified_radius_per_level():
     region_none, _ = certify_region(parabola(), X0, Y0, [0.5], [0.1], est)
     assert region_none.frontier[0].r_x_max is None
     assert not region_none.any_certified
+
+
+def test_ball_points_holds_each_point_once():
+    # odd samples_per_dim chains lattices that land on each other's points
+    for dim, spd in ((1, 33), (2, 9), (3, 5), (4, 7)):
+        for norm_kind in NORM_KINDS:
+            pts = ball_points(np.linspace(-0.3, 0.4, dim), 0.8, spd, norm_kind)
+            rows = [row.tobytes() for row in pts]
+            assert len(set(rows)) == len(rows), (dim, spd, norm_kind)
+
+
+# --- the chunked sampler against the per-point loop ---------------------------
+
+RING4 = "-x1 + tanh(l1*x2); -x2 + tanh(l1*x3); -x3 + tanh(l1*x4); -x4 + tanh(l1*x1)"
+
+
+def _ls_case(model, spd, radii, weights=None):
+    sys_ = lscert.build_system(parse_config({"model": model}).model)
+    point = lscert.evaluation_point(sys_, np.zeros(sys_.n), [1.0])
+    ss = lscert.build_split_system(sys_, point)
+    return ss.as_split_function(), ss.par_center, ss.beta0, ss.base_blocks, spd, radii, weights
+
+
+def _sampler_case(name):
+    tanh2 = {"kind": "builtin", "name": "tanh2"}
+    ring4 = {"kind": "expr", "source": RING4, "n": 4, "m": 1}
+    if name == "tanh2":
+        return _ls_case(tanh2, 9, [(0.5, 0.5), (1.5, 2.0)])
+    if name == "tanh2-steep":
+        return _ls_case(tanh2, 5, [(1.0, 400.0)])
+    if name == "tanh2-weights":
+        return _ls_case(tanh2, 9, [(1.0, 0.5)], weights=np.array([1.0, 0.5]))
+    if name == "ring4-ls":
+        return _ls_case(ring4, 5, [(1.0, 0.5)])
+    if name == "ring4-imft":
+        cfg = parse_config({
+            "model": ring4, "base_point": {"x0": [0.5], "y0": [0.0] * 4},
+            "imft": {"x_indices": [4], "y_indices": [0, 1, 2, 3],
+                     "r_x_grid": [0.4], "r_y_grid": [0.3]}})
+        f = _combined_split(cfg.model, cfg.imft, cfg.base_point)
+        return f, np.array([0.5]), np.zeros(4), None, 5, [(0.4, 0.3)], None
+    if name == "parabola-fd":
+        f = split_function(lambda x, y: np.array([y[0] - x[0] ** 3 + x[0] * y[0]]), 1, 1)
+        return f, X0, Y0, None, 9, [(0.3, 0.2)], None
+    assert name == "empty-y"
+    f = split_function(lambda x, y: np.zeros(0), 2, 0)
+    return f, np.zeros(2), np.zeros(0), None, 5, [(0.5, 0.0)], None
+
+
+SAMPLER_CASES = ["tanh2", "tanh2-steep", "tanh2-weights", "ring4-ls", "ring4-imft",
+                 "parabola-fd", "empty-y"]
+
+
+@pytest.mark.parametrize("name", SAMPLER_CASES)
+def test_batched_blocks_equal_per_point_blocks_bitwise(name):
+    f, x0, y0, _, _, radii, _ = _sampler_case(name)
+    r_x, r_y = radii[0]
+    rng = np.random.default_rng(707)
+    xs = x0 + rng.uniform(-r_x, r_x, size=(50, f.n_x))
+    ys = y0 + rng.uniform(-r_y, r_y, size=(50, f.n_y))
+    dx, dy = f.dx_many(xs, ys), f.dy_many(xs, ys)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        assert dx[i].tobytes() == f.dx(x, y).tobytes()
+        assert dy[i].tobytes() == f.dy(x, y).tobytes()
+
+
+def test_batched_norms_equal_per_matrix_norms_bitwise():
+    rng = np.random.default_rng(808)
+    shapes = [(1, k) for k in range(1, 10)] + [(k, 1) for k in range(2, 10)] \
+        + [(3, 3), (2, 5), (4, 4), (0, 3)]
+    for rows, cols in shapes:
+        stack = rng.standard_normal((60, rows, cols)) * rng.uniform(0.1, 10.0, size=(60, 1, 1))
+        for norm_kind in NORM_KINDS:
+            got = induced_norms(stack, norm_kind)
+            for i, a in enumerate(stack):
+                assert got[i] == induced_norm(a, norm_kind), (rows, cols, norm_kind)
+
+
+@pytest.mark.parametrize("norm_kind", NORM_KINDS)
+@pytest.mark.parametrize("name", SAMPLER_CASES)
+def test_chunked_L_equals_the_per_point_loop_bitwise(name, norm_kind, monkeypatch):
+    f, x0, y0, base, spd, radii, weights = _sampler_case(name)
+    est = SupremumEstimator(samples_per_dim=spd)
+    for r_x, r_y in radii:
+        want = per_point_L(f, x0, y0, r_x, r_y, spd, norm_kind, weights, base)
+        for chunk in (1, 7, 10**9):  # 10**9: every pair in one chunk
+            monkeypatch.setattr(imft, "CHUNK_PAIRS", chunk)
+            got = estimate_L(f, x0, y0, r_x, r_y, est, norm_kind, weights, base)
+            assert got == want, (r_x, r_y, chunk)

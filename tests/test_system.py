@@ -34,6 +34,28 @@ def test_builtin_jacobians_match_finite_differences(name, params, n, m):
         assert np.abs(sys_.dphi_dlambda(x, lam) - jl_fd).max() <= 1e-5
 
 
+@pytest.mark.parametrize("make", [
+    lambda: builtin_model("tanh2"),
+    lambda: builtin_model("pitchfork_normal_form"),
+    lambda: builtin_model("linear", {"A": [[2.0, 1.0], [0.0, 3.0]], "b": [[1.0], [0.5]]}),
+    lambda: system_from_expressions("x1*sech(l1) - exp(x2/3); sin(x1)*x2^3 - l1*l2", 2, 2),
+    lambda: from_callable(lambda x, lam: np.array([x[0] ** 3 - lam[0], x[0] * x[1]]), 2, 1),
+    lambda: from_callable(lambda x, lam: np.array([x[0] * lam[0]]), 1, 1,
+                          jac_x=lambda x, lam: np.array([[lam[0]]]),
+                          jac_lambda=lambda x, lam: np.array([[x[0]]])),
+], ids=["tanh2", "pitchfork", "linear", "expr", "fd", "custom"])
+def test_batched_jacobians_equal_per_point_bitwise(make):
+    sys_ = make()
+    rng = np.random.default_rng(606)
+    xs = rng.uniform(-2.0, 2.0, size=(40, sys_.n))
+    lams = rng.uniform(-2.0, 2.0, size=(40, sys_.m))
+    jx, jl = sys_.jacobians(xs, lams)
+    assert jx.shape == (40, sys_.n, sys_.n) and jl.shape == (40, sys_.n, sys_.m)
+    for i, (x, lam) in enumerate(zip(xs, lams)):
+        assert jx[i].tobytes() == sys_.dphi_dx(x, lam).tobytes()
+        assert jl[i].tobytes() == sys_.dphi_dlambda(x, lam).tobytes()
+
+
 def test_tanh2_residual_is_exactly_odd(tanh2_system):
     rng = np.random.default_rng(505)
     for _ in range(50):
