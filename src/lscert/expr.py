@@ -16,8 +16,10 @@ rx/ry). Exponents are nonnegative integer literals only.
 Evaluation comes in two flavours. `eval_dual` propagates first-order dual
 numbers and returns the component values together with both Jacobian blocks
 in one pass; it rejects abs/min/max within 1e-12 of their kinks because the
-derivative is not defined there. `eval_values` is plain float evaluation and
-is kink-safe, which is what the closed-form override hooks need.
+derivative is not defined there. `eval_dual_many` does the same for a stack
+of points in one walk of each tree, equal to `eval_dual` row by row bit for
+bit. `eval_values` is plain float evaluation and is kink-safe, which is what
+the closed-form override hooks need.
 """
 
 from __future__ import annotations
@@ -348,7 +350,10 @@ def sech_power(v: float, k: int) -> float:
 
 
 class DualVector:
-    """Value plus a dense vector of partials with respect to all inputs."""
+    """Value plus a dense vector of partials with respect to all inputs.
+
+    The batched walker stores N points at once: (N,) values, (N, total) partials.
+    """
 
     __slots__ = ("val", "der")
 
