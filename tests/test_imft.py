@@ -239,7 +239,7 @@ def _sampler_case(name):
         f = _combined_split(cfg.model, cfg.imft, cfg.base_point)
         return f, np.array([0.5]), np.zeros(4), None, 5, [(0.4, 0.3)], None
     if name == "parabola-fd":
-        f = split_function(lambda x, y: np.array([y[0] - x[0] ** 3 + x[0] * y[0]]), 1, 1)
+        f = split_function(lambda x, y: np.array([y[0] - x[0] ** 2]), 1, 1)
         return f, X0, Y0, None, 9, [(0.3, 0.2)], None
     assert name == "empty-y"
     f = split_function(lambda x, y: np.zeros(0), 2, 0)
