@@ -159,10 +159,6 @@ def _combined_split(model: ModelConfig, section: ImftSection, bp) -> SplitFuncti
         u = assemble(x, y)
         return sys_.phi(u[:n], u[n:])
 
-    def full_jac(x, y):
-        u = assemble(x, y)
-        return np.hstack([sys_.dphi_dx(u[:n], u[n:]), sys_.dphi_dlambda(u[:n], u[n:])])
-
     def full_jacs(X, Y):
         u = np.empty((len(X), total))
         u[:, x_idx] = X
@@ -173,8 +169,8 @@ def _combined_split(model: ModelConfig, section: ImftSection, bp) -> SplitFuncti
         n_x=len(x_idx),
         n_y=len(y_idx),
         fun=value,
-        jac_x=lambda x, y: full_jac(x, y)[:, x_idx],
-        jac_y=lambda x, y: full_jac(x, y)[:, y_idx],
+        jac_x=lambda x, y: full_jacs(x[None], y[None])[0][:, x_idx],
+        jac_y=lambda x, y: full_jacs(x[None], y[None])[0][:, y_idx],
         jac_x_many=lambda X, Y: full_jacs(X, Y)[:, :, x_idx],
         jac_y_many=lambda X, Y: full_jacs(X, Y)[:, :, y_idx],
     )

@@ -254,29 +254,30 @@ def compute_M(
     return m_x, m_y
 
 
-def _sampled_L(block, blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> float:
-    """Max of ||(block(px, py) - base_block) diag(weights)|| over pts_x x pts_y.
+def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> float:
+    """Max of ||(blocks(px, py) - base_block) diag(weights)|| over pts_x x pts_y.
 
     The pairs run in the order of itertools.product(pts_x, pts_y), CHUNK_PAIRS
     at a time, each chunk one call of the batched `blocks` and one batched
-    norm; the maximum is the per-point one bit for bit. A chunk that raises an
-    LscertError is replayed pair by pair through `block`, so the error that
-    surfaces is the one of the first failing pair.
+    norm; the maximum is the per-point one bit for bit. A chunk that raises is
+    replayed one pair at a time, so the error that surfaces is the one of the
+    first failing pair.
     """
     per_x = len(pts_y)
     total = len(pts_x) * per_x
 
-    def deviations(d):
-        d = d - base_block
+    def deviations(xs, ys):
+        d = blocks(xs, ys) - base_block
         return d if weights is None else d * weights
 
     def chunk_max(start):
         pairs = np.arange(start, min(start + CHUNK_PAIRS, total))
         xs, ys = pts_x[pairs // per_x], pts_y[pairs % per_x]
         try:
-            return float(induced_norms(deviations(blocks(xs, ys)), norm_kind).max())
-        except LscertError:
-            return max(induced_norm(deviations(block(x, y)), norm_kind) for x, y in zip(xs, ys))
+            return float(induced_norms(deviations(xs, ys), norm_kind).max())
+        except Exception:
+            return max(induced_norm(deviations(xs[i:i + 1], ys[i:i + 1])[0], norm_kind)
+                       for i in range(len(pairs)))
 
     return max_over(range(0, total, CHUNK_PAIRS), chunk_max)
 
@@ -302,10 +303,10 @@ def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights) -
         pts_x = ball_points(np.asarray(x0, float), radii[0], est.samples_per_dim, norm_kind, weights=w)
         if which == "x":
             pts_y = np.asarray(y0, float).reshape(1, -1)
-            value = _sampled_L(f.dx, f.dx_many, base.dx, pts_x, pts_y, norm_kind, w)
+            value = _sampled_L(f.dx_many, base.dx, pts_x, pts_y, norm_kind, w)
         else:
             pts_y = ball_points(np.asarray(y0, float), radii[1], est.samples_per_dim, norm_kind)
-            value = _sampled_L(f.dy, f.dy_many, base.dy, pts_x, pts_y, norm_kind)
+            value = _sampled_L(f.dy_many, base.dy, pts_x, pts_y, norm_kind)
         value = est.safety_factor * value
     value = float(value)
     if not (np.isfinite(value) and value >= 0.0):

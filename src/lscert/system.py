@@ -176,22 +176,12 @@ def from_callable(
     jac_lambda: ArrayFun | None = None,
     name: str = "custom",
 ) -> ParametricSystem:
-    """Wrap a residual callable, filling missing Jacobians by differences.
-
-    With both filled, the batched form takes one difference pass per point
-    for both blocks.
-    """
-    batch = None
-    if jac_x is None and jac_lambda is None:
-        def batch(X, Lam):
-            blocks = [fd_jacobians(fun, n, m, x, lam) for x, lam in zip(X, Lam)]
-            return np.stack([jx for jx, _ in blocks]), np.stack([jl for _, jl in blocks])
+    """Wrap a residual callable, filling missing Jacobians by differences."""
     if jac_x is None:
         jac_x = lambda x, lam: fd_jacobians(fun, n, m, x, lam)[0]
     if jac_lambda is None:
         jac_lambda = lambda x, lam: fd_jacobians(fun, n, m, x, lam)[1]
-    return ParametricSystem(n=n, m=m, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name=name,
-                            batch_jacobians=batch)
+    return ParametricSystem(n=n, m=m, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name=name)
 
 
 # --- built-in models ---------------------------------------------------------
@@ -242,13 +232,8 @@ def _pitchfork_normal_form() -> ParametricSystem:
     def jac_lambda(x, lam):
         return np.array([[x[0]]])
 
-    def jacobians(X, Lam):
-        # the square per element, as the numpy scalar power jac_x takes
-        squares = np.array([v ** 2 for v in X[:, 0]])
-        return (Lam[:, 0] - 3.0 * squares).reshape(-1, 1, 1), X.reshape(-1, 1, 1).copy()
-
     return ParametricSystem(n=1, m=1, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda,
-                            name="pitchfork_normal_form", batch_jacobians=jacobians)
+                            name="pitchfork_normal_form")
 
 
 def _linear(params: dict) -> ParametricSystem:
@@ -269,8 +254,6 @@ def _linear(params: dict) -> ParametricSystem:
         jac_x=lambda x, lam: a,
         jac_lambda=lambda x, lam: b,
         name="linear",
-        batch_jacobians=lambda X, Lam: (np.broadcast_to(a, (len(X), n, n)),
-                                        np.broadcast_to(b, (len(X), n, m))),
     )
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,3 +288,22 @@ def test_chunked_L_equals_the_per_point_loop_bitwise(name, norm_kind, monkeypatc
             monkeypatch.setattr(imft, "CHUNK_PAIRS", chunk)
             got = estimate_L(f, x0, y0, r_x, r_y, est, norm_kind, weights, base)
             assert got == want, (r_x, r_y, chunk)
+
+
+def test_a_failing_chunk_surfaces_the_first_failing_pairs_error(monkeypatch):
+    # the batched block checks its rows last to first and raises a plain
+    # exception, as a user's batched Jacobian may; the pair-by-pair replay
+    # must still report the first failing pair in sampling order
+    def jac_x_many(X, Y):
+        for x in X[::-1]:
+            if abs(x[0]) > 0.5:
+                raise ValueError(f"bad row {float(x[0])}")
+        return -2.0 * X[:, :, None]
+
+    f = imft.SplitFunction(n_x=1, n_y=1, fun=lambda x, y: np.array([y[0] - x[0] ** 2]),
+                           jac_x=lambda x, y: np.array([[-2.0 * x[0]]]),
+                           jac_y=lambda x, y: np.array([[1.0]]), jac_x_many=jac_x_many)
+    first = next(float(p[0]) for p in ball_points(X0, 1.0, 9, "spectral") if abs(p[0]) > 0.5)
+    monkeypatch.setattr(imft, "CHUNK_PAIRS", 10**9)
+    with pytest.raises(ValueError, match=re.escape(f"bad row {first}") + "$"):
+        estimate_L(f, X0, Y0, 1.0, 0.1, SupremumEstimator(samples_per_dim=9))
