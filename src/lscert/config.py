@@ -370,10 +370,10 @@ def _compile_override(source: str, path: str, names: tuple[str, ...]):
         asts = _expr.parse_components(source, 1, state_names=(), param_names=names)
     except LscertError as exc:
         raise ConfigError(path, f"invalid override expression: {exc}") from exc
-    name_pair = ((), names)
+    values = _expr.compile_values(asts, ((), names))
 
     def fn(*radii: float) -> float:
-        return float(_expr.eval_values(asts, (), radii, names=name_pair)[0])
+        return float(values([], [float(r) for r in radii])[0])
 
     return fn
 

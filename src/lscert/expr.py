@@ -13,13 +13,15 @@ State variables are x1..xn and parameters l1..lm by default; callers may
 supply other names (the analytic-override expressions use rpar/rperp or
 rx/ry). Exponents are nonnegative integer literals only.
 
-Evaluation comes in two flavours. `eval_dual` propagates first-order dual
-numbers and returns the component values together with both Jacobian blocks
-in one pass; it rejects abs/min/max within 1e-12 of their kinks because the
-derivative is not defined there. `eval_dual_many` does the same for a stack
-of points in one walk of each tree, equal to `eval_dual` row by row bit for
-bit. `eval_values` is plain float evaluation and is kink-safe, which is what
-the closed-form override hooks need.
+Each component list is compiled once into closure trees, one walker per
+number type. `compile_values` walks Python floats: plain evaluation, which is
+kink-safe, as the closed-form override hooks need. `compile_duals` walks
+first-order dual numbers over a stack of points and returns the component
+values together with both Jacobian blocks in one pass; it rejects
+abs/min/max within 1e-12 of their kinks because the derivative is not
+defined there. Each row of it is bit for bit what per-point forward mode
+gives. `eval_values`, `eval_dual` (one point) and `eval_dual_many` compile
+and evaluate in one call.
 """
 
 from __future__ import annotations
@@ -334,7 +336,7 @@ def to_source(
     return rec(node)
 
 
-# --- dual-number evaluation ------------------------------------------------
+# --- compiled evaluation ---------------------------------------------------
 
 
 def sech_power(v: float, k: int) -> float:
@@ -349,121 +351,233 @@ def sech_power(v: float, k: int) -> float:
         return 0.0
 
 
-class DualVector:
-    """Value plus a dense vector of partials with respect to all inputs.
+# smooth one-argument functions: value and slope per element, through math
+_SMOOTH = {
+    "tanh": (math.tanh, lambda v: sech_power(v, 2)),
+    "sech": (lambda v: sech_power(v, 1), lambda v: -sech_power(v, 1) * math.tanh(v)),
+    "sin": (math.sin, math.cos),
+    "cos": (math.cos, lambda v: -math.sin(v)),
+    "exp": (math.exp, math.exp),
+}
 
-    The batched walker stores N points at once: (N,) values, (N, total) partials.
+
+def _domain_error(node: Node, names, head: str, tail: str = "") -> DomainError:
+    return DomainError(f"{head} in '{to_source(node, *names)}'{tail}")
+
+
+def _value_fn(nd: Pow | Func, names):
+    """The float function of a Pow or a one-argument Func.
+
+    It checks the log and sqrt domains, and raises math's range errors as
+    NonFinite naming the node: OverflowError past the float range, and
+    ValueError for sin/cos of an argument that has already overflowed to inf.
     """
+    if isinstance(nd, Pow):
+        k = nd.exponent
+        raw = lambda v: v**k
+    elif nd.name in _SMOOTH:
+        raw = _SMOOTH[nd.name][0]
+    elif nd.name == "abs":
+        raw = abs
+    elif nd.name == "log":
+        def raw(v: float) -> float:
+            if v <= 0.0:
+                raise _domain_error(nd, names, f"log of non-positive value {v!r}")
+            return math.log(v)
+    else:
+        def raw(v: float) -> float:
+            if v < 0.0:
+                raise _domain_error(nd, names, f"sqrt of negative value {v!r}")
+            return math.sqrt(v)
 
-    __slots__ = ("val", "der")
-
-    def __init__(self, val: float, der: np.ndarray):
-        self.val = val
-        self.der = der
-
-
-def _offending(node: Node, names) -> str:
-    return to_source(node, *names)
-
-
-def _eval(node: Node, xs, ls, dual: bool, names, total: int = 0) -> "DualVector | float":
-    """Shared recursive walker; `xs`/`ls` hold DualVector or float leaves."""
-
-    def ev(nd: Node):
-        if isinstance(nd, Const):
-            return DualVector(nd.value, np.zeros(total)) if dual else nd.value
-        if isinstance(nd, StateVar):
-            return xs[nd.index]
-        if isinstance(nd, ParamVar):
-            return ls[nd.index]
-        if isinstance(nd, Neg):
-            a = ev(nd.arg)
-            return DualVector(-a.val, -a.der) if dual else -a
-        if isinstance(nd, Pow):
-            a = ev(nd.base)
-            k = nd.exponent
-            try:
-                if not dual:
-                    return a**k
-                if k == 0:
-                    return DualVector(1.0, np.zeros_like(a.der))
-                return DualVector(a.val**k, (k * a.val ** (k - 1)) * a.der)
-            except OverflowError as exc:
-                raise NonFinite(f"overflow evaluating '{_offending(nd, names)}'") from exc
-        if isinstance(nd, Binary):
-            a, b = ev(nd.left), ev(nd.right)
-            if not dual:
-                if nd.op == "+":
-                    return a + b
-                if nd.op == "-":
-                    return a - b
-                if nd.op == "*":
-                    return a * b
-                if b == 0.0:
-                    raise DomainError(f"division by zero in '{_offending(nd, names)}'")
-                return a / b
-            if nd.op == "+":
-                return DualVector(a.val + b.val, a.der + b.der)
-            if nd.op == "-":
-                return DualVector(a.val - b.val, a.der - b.der)
-            if nd.op == "*":
-                return DualVector(a.val * b.val, a.der * b.val + a.val * b.der)
-            if b.val == 0.0:
-                raise DomainError(f"division by zero in '{_offending(nd, names)}'")
-            q = a.val / b.val
-            return DualVector(q, (a.der - q * b.der) / b.val)
-        assert isinstance(nd, Func)
-        if nd.name in BINARY_FUNCTIONS:
-            a, b = ev(nd.args[0]), ev(nd.args[1])
-            if not dual:
-                return min(a, b) if nd.name == "min" else max(a, b)
-            if abs(a.val - b.val) <= KINK_TOL:
-                raise DomainError(
-                    f"{nd.name} arguments tie within {KINK_TOL:g} in '{_offending(nd, names)}'; "
-                    "derivative undefined at the kink")
-            pick_a = (a.val < b.val) == (nd.name == "min")
-            return a if pick_a else b
-        a = ev(nd.args[0])
-        v = a.val if dual else a
+    def fn(v: float) -> float:
         try:
-            if nd.name == "tanh":
-                out = math.tanh(v)
-                if dual:
-                    return DualVector(out, a.der * sech_power(v, 2))
-                return out
-            if nd.name == "sech":
-                out = sech_power(v, 1)
-                if dual:
-                    return DualVector(out, a.der * (-out * math.tanh(v)))
-                return out
-            if nd.name == "sin":
-                return DualVector(math.sin(v), a.der * math.cos(v)) if dual else math.sin(v)
-            if nd.name == "cos":
-                return DualVector(math.cos(v), a.der * (-math.sin(v))) if dual else math.cos(v)
-            if nd.name == "exp":
-                out = math.exp(v)
-                return DualVector(out, a.der * out) if dual else out
-            if nd.name == "log":
-                if v <= 0.0:
-                    raise DomainError(f"log of non-positive value {v!r} in '{_offending(nd, names)}'")
-                return DualVector(math.log(v), a.der / v) if dual else math.log(v)
-            if nd.name == "sqrt":
-                if v < 0.0 or (dual and v == 0.0):
-                    raise DomainError(
-                        f"sqrt of {'negative value' if v < 0 else 'zero (derivative singular)'} "
-                        f"{v!r} in '{_offending(nd, names)}'")
-                out = math.sqrt(v)
-                return DualVector(out, a.der / (2.0 * out)) if dual else out
-            assert nd.name == "abs"
-            if dual and abs(v) <= KINK_TOL:
-                raise DomainError(
-                    f"abs argument within {KINK_TOL:g} of the kink in '{_offending(nd, names)}'; "
-                    "derivative undefined there")
-            return DualVector(abs(v), a.der * math.copysign(1.0, v)) if dual else abs(v)
-        except OverflowError as exc:
-            raise NonFinite(f"overflow evaluating '{_offending(nd, names)}'") from exc
+            return raw(v)
+        except (OverflowError, ValueError) as exc:
+            raise NonFinite(f"overflow evaluating '{to_source(nd, *names)}'") from exc
+    return fn
 
-    return ev(node)
+
+def _variable(nd: StateVar | ParamVar):
+    i = nd.index
+    if isinstance(nd, StateVar):
+        return lambda xs, ls: xs[i]
+    return lambda xs, ls: ls[i]
+
+
+def _float_tree(nd: Node, names):
+    """`nd` as a closure f(xs, ls) over lists of Python floats; kink-safe."""
+    if isinstance(nd, Const):
+        value = nd.value
+        return lambda xs, ls: value
+    if isinstance(nd, (StateVar, ParamVar)):
+        return _variable(nd)
+    if isinstance(nd, Neg):
+        fa = _float_tree(nd.arg, names)
+        return lambda xs, ls: -fa(xs, ls)
+    if isinstance(nd, Binary):
+        fa, fb = _float_tree(nd.left, names), _float_tree(nd.right, names)
+        if nd.op == "+":
+            return lambda xs, ls: fa(xs, ls) + fb(xs, ls)
+        if nd.op == "-":
+            return lambda xs, ls: fa(xs, ls) - fb(xs, ls)
+        if nd.op == "*":
+            return lambda xs, ls: fa(xs, ls) * fb(xs, ls)
+
+        def divide(xs, ls):
+            a, b = fa(xs, ls), fb(xs, ls)
+            if b == 0.0:
+                raise _domain_error(nd, names, "division by zero")
+            return a / b
+        return divide
+    if isinstance(nd, Func) and nd.name in BINARY_FUNCTIONS:
+        fa, fb = (_float_tree(arg, names) for arg in nd.args)
+        pick = min if nd.name == "min" else max
+        return lambda xs, ls: pick(fa(xs, ls), fb(xs, ls))
+    fa = _float_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names)
+    fn = _value_fn(nd, names)
+    return lambda xs, ls: fn(fa(xs, ls))
+
+
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """fn over the elements as Python floats, so each result is the float tree's own."""
+    return np.array([fn(v) for v in values.tolist()], dtype=float)
+
+
+def _dual_tree(nd: Node, names, zero: np.ndarray):
+    """`nd` as a closure f(xs, ls) over lists of (value, derivative) pairs.
+
+    A pair holds N points: values (N,) and derivatives (N, n+m); constants
+    and seeds hold (1,) and (1, n+m) arrays that broadcast. Only IEEE-exact
+    operations (+ - * /, copysign, selection) are vectorised, so every row
+    rounds as per-point float arithmetic does; powers and one-argument
+    functions take their values through _each, because numpy's vectorised
+    tanh/cosh/exp/log/power round differently from the math module.
+    """
+    if isinstance(nd, Const):
+        pair = (np.array([nd.value]), zero)
+        return lambda xs, ls: pair
+    if isinstance(nd, (StateVar, ParamVar)):
+        return _variable(nd)
+    if isinstance(nd, Neg):
+        fa = _dual_tree(nd.arg, names, zero)
+
+        def negate(xs, ls):
+            v, d = fa(xs, ls)
+            return -v, -d
+        return negate
+    if isinstance(nd, Binary):
+        fa, fb = _dual_tree(nd.left, names, zero), _dual_tree(nd.right, names, zero)
+        if nd.op in "+-":
+            op = np.add if nd.op == "+" else np.subtract
+
+            def add(xs, ls):
+                (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
+                return op(av, bv), op(ad, bd)
+            return add
+        if nd.op == "*":
+            def multiply(xs, ls):
+                (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
+                return av * bv, ad * bv[:, None] + av[:, None] * bd
+            return multiply
+
+        def divide(xs, ls):
+            (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
+            if (bv == 0.0).any():
+                raise _domain_error(nd, names, "division by zero")
+            q = av / bv
+            return q, (ad - q[:, None] * bd) / bv[:, None]
+        return divide
+    if isinstance(nd, Func) and nd.name in BINARY_FUNCTIONS:
+        fa, fb = (_dual_tree(arg, names, zero) for arg in nd.args)
+        want_less = nd.name == "min"
+
+        def select(xs, ls):
+            (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
+            if (np.abs(av - bv) <= KINK_TOL).any():
+                raise _domain_error(nd, names, f"{nd.name} arguments tie within {KINK_TOL:g}",
+                                    "; derivative undefined at the kink")
+            pick_a = (av < bv) == want_less
+            return np.where(pick_a, av, bv), np.where(pick_a[:, None], ad, bd)
+        return select
+    fa = _dual_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names, zero)
+    value, check = _value_fn(nd, names), None
+    if isinstance(nd, Pow) and nd.exponent == 0:
+        rule = lambda v, out, d: zero  # x^0 is 1 with derivative 0 wherever x is
+    elif isinstance(nd, Pow) or nd.name in _SMOOTH:
+        slope = _SMOOTH[nd.name][1] if isinstance(nd, Func) else \
+            (lambda v, k=nd.exponent: k * v ** (k - 1))
+        rule = lambda v, out, d: d * _each(slope, v)[:, None]
+    elif nd.name == "log":
+        rule = lambda v, out, d: d / v[:, None]
+    elif nd.name == "sqrt":
+        rule = lambda v, out, d: d / (2.0 * out)[:, None]
+
+        def check(v):
+            if (v <= 0.0).any():
+                bad = v[v <= 0.0][0].item()
+                kind = "negative value" if bad < 0 else "zero (derivative singular)"
+                raise _domain_error(nd, names, f"sqrt of {kind} {bad!r}")
+    else:
+        rule = lambda v, out, d: d * np.copysign(1.0, v)[:, None]
+
+        def check(v):
+            if (np.abs(v) <= KINK_TOL).any():
+                raise _domain_error(nd, names, f"abs argument within {KINK_TOL:g} of the kink",
+                                    "; derivative undefined there")
+
+    def chain(xs, ls):
+        v, d = fa(xs, ls)
+        if check is not None:
+            check(v)
+        out = _each(value, v)
+        return out, rule(v, out, d)
+    return chain
+
+
+def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ...]]):
+    """All components as one function values(xs, ls) of Python float lists.
+
+    Returns the (k,) component values; raises NonFinite if any is not finite.
+    """
+    trees = [_float_tree(ast, names) for ast in asts]
+
+    def values(xs: list[float], ls: list[float]) -> np.ndarray:
+        vals = np.array([tree(xs, ls) for tree in trees], dtype=float)
+        if not np.isfinite(vals).all():
+            raise NonFinite("expression evaluation produced a non-finite value")
+        return vals
+
+    return values
+
+
+def compile_duals(asts: list[Node], n: int, m: int,
+                  names: tuple[tuple[str, ...], tuple[str, ...]]):
+    """All components and both Jacobian blocks as one function duals(X, Lam).
+
+    X (N, n) and Lam (N, m) are float arrays. Returns (values, d_values/d_x,
+    d_values/d_lambda) with shapes (N, k), (N, k, n), (N, k, m). When
+    several points fail, the error reported need not be the first failing
+    point in row order: the walk goes node by node over all points.
+    """
+    total = n + m
+    seeds = np.eye(total)[:, None, :]  # seeds[i] is the (1, n+m) derivative of input i
+    trees = [_dual_tree(ast, names, np.zeros((1, total))) for ast in asts]
+
+    def duals(X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        xs = [(X[:, i], seeds[i]) for i in range(n)]
+        ls = [(Lam[:, j], seeds[n + j]) for j in range(m)]
+        vals = np.empty((len(X), len(trees)))
+        jac = np.empty((len(X), len(trees), total))
+        # overflow and NaN propagate as in float arithmetic and are caught below
+        with np.errstate(all="ignore"):
+            for row, tree in enumerate(trees):
+                vals[:, row], jac[:, row] = tree(xs, ls)
+        if not (np.isfinite(vals).all() and np.isfinite(jac).all()):
+            raise NonFinite("expression evaluation produced a non-finite value or derivative")
+        return vals, jac[:, :, :n], jac[:, :, n:]
+
+    return duals
 
 
 def eval_dual(
@@ -476,123 +590,12 @@ def eval_dual(
     """Evaluate all components and both Jacobian blocks in one dual pass.
 
     Returns (values, d_values/d_x, d_values/d_lambda) with shapes
-    (k,), (k, n), (k, m) for k components.
+    (k,), (k, n), (k, m) for k components: row 0 of eval_dual_many.
     """
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
-    n = x.size if n_state is None else n_state
-    m = lam.size
-    if names is None:
-        names = default_names(n, m)
-    total = n + m
-    xs = [DualVector(float(x[i]), _seed(total, i)) for i in range(n)]
-    ls = [DualVector(float(lam[j]), _seed(total, n + j)) for j in range(m)]
-    vals = np.empty(len(asts))
-    jac = np.empty((len(asts), total))
-    for row, ast in enumerate(asts):
-        out = _eval(ast, xs, ls, dual=True, names=names, total=total)
-        vals[row] = out.val
-        jac[row] = out.der
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(jac))):
-        raise NonFinite("expression evaluation produced a non-finite value or derivative")
-    return vals, jac[:, :n], jac[:, n:]
-
-
-def _each(fn, values: np.ndarray) -> np.ndarray:
-    """fn over the elements as Python floats, so each result is eval_dual's own."""
-    return np.array([fn(v) for v in values.tolist()], dtype=float)
-
-
-def _eval_many(node: Node, xs, ls, names, count: int, total: int) -> DualVector:
-    """eval_dual's walker over `count` points at once: val (count,), der (count, total).
-
-    Array arithmetic is used only where it is exact IEEE arithmetic (+ - * /,
-    sqrt, abs, copysign, selection), so it rounds as the per-point floats do;
-    transcendentals and powers go through _each, because numpy's vectorised
-    tanh/cosh/exp/log/power round differently from the math module.
-    """
-
-    def ev(nd: Node) -> DualVector:
-        if isinstance(nd, Const):
-            return DualVector(np.full(count, nd.value), np.zeros((count, total)))
-        if isinstance(nd, StateVar):
-            return xs[nd.index]
-        if isinstance(nd, ParamVar):
-            return ls[nd.index]
-        if isinstance(nd, Neg):
-            a = ev(nd.arg)
-            return DualVector(-a.val, -a.der)
-        if isinstance(nd, Pow):
-            a = ev(nd.base)
-            k = nd.exponent
-            if k == 0:
-                return DualVector(np.ones(count), np.zeros_like(a.der))
-            try:
-                val = _each(lambda v: v**k, a.val)
-                slope = _each(lambda v: k * v ** (k - 1), a.val)
-            except OverflowError as exc:
-                raise NonFinite(f"overflow evaluating '{_offending(nd, names)}'") from exc
-            return DualVector(val, slope[:, None] * a.der)
-        if isinstance(nd, Binary):
-            a, b = ev(nd.left), ev(nd.right)
-            if nd.op == "+":
-                return DualVector(a.val + b.val, a.der + b.der)
-            if nd.op == "-":
-                return DualVector(a.val - b.val, a.der - b.der)
-            if nd.op == "*":
-                return DualVector(a.val * b.val, a.der * b.val[:, None] + a.val[:, None] * b.der)
-            if np.any(b.val == 0.0):
-                raise DomainError(f"division by zero in '{_offending(nd, names)}'")
-            q = a.val / b.val
-            return DualVector(q, (a.der - q[:, None] * b.der) / b.val[:, None])
-        assert isinstance(nd, Func)
-        if nd.name in BINARY_FUNCTIONS:
-            a, b = ev(nd.args[0]), ev(nd.args[1])
-            if np.any(np.abs(a.val - b.val) <= KINK_TOL):
-                raise DomainError(
-                    f"{nd.name} arguments tie within {KINK_TOL:g} in '{_offending(nd, names)}'; "
-                    "derivative undefined at the kink")
-            pick_a = (a.val < b.val) == (nd.name == "min")
-            return DualVector(np.where(pick_a, a.val, b.val), np.where(pick_a[:, None], a.der, b.der))
-        a = ev(nd.args[0])
-        v = a.val
-        try:
-            if nd.name == "tanh":
-                return DualVector(_each(math.tanh, v), a.der * _each(lambda t: sech_power(t, 2), v)[:, None])
-            if nd.name == "sech":
-                out = _each(lambda t: sech_power(t, 1), v)
-                slope = np.array([-o * math.tanh(t) for o, t in zip(out.tolist(), v.tolist())])
-                return DualVector(out, a.der * slope[:, None])
-            if nd.name == "sin":
-                return DualVector(_each(math.sin, v), a.der * _each(math.cos, v)[:, None])
-            if nd.name == "cos":
-                return DualVector(_each(math.cos, v), a.der * _each(lambda t: -math.sin(t), v)[:, None])
-            if nd.name == "exp":
-                out = _each(math.exp, v)
-                return DualVector(out, a.der * out[:, None])
-            if nd.name == "log":
-                if np.any(v <= 0.0):
-                    raise DomainError(f"log of non-positive value {v[v <= 0.0][0].item()!r} "
-                                      f"in '{_offending(nd, names)}'")
-                return DualVector(_each(math.log, v), a.der / v[:, None])
-            if nd.name == "sqrt":
-                if np.any(v <= 0.0):
-                    bad = v[v <= 0.0][0].item()
-                    raise DomainError(
-                        f"sqrt of {'negative value' if bad < 0 else 'zero (derivative singular)'} "
-                        f"{bad!r} in '{_offending(nd, names)}'")
-                out = np.sqrt(v)
-                return DualVector(out, a.der / (2.0 * out)[:, None])
-            assert nd.name == "abs"
-            if np.any(np.abs(v) <= KINK_TOL):
-                raise DomainError(
-                    f"abs argument within {KINK_TOL:g} of the kink in '{_offending(nd, names)}'; "
-                    "derivative undefined there")
-            return DualVector(np.abs(v), a.der * np.copysign(1.0, v)[:, None])
-        except OverflowError as exc:
-            raise NonFinite(f"overflow evaluating '{_offending(nd, names)}'") from exc
-
-    return ev(node)
+    vals, jx, jl = eval_dual_many(asts, x[None], lam[None], n_state, names)
+    return vals[0], jx[0], jl[0]
 
 
 def eval_dual_many(
@@ -605,40 +608,13 @@ def eval_dual_many(
     """eval_dual at each row of X (N, n) and Lam (N, m), in one walk of each tree.
 
     Returns (values, d_values/d_x, d_values/d_lambda) with shapes (N, k),
-    (N, k, n), (N, k, m); row i equals eval_dual(asts, X[i], Lam[i]) bit for
-    bit. Errors carry eval_dual's messages, but when several points fail,
-    the one reported need not be the first failing point in row order: the
-    walk goes node by node over all points, not point by point.
+    (N, k, n), (N, k, m), as compile_duals describes.
     """
     X = np.asarray(X, dtype=float)
     Lam = np.asarray(Lam, dtype=float)
-    count = X.shape[0]
     n = X.shape[1] if n_state is None else n_state
     m = Lam.shape[1]
-    if names is None:
-        names = default_names(n, m)
-    total = n + m
-    seeds = np.eye(total)
-    xs = [DualVector(X[:, i].copy(), np.repeat(seeds[i:i + 1], count, axis=0)) for i in range(n)]
-    ls = [DualVector(Lam[:, j].copy(), np.repeat(seeds[n + j:n + j + 1], count, axis=0))
-          for j in range(m)]
-    vals = np.empty((count, len(asts)))
-    jac = np.empty((count, len(asts), total))
-    # overflow and NaN propagate as in eval_dual and are caught by the check below
-    with np.errstate(all="ignore"):
-        for row, ast in enumerate(asts):
-            out = _eval_many(ast, xs, ls, names, count, total)
-            vals[:, row] = out.val
-            jac[:, row] = out.der
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(jac))):
-        raise NonFinite("expression evaluation produced a non-finite value or derivative")
-    return vals, jac[:, :, :n], jac[:, :, n:]
-
-
-def _seed(total: int, hot: int) -> np.ndarray:
-    der = np.zeros(total)
-    der[hot] = 1.0
-    return der
+    return compile_duals(asts, n, m, names or default_names(n, m))(X, Lam)
 
 
 def eval_values(
@@ -650,11 +626,5 @@ def eval_values(
     """Plain float evaluation of all components (no derivatives, kink-safe)."""
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
-    if names is None:
-        names = default_names(x.size, lam.size)
-    xs = [float(v) for v in x]
-    ls = [float(v) for v in lam]
-    vals = np.array([_eval(ast, xs, ls, dual=False, names=names) for ast in asts], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("expression evaluation produced a non-finite value")
-    return vals
+    values = compile_values(asts, names or default_names(x.size, lam.size))
+    return values(x.tolist(), lam.tolist())

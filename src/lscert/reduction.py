@@ -202,12 +202,14 @@ class TraceResult:
         return [p for branch in self.branches for p in branch if p.lam == lam]
 
 
-def _bisect_root(gfun, lo: float, hi: float, g_lo: float, g_hi: float, tol: float) -> float:
+def _bisect_root(gfun, lo: float, hi: float, g_lo: float, g_hi: float, tol: float) -> float | None:
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
         g_mid = gfun(mid)
+        if g_mid is None:
+            return None  # a failed solve inside the bracket drops its root
         if g_mid == 0.0:
             return mid
         if (g_lo < 0.0) != (g_mid < 0.0):
@@ -217,23 +219,25 @@ def _bisect_root(gfun, lo: float, hi: float, g_lo: float, g_hi: float, tol: floa
     return 0.5 * (lo + hi)
 
 
-def _roots_at_lambda(rm, lam, grid, values, root_tol, notes):
+def _roots_at_lambda(gfun, lam, grid, values, root_tol, notes):
+    """Roots of g on the alpha grid; a None value is a gap that brackets nothing."""
     roots: list[float] = []
     for i, (a, v) in enumerate(zip(grid, values)):
         if v == 0.0:
             roots.append(float(a))
-        elif abs(v) < DEGENERATE_TOL:
-            left = i > 0 and (values[i - 1] < 0.0) != (v < 0.0)
-            right = i + 1 < len(values) and (v < 0.0) != (values[i + 1] < 0.0)
+        elif v is not None and abs(v) < DEGENERATE_TOL:
+            left = i > 0 and values[i - 1] is not None and (values[i - 1] < 0.0) != (v < 0.0)
+            right = i + 1 < len(values) and values[i + 1] is not None \
+                and (v < 0.0) != (values[i + 1] < 0.0)
             if not (left or right):
                 notes.append(
                     f"lambda={lam:.6g}: |g({a:.6g})| = {abs(v):.2e} without a sign change; "
                     "possible degenerate root")
-    gfun = lambda a: float(rm.g(a, lam)[0])
     for i in range(len(grid) - 1):
         v0, v1 = values[i], values[i + 1]
-        if v0 != 0.0 and v1 != 0.0 and (v0 < 0.0) != (v1 < 0.0):
+        if None not in (v0, v1) and v0 != 0.0 and v1 != 0.0 and (v0 < 0.0) != (v1 < 0.0):
             roots.append(_bisect_root(gfun, float(grid[i]), float(grid[i + 1]), v0, v1, root_tol))
+    roots = [r for r in roots if r is not None]
     roots.sort()
     deduped: list[float] = []
     for r in roots:
@@ -258,6 +262,8 @@ def trace_branches(
     root_tol. Roots continue the nearest active branch (greedy matching up to
     max_jump, default a quarter of the window) or start a new one. Points
     whose lifted full residual exceeds residual_tol are dropped with a note.
+    An alpha whose Newton solve fails is a gap, and a bisection that meets one
+    drops its root; each lambda with failures gets one note.
     """
     if rm.ss.q != 1 or rm.ss.m != 1:
         raise UnsupportedDimensions(
@@ -278,8 +284,20 @@ def trace_branches(
     notes: list[str] = []
     for lam in lambda_values:
         rm.reset_warm_start()
-        values = [float(rm.g(a, lam)[0]) for a in grid]
-        roots = _roots_at_lambda(rm, lam, grid, values, root_tol, notes)
+        failed: list[tuple[float, Exception]] = []
+
+        def gfun(a):
+            try:
+                return float(rm.g(a, lam)[0])
+            except (NewtonDiverged, SingularNewtonSystem) as exc:
+                failed.append((float(a), exc))
+                return None
+
+        values = [gfun(a) for a in grid]
+        roots = _roots_at_lambda(gfun, lam, grid, values, root_tol, notes)
+        if failed:
+            notes.append(f"lambda={lam:.6g}: Newton failed at {len(failed)} alpha value(s), "
+                         f"left as gaps; first at alpha={failed[0][0]:.6g}: {failed[0][1]}")
         points: list[BranchPoint] = []
         for r in roots:
             pt = rm.evaluate(r, lam)

@@ -75,8 +75,11 @@ class ParametricSystem:
 
     def dphi_dlambda(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         x, lam = self._check(x, lam)
-        out = np.asarray(self.jac_lambda(x, lam), dtype=float).reshape(self.k, self.m)
-        return out
+        out = np.asarray(self.jac_lambda(x, lam), dtype=float)
+        if out.size != self.k * self.m:
+            raise DimensionMismatch(
+                f"parameter Jacobian has shape {out.shape}, expected {(self.k, self.m)}")
+        return out.reshape(self.k, self.m)
 
     def jacobians(self, X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both Jacobian blocks at each row of X (N, n) and Lam (N, m).
@@ -282,18 +285,20 @@ def system_from_expressions(source: str, n: int, m: int,
 
     names = _expr.default_names(n, m)
     asts = _expr.parse_components(source, n if components is None else components, *names)
+    values = _expr.compile_values(asts, names)
+    duals = _expr.compile_duals(asts, n, m, names)
 
     def fun(x, lam):
-        return _expr.eval_values(asts, x, lam, names=names)
+        return values(x.tolist(), lam.tolist())
 
     def jac_x(x, lam):
-        return _expr.eval_dual(asts, x, lam, n_state=n, names=names)[1]
+        return duals(x[None], lam[None])[1][0]
 
     def jac_lambda(x, lam):
-        return _expr.eval_dual(asts, x, lam, n_state=n, names=names)[2]
+        return duals(x[None], lam[None])[2][0]
 
     def jacobians(X, Lam):
-        return _expr.eval_dual_many(asts, X, Lam, n_state=n, names=names)[1:]
+        return duals(X, Lam)[1:]
 
     return ParametricSystem(n=n, m=m, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name="expr",
                             batch_jacobians=jacobians, components=components)

@@ -6,6 +6,22 @@ import pytest
 
 import lscert
 from lscert import expr as expr_mod
+from lscert.errors import DomainError, NonFinite
+from lscert.expr import (
+    BINARY_FUNCTIONS,
+    KINK_TOL,
+    Binary,
+    Const,
+    Func,
+    Neg,
+    Node,
+    ParamVar,
+    Pow,
+    StateVar,
+    default_names,
+    sech_power,
+    to_source,
+)
 from lscert.imft import BaseBlocks
 from lscert.norms import induced_norm
 from lscert.sampling import ball_points
@@ -221,3 +237,183 @@ def per_point_L(f, x0, y0, r_x, r_y, samples_per_dim, norm_kind="spectral", x_we
     pts_x = ball_points(x0, r_x, samples_per_dim, norm_kind, weights=w)
     pts_y = ball_points(y0, r_y, samples_per_dim, norm_kind)
     return sup(f.dx, base.dx, pts_x, [y0], w), sup(f.dy, base.dy, pts_x, pts_y)
+
+
+# --- per-point reference for the compiled expression trees --------------------
+#
+# The per-point forward-mode walker the compiled trees in lscert.expr replaced,
+# kept as it was: the reference they are held to bit for bit, errors included.
+
+
+class DualVector:
+    """Value plus a dense vector of partials with respect to all inputs.
+
+    The batched walker stores N points at once: (N,) values, (N, total) partials.
+    """
+
+    __slots__ = ("val", "der")
+
+    def __init__(self, val: float, der: np.ndarray):
+        self.val = val
+        self.der = der
+
+
+def _offending(node: Node, names) -> str:
+    return to_source(node, *names)
+
+
+def _eval(node: Node, xs, ls, dual: bool, names, total: int = 0) -> "DualVector | float":
+    """Shared recursive walker; `xs`/`ls` hold DualVector or float leaves."""
+
+    def ev(nd: Node):
+        if isinstance(nd, Const):
+            return DualVector(nd.value, np.zeros(total)) if dual else nd.value
+        if isinstance(nd, StateVar):
+            return xs[nd.index]
+        if isinstance(nd, ParamVar):
+            return ls[nd.index]
+        if isinstance(nd, Neg):
+            a = ev(nd.arg)
+            return DualVector(-a.val, -a.der) if dual else -a
+        if isinstance(nd, Pow):
+            a = ev(nd.base)
+            k = nd.exponent
+            try:
+                if not dual:
+                    return a**k
+                if k == 0:
+                    return DualVector(1.0, np.zeros_like(a.der))
+                return DualVector(a.val**k, (k * a.val ** (k - 1)) * a.der)
+            except OverflowError as exc:
+                raise NonFinite(f"overflow evaluating '{_offending(nd, names)}'") from exc
+        if isinstance(nd, Binary):
+            a, b = ev(nd.left), ev(nd.right)
+            if not dual:
+                if nd.op == "+":
+                    return a + b
+                if nd.op == "-":
+                    return a - b
+                if nd.op == "*":
+                    return a * b
+                if b == 0.0:
+                    raise DomainError(f"division by zero in '{_offending(nd, names)}'")
+                return a / b
+            if nd.op == "+":
+                return DualVector(a.val + b.val, a.der + b.der)
+            if nd.op == "-":
+                return DualVector(a.val - b.val, a.der - b.der)
+            if nd.op == "*":
+                return DualVector(a.val * b.val, a.der * b.val + a.val * b.der)
+            if b.val == 0.0:
+                raise DomainError(f"division by zero in '{_offending(nd, names)}'")
+            q = a.val / b.val
+            return DualVector(q, (a.der - q * b.der) / b.val)
+        assert isinstance(nd, Func)
+        if nd.name in BINARY_FUNCTIONS:
+            a, b = ev(nd.args[0]), ev(nd.args[1])
+            if not dual:
+                return min(a, b) if nd.name == "min" else max(a, b)
+            if abs(a.val - b.val) <= KINK_TOL:
+                raise DomainError(
+                    f"{nd.name} arguments tie within {KINK_TOL:g} in '{_offending(nd, names)}'; "
+                    "derivative undefined at the kink")
+            pick_a = (a.val < b.val) == (nd.name == "min")
+            return a if pick_a else b
+        a = ev(nd.args[0])
+        v = a.val if dual else a
+        try:
+            if nd.name == "tanh":
+                out = math.tanh(v)
+                if dual:
+                    return DualVector(out, a.der * sech_power(v, 2))
+                return out
+            if nd.name == "sech":
+                out = sech_power(v, 1)
+                if dual:
+                    return DualVector(out, a.der * (-out * math.tanh(v)))
+                return out
+            if nd.name == "sin":
+                return DualVector(math.sin(v), a.der * math.cos(v)) if dual else math.sin(v)
+            if nd.name == "cos":
+                return DualVector(math.cos(v), a.der * (-math.sin(v))) if dual else math.cos(v)
+            if nd.name == "exp":
+                out = math.exp(v)
+                return DualVector(out, a.der * out) if dual else out
+            if nd.name == "log":
+                if v <= 0.0:
+                    raise DomainError(f"log of non-positive value {v!r} in '{_offending(nd, names)}'")
+                return DualVector(math.log(v), a.der / v) if dual else math.log(v)
+            if nd.name == "sqrt":
+                if v < 0.0 or (dual and v == 0.0):
+                    raise DomainError(
+                        f"sqrt of {'negative value' if v < 0 else 'zero (derivative singular)'} "
+                        f"{v!r} in '{_offending(nd, names)}'")
+                out = math.sqrt(v)
+                return DualVector(out, a.der / (2.0 * out)) if dual else out
+            assert nd.name == "abs"
+            if dual and abs(v) <= KINK_TOL:
+                raise DomainError(
+                    f"abs argument within {KINK_TOL:g} of the kink in '{_offending(nd, names)}'; "
+                    "derivative undefined there")
+            return DualVector(abs(v), a.der * math.copysign(1.0, v)) if dual else abs(v)
+        except OverflowError as exc:
+            raise NonFinite(f"overflow evaluating '{_offending(nd, names)}'") from exc
+
+    return ev(node)
+
+
+def per_point_eval_dual(
+    asts: list[Node],
+    x: np.ndarray,
+    lam: np.ndarray,
+    n_state: int | None = None,
+    names: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate all components and both Jacobian blocks in one dual pass.
+
+    Returns (values, d_values/d_x, d_values/d_lambda) with shapes
+    (k,), (k, n), (k, m) for k components.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    lam = np.asarray(lam, dtype=float).ravel()
+    n = x.size if n_state is None else n_state
+    m = lam.size
+    if names is None:
+        names = default_names(n, m)
+    total = n + m
+    xs = [DualVector(float(x[i]), _seed(total, i)) for i in range(n)]
+    ls = [DualVector(float(lam[j]), _seed(total, n + j)) for j in range(m)]
+    vals = np.empty(len(asts))
+    jac = np.empty((len(asts), total))
+    for row, ast in enumerate(asts):
+        out = _eval(ast, xs, ls, dual=True, names=names, total=total)
+        vals[row] = out.val
+        jac[row] = out.der
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(jac))):
+        raise NonFinite("expression evaluation produced a non-finite value or derivative")
+    return vals, jac[:, :n], jac[:, n:]
+
+
+def _seed(total: int, hot: int) -> np.ndarray:
+    der = np.zeros(total)
+    der[hot] = 1.0
+    return der
+
+
+def per_point_eval_values(
+    asts: list[Node],
+    x: np.ndarray,
+    lam: np.ndarray = (),
+    names: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
+) -> np.ndarray:
+    """Plain float evaluation of all components (no derivatives, kink-safe)."""
+    x = np.asarray(x, dtype=float).ravel()
+    lam = np.asarray(lam, dtype=float).ravel()
+    if names is None:
+        names = default_names(x.size, lam.size)
+    xs = [float(v) for v in x]
+    ls = [float(v) for v in lam]
+    vals = np.array([_eval(ast, xs, ls, dual=False, names=names) for ast in asts], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NonFinite("expression evaluation produced a non-finite value")
+    return vals

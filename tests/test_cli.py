@@ -365,3 +365,36 @@ def test_dedicated_entry_points(tmp_path, capsys):
     assert main_imft_certify(["--config", str(CONFIGS / "parabola_imft.json"),
                               "--out", str(tmp_path / "b.json")]) == 0
     capsys.readouterr()
+
+
+def test_sin_of_an_overflowed_argument_is_an_error_line(tmp_path, capsys):
+    # 1e300 * x1^3 overflows to inf on the x-ball of radius 1e3; sin(inf) has no value
+    payload = json.loads((CONFIGS / "parabola_imft.json").read_text(encoding="utf-8"))
+    payload["model"]["source"] = "x2 - sin(1e300*x1*x1*x1)"
+    payload["imft"].update(r_x_grid=[1e3], r_y_grid=[0.1])
+    code = main(["imft-certify", "--config", write_config(tmp_path, "sin.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: overflow evaluating 'sin(1e+300*x1*x1*x1)'\n"
+    assert captured.out == ""
+
+
+def test_trace_leaves_failed_newton_solves_as_gaps(tmp_path, capsys):
+    cfg = write_config(tmp_path, "gaps.json", {
+        "model": {"kind": "expr", "n": 2, "m": 1,
+                  "source": "-x1 + tanh(l1*x2); -x2 + tanh(l1*x1) + 0.3*x2^3"},
+        "base_point": {"x0": [0.0, 0.0], "lambda0": [1.0]},
+        "trace": {"lambda_min": 0.5, "lambda_max": 0.6, "lambda_step": 0.05,
+                  "alpha_min": -4.0, "alpha_max": 4.0, "alpha_samples": 41},
+    })
+    out = tmp_path / "trace.csv"
+    code = main(["trace", "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    notes = captured.err.splitlines()
+    assert [note.split(": Newton failed at ")[0] for note in notes] == \
+        ["note: lambda=0.5", "note: lambda=0.55", "note: lambda=0.6"]
+    assert [int(note.split(" at ")[1].split()[0]) for note in notes] == [10, 5, 4]
+    assert notes[0].endswith("first at alpha=-4: range block: no descent after 30 backtracks "
+                             "(residual 2.820e+00) at alpha=[-4.], lambda=[0.5]")
+    assert out.read_text(encoding="utf-8").startswith("branch_id,lambda,alpha,x_1,x_2,residual_full")

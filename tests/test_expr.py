@@ -14,7 +14,12 @@ from lscert import (
     UnknownIdentifier,
 )
 from lscert import expr
-from conftest import central_difference_jacobian, generate_expression_cases
+from conftest import (
+    central_difference_jacobian,
+    generate_expression_cases,
+    per_point_eval_dual,
+    per_point_eval_values,
+)
 
 
 # --- parsing and printing ----------------------------------------------------
@@ -211,3 +216,101 @@ def test_constant_only_program_evaluates_without_variables():
     vals, jx, jl = expr.eval_dual(expr.parse_components("3 + 4 * 2", 1, (), ()), [], [])
     assert vals[0] == 11.0
     assert jx.shape == (1, 0) and jl.shape == (1, 0)
+
+
+# --- compiled trees against the per-point reference ----------------------------
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's results as bytes, or the type and message of the LscertError it raises."""
+    try:
+        with np.errstate(all="ignore"):  # the per-point reference warns on inf * 0
+            out = fn(*args, **kwargs)
+    except LscertError as exc:
+        return type(exc), str(exc)
+    return tuple(np.asarray(o).tobytes() for o in (out if isinstance(out, tuple) else (out,)))
+
+
+def _assert_matches_per_point_reference(node, names, X, Lam):
+    """eval_values, eval_dual and eval_dual_many at each row and on the stack."""
+    rows = []
+    for x, lam in zip(X, Lam):
+        source = f"{expr.to_source(node, *names)!r} at x={x}, lam={lam}"
+        args = ([node], x, lam)
+        assert _outcome(expr.eval_values, *args, names=names) == \
+            _outcome(per_point_eval_values, *args, names=names), source
+        want = _outcome(per_point_eval_dual, *args, names=names)
+        assert _outcome(expr.eval_dual, *args, names=names) == want, source
+        assert _outcome(expr.eval_dual_many, [node], x[None], lam[None], names=names) == want, source
+        rows.append(want)
+    stack = _outcome(expr.eval_dual_many, [node], X, Lam, names=names)
+    failures = {row for row in rows if isinstance(row[0], type)}
+    if failures:
+        # node by node over the stack: some failing row's own error
+        assert stack in failures, expr.to_source(node, *names)
+    else:
+        assert stack == tuple(b"".join(parts) for parts in zip(*rows)), expr.to_source(node, *names)
+
+
+def _node_kinds(node) -> set[str]:
+    """The node kinds in a tree, with each operator, function and x^0 apart."""
+    if isinstance(node, expr.Func):
+        return {node.name}.union(*map(_node_kinds, node.args))
+    if isinstance(node, expr.Binary):
+        return {f"Binary{node.op}"} | _node_kinds(node.left) | _node_kinds(node.right)
+    if isinstance(node, expr.Pow):
+        return {"Pow0" if node.exponent == 0 else "Pow"} | _node_kinds(node.base)
+    if isinstance(node, expr.Neg):
+        return {"Neg"} | _node_kinds(node.arg)
+    return {type(node).__name__}
+
+
+def _stack_around(rng, x, lam, count=16):
+    """The guarded point, then points around it with a quarter of coordinates at 0.0.
+
+    The zeros and the wider spread reach domain edges, kinks and zero
+    denominators, where the reference raises.
+    """
+    def rows(point):
+        others = point + rng.uniform(-2.0, 2.0, size=(count - 1, point.size))
+        others[rng.uniform(size=others.shape) < 0.25] = 0.0
+        return np.vstack([point, others])
+
+    return rows(x), rows(lam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_trees_equal_the_per_point_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    for node, names, x, lam in generate_expression_cases(8, seed=seed):
+        _assert_matches_per_point_reference(node, names, *_stack_around(rng, x, lam))
+
+
+def test_reference_comparison_covers_every_node_kind():
+    # the 500 cases of the dual-vs-difference check
+    rng = np.random.default_rng(0)
+    kinds = set()
+    for node, names, x, lam in generate_expression_cases(500):
+        kinds |= _node_kinds(node)
+        _assert_matches_per_point_reference(node, names, *_stack_around(rng, x, lam, count=4))
+    # and each one-argument function of an argument whose derivative is not a seed
+    names = expr.default_names(2, 1)
+    for name in expr.UNARY_FUNCTIONS:
+        node = expr.parse_components(f"{name}(0.7*x1*l1 - x2/3 + 2)", 1, *names)[0]
+        _assert_matches_per_point_reference(node, names, *_stack_around(
+            rng, np.array([0.3, -0.4]), np.array([0.8])))
+    every = {"Const", "StateVar", "ParamVar", "Neg", "Pow", "Pow0",
+             *(f"Binary{op}" for op in "+-*/"), *expr.UNARY_FUNCTIONS, *expr.BINARY_FUNCTIONS}
+    assert kinds == every
+
+
+def test_sin_and_cos_of_an_overflowed_argument_raise_nonfinite():
+    # 1e300 * x1 * x1 overflows to inf silently; math.sin(inf) would raise ValueError
+    for name in ("sin", "cos"):
+        asts = expr.parse(f"{name}(1e300*x1*x1)", 1, 0)
+        message = f"overflow evaluating '{name}(1e+300*x1*x1)'"
+        for evaluate in (expr.eval_values, expr.eval_dual):
+            with pytest.raises(NonFinite) as err:
+                evaluate(asts, [1e10], [])
+            assert str(err.value) == message

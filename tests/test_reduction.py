@@ -236,6 +236,25 @@ def test_large_lifted_residual_drops_root_with_note(tanh2_split):
     assert sum("dropped" in note for note in result.notes) == 2
 
 
+def test_failed_newton_solves_are_gaps_in_the_trace(tanh2_split, monkeypatch):
+    # at lambda = 2 the roots are alpha = 0 and +-1.354; the node alpha = 1.2
+    # fails, so nothing brackets +1.354, and the first bisection step for
+    # -1.354 (alpha = -1.4) fails, so that root is dropped
+    rm = ReducedMap(tanh2_split)
+    solve = rm.g
+
+    def g(alpha, lam):
+        if abs(float(alpha) - 1.2) < 1e-9 or -1.5 < float(alpha) < -1.3:
+            raise NewtonDiverged("no descent")
+        return solve(alpha, lam)
+
+    monkeypatch.setattr(rm, "g", g)
+    result = trace_branches(rm, [2.0], (-1.6, 1.6), alpha_samples=9)
+    assert [p.alpha for p in result.roots_at(2.0)] == [0.0]
+    assert result.notes == ("lambda=2: Newton failed at 2 alpha value(s), left as gaps; "
+                            "first at alpha=1.2: no descent",)
+
+
 def test_trace_input_validation(tanh2_split):
     rm = ReducedMap(tanh2_split)
     with pytest.raises(ValueError):

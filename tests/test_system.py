@@ -136,3 +136,12 @@ def test_shape_validation_on_wrappers(tanh2_system):
 def test_linear_model_requires_params():
     with pytest.raises(UnknownModel):
         builtin_model("linear")
+
+
+def test_parameter_jacobian_shape_is_checked():
+    fun = lambda x, lam: np.array([x[0] - lam[0], x[1]])
+    ok = from_callable(fun, 2, 1, jac_lambda=lambda x, lam: np.array([-1.0, 0.0]))
+    assert ok.dphi_dlambda([0.0, 0.0], [0.0]).tolist() == [[-1.0], [0.0]]
+    bad = from_callable(fun, 2, 1, jac_lambda=lambda x, lam: np.zeros(3))
+    with pytest.raises(lscert.DimensionMismatch, match=r"parameter Jacobian has shape \(3,\)"):
+        bad.dphi_dlambda([0.0, 0.0], [0.0])
