@@ -10,7 +10,8 @@ Four subcommands share one config schema (see config.py):
 Exit codes: 0 when the command succeeded (for the certify commands: at least
 one radius pair certified), 2 when a certify run completed but nothing was
 certified, 1 on any error. Reports go to --out as JSON (stdout when --out is
-omitted); --csv adds a flat export next to it.
+omitted); --csv adds a flat export next to it. A reduce or trace point whose
+Newton solve fails is left empty, with one note per lambda on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ from .config import (
     build_system,
     load_config,
 )
-from .errors import ArityError, LscertError, ParseError, UnknownIdentifier
+from .errors import (
+    ArityError,
+    LscertError,
+    NewtonDiverged,
+    ParseError,
+    SingularNewtonSystem,
+    UnknownIdentifier,
+)
 from .imft import SplitFunction, certify_grid, imft_quantities
 from .system import evaluation_point
 
@@ -169,8 +177,6 @@ def _combined_split(model: ModelConfig, section: ImftSection, bp) -> SplitFuncti
         n_x=len(x_idx),
         n_y=len(y_idx),
         fun=value,
-        jac_x=lambda x, y: full_jacs(x[None], y[None])[0][:, x_idx],
-        jac_y=lambda x, y: full_jacs(x[None], y[None])[0][:, y_idx],
         jac_x_many=lambda X, Y: full_jacs(X, Y)[:, :, x_idx],
         jac_y_many=lambda X, Y: full_jacs(X, Y)[:, :, y_idx],
     )
@@ -249,13 +255,21 @@ def _cmd_reduce(args) -> int:
     rows = []
     for lam in section.lambda_values:
         rm.reset_warm_start()
+        failed = []
         for alpha in alphas:
-            point = rm.evaluate(alpha, lam)
+            try:
+                point = rm.evaluate(alpha, lam)
+            except (NewtonDiverged, SingularNewtonSystem) as exc:
+                failed.append((float(alpha), exc))
+                rows.append((alpha, lam, None, None))
+                continue
             warning = None
             if frontier is not None:
                 warning = reduction.region_note(
                     ss, frontier, point.alpha, point.lam, point.beta, cfg.norm)
-            rows.append((point, warning))
+            rows.append((alpha, lam, point, warning))
+        if failed:
+            print(f"note: {reduction.failure_note(lam, failed)}", file=sys.stderr)
     if args.out is not None:
         _write_text(args.out, report.reduce_csv(rows, ss.q, ss.m, ss.n_perp))
         print(f"wrote {len(rows)} rows to {args.out}")

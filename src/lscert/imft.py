@@ -47,47 +47,56 @@ CHUNK_PAIRS = 256
 class SplitFunction:
     """f : R^{n_x} x R^{n_y} -> R^{n_y} with both Jacobian blocks.
 
-    jac_x_many/jac_y_many, when given, take point stacks X (N, n_x) and
-    Y (N, n_y) and return the blocks at every row, (N, n_y, n_x) and
-    (N, n_y, n_y), equal to the per-point blocks bit for bit. Without them,
-    dx_many/dy_many stack the per-point calls.
+    jac_x_many/jac_y_many take point stacks X (N, n_x) and Y (N, n_y) and
+    return the blocks at every row, (N, n_y, n_x) and (N, n_y, n_y). dx and
+    dy are row 0 of a one-point call; split_function adapts per-point
+    callables.
     """
 
     n_x: int
     n_y: int
     fun: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac_y: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac_x_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    jac_y_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    jac_x_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jac_y_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def value(self, x, y) -> np.ndarray:
         return np.asarray(self.fun(np.asarray(x, float), np.asarray(y, float)), dtype=float).ravel()
 
     def dx(self, x, y) -> np.ndarray:
-        return np.asarray(self.jac_x(np.asarray(x, float), np.asarray(y, float)), dtype=float).reshape(self.n_y, self.n_x)
+        return self.dx_many(*self._one_point(x, y))[0]
 
     def dy(self, x, y) -> np.ndarray:
-        return np.asarray(self.jac_y(np.asarray(x, float), np.asarray(y, float)), dtype=float).reshape(self.n_y, self.n_y)
+        return self.dy_many(*self._one_point(x, y))[0]
 
     def dx_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self.jac_x_many is None:
-            return np.stack([self.dx(x, y) for x, y in zip(X, Y)])
         return np.asarray(self.jac_x_many(X, Y), dtype=float).reshape(len(X), self.n_y, self.n_x)
 
     def dy_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self.jac_y_many is None:
-            return np.stack([self.dy(x, y) for x, y in zip(X, Y)])
         return np.asarray(self.jac_y_many(X, Y), dtype=float).reshape(len(X), self.n_y, self.n_y)
+
+    def _one_point(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        # a scalar y is accepted when n_y = 1
+        return (np.asarray(x, float).reshape(1, self.n_x),
+                np.asarray(y, float).reshape(1, self.n_y))
 
 
 def split_function(fun, n_x: int, n_y: int, jac_x=None, jac_y=None) -> SplitFunction:
-    """Wrap a callable, filling missing Jacobian blocks by central differences."""
-    if jac_x is None:
-        jac_x = lambda x, y: fd_jacobians(fun, n_x, n_y, x, y)[0]
-    if jac_y is None:
-        jac_y = lambda x, y: fd_jacobians(fun, n_x, n_y, x, y)[1]
-    return SplitFunction(n_x=n_x, n_y=n_y, fun=fun, jac_x=jac_x, jac_y=jac_y)
+    """Wrap a callable and per-point Jacobian callables into a split function.
+
+    Each batched block stacks the per-point ones; a missing block comes from
+    one central-difference pass per point.
+    """
+    def stacked(jac, which, shape):
+        def many(X, Y):
+            out = np.empty((len(X),) + shape)
+            for i, (x, y) in enumerate(zip(X, Y)):
+                block = fd_jacobians(fun, n_x, n_y, x, y)[which] if jac is None else jac(x, y)
+                out[i] = np.asarray(block, dtype=float).reshape(shape)
+            return out
+        return many
+
+    return SplitFunction(n_x=n_x, n_y=n_y, fun=fun, jac_x_many=stacked(jac_x, 0, (n_y, n_x)),
+                         jac_y_many=stacked(jac_y, 1, (n_y, n_y)))
 
 
 @dataclass(frozen=True)

@@ -89,18 +89,7 @@ class SplitSystem:
     def jac_perp(self, alpha, beta, lam) -> np.ndarray:
         """d(W^T Phi)/d(beta), shape (n-q, n-q)."""
         x = self.state(np.atleast_1d(alpha), np.atleast_1d(beta))
-        return self._jac_perp_at(x, np.atleast_1d(lam))
-
-    def _jac_par_at(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """d(W^T Phi)/d(alpha, lambda) at state x, shape (n-q, q+m)."""
-        w_t = self.decomp.W.T
-        return np.hstack([
-            w_t @ self.sys.dphi_dx(x, lam) @ self.decomp.V,
-            w_t @ self.sys.dphi_dlambda(x, lam),
-        ])
-
-    def _jac_perp_at(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self.decomp.W.T @ self.sys.dphi_dx(x, lam) @ self.decomp.Vperp
+        return self.decomp.W.T @ self.sys.dphi_dx(x, np.atleast_1d(lam)) @ self.decomp.Vperp
 
     def xi2(self, alpha, beta, lam) -> np.ndarray:
         """Deviation of the beta block from W^T J Vperp."""
@@ -116,18 +105,9 @@ class SplitSystem:
         def fun(p, beta):
             return self.evaluator(p[:q], beta, p[q:])
 
-        # the engine calls these once per lattice point; SplitFunction.dx/dy
-        # pass float arrays, so ravel (which lifts a 0-d beta to 1-D) is all
-        # the normalisation they need, cheaper than jac_perp's
-        def jac_x(p, beta):
-            return self._jac_par_at(self.state(p[:q], beta.ravel()), p[q:])
-
-        def jac_y(p, beta):
-            return self._jac_perp_at(self.state(p[:q], beta.ravel()), p[q:])
-
-        # the batched blocks repeat the per-point products slice by slice
-        # (stacked matmul at the same shapes, same association), which keeps
-        # them bitwise equal; einsum or one flattened GEMM would round differently
+        # stacked matmul at the per-point shapes and association, which keeps
+        # each row bitwise equal to the 2-D products at one point; einsum or
+        # one flattened GEMM would round differently
         w_t, v, v_perp = self.decomp.W.T[None], self.decomp.V[None], self.decomp.Vperp[None]
 
         def jacobians_at(P, B):
@@ -141,7 +121,7 @@ class SplitSystem:
         def jac_y_many(P, B):
             return w_t @ jacobians_at(P, B)[0] @ v_perp
 
-        return SplitFunction(n_x=q + m, n_y=self.n_perp, fun=fun, jac_x=jac_x, jac_y=jac_y,
+        return SplitFunction(n_x=q + m, n_y=self.n_perp, fun=fun,
                              jac_x_many=jac_x_many, jac_y_many=jac_y_many)
 
     @property

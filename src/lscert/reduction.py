@@ -246,6 +246,12 @@ def _roots_at_lambda(gfun, lam, grid, values, root_tol, notes):
     return deduped
 
 
+def failure_note(lam: float, failed: list[tuple[float, Exception]]) -> str:
+    """The one note for a parameter value whose Newton solves failed at some alphas."""
+    return (f"lambda={lam:.6g}: Newton failed at {len(failed)} alpha value(s), "
+            f"left as gaps; first at alpha={failed[0][0]:.6g}: {failed[0][1]}")
+
+
 def trace_branches(
     rm: ReducedMap,
     lambda_values,
@@ -296,8 +302,7 @@ def trace_branches(
         values = [gfun(a) for a in grid]
         roots = _roots_at_lambda(gfun, lam, grid, values, root_tol, notes)
         if failed:
-            notes.append(f"lambda={lam:.6g}: Newton failed at {len(failed)} alpha value(s), "
-                         f"left as gaps; first at alpha={failed[0][0]:.6g}: {failed[0][1]}")
+            notes.append(failure_note(lam, failed))
         points: list[BranchPoint] = []
         for r in roots:
             pt = rm.evaluate(r, lam)

@@ -159,12 +159,15 @@ def trace_csv(trace, n_state: int) -> str:
     return csv_text(header, rows)
 
 
-def reduce_csv(points_with_warnings, q: int, m: int, n_perp: int) -> str:
+def reduce_csv(entries, q: int, m: int, n_perp: int) -> str:
+    """Rows of (alpha, lambda, ReducedPoint or None, warning); None leaves g and phi empty."""
     header = [f"alpha_{i + 1}" for i in range(q)] + [f"lambda_{j + 1}" for j in range(m)] \
         + [f"g_{i + 1}" for i in range(q)] + [f"phi_{k + 1}" for k in range(n_perp)] \
         + ["warning"]
     rows = []
-    for point, warning in points_with_warnings:
-        rows.append(list(point.alpha) + list(point.lam) + list(point.g)
-                    + list(point.beta) + [warning or ""])
+    for alpha, lam, point, warning in entries:
+        solved = [None] * (q + n_perp) if point is None else list(point.g) + list(point.beta)
+        rows.append(list(np.atleast_1d(np.asarray(alpha, dtype=float)))
+                    + list(np.atleast_1d(np.asarray(lam, dtype=float)))
+                    + solved + [warning or ""])
     return csv_text(header, rows)

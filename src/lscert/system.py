@@ -1,10 +1,10 @@
 """Parameterised nonlinear systems Phi(x, lambda) = 0 and their Jacobians.
 
-A system bundles the residual map with analytic Jacobian callables; when only
-the residual is available, central finite differences fill in. Built-in
-models cover the cases used throughout the tests and the CLI. Maps are
-assumed at least twice continuously differentiable on the working region,
-recorded as a documentation-level tag.
+A system bundles the residual map with one batched Jacobian callable;
+from_callable adapts per-point Jacobian callables and fills missing ones by
+central finite differences. Built-in models cover the cases used throughout
+the tests and the CLI. Maps are assumed at least twice continuously
+differentiable on the working region.
 """
 
 from __future__ import annotations
@@ -40,18 +40,17 @@ class ParametricSystem:
 
     The residual has n components, except for the expression models of the
     generic split view (imft-certify), which have as many as y coordinates:
-    `components`, when set. `batch_jacobians`, when set, computes both
-    Jacobian blocks at many points in one pass (see `jacobians`).
+    `components`, when set. `jac_many` is the one Jacobian callable: it takes
+    point stacks X (N, n) and Lam (N, m) and returns both blocks at every
+    row, (N, k, n) and (N, k, m); the per-point blocks are its row 0 (see
+    from_callable for per-point callables).
     """
 
     n: int
     m: int
     fun: ArrayFun
-    jac_x: ArrayFun
-    jac_lambda: ArrayFun
+    jac_many: BatchJac
     name: str = "custom"
-    smoothness_order: int = 2  # assumed continuous derivatives, documentation only
-    batch_jacobians: BatchJac | None = None
     components: int | None = None
 
     @property
@@ -67,38 +66,32 @@ class ParametricSystem:
         return out
 
     def dphi_dx(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        x, lam = self._check(x, lam)
-        out = np.asarray(self.jac_x(x, lam), dtype=float)
-        if out.shape != (self.k, self.n):
-            raise DimensionMismatch(f"state Jacobian has shape {out.shape}, expected {(self.k, self.n)}")
-        return out
+        return self._at_point(x, lam)[0]
 
     def dphi_dlambda(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        x, lam = self._check(x, lam)
-        out = np.asarray(self.jac_lambda(x, lam), dtype=float)
-        if out.size != self.k * self.m:
-            raise DimensionMismatch(
-                f"parameter Jacobian has shape {out.shape}, expected {(self.k, self.m)}")
-        return out.reshape(self.k, self.m)
+        return self._at_point(x, lam)[1]
 
     def jacobians(self, X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both Jacobian blocks at each row of X (N, n) and Lam (N, m).
 
-        Returns (N, k, n) and (N, k, m) arrays whose slices equal dphi_dx and
-        dphi_dlambda at the same points bit for bit. Systems without a batched
-        form stack the per-point calls.
+        Returns (N, k, n) and (N, k, m) arrays. dphi_dx and dphi_dlambda
+        are row 0 of a one-point call.
         """
         X = np.asarray(X, dtype=float).reshape(-1, self.n)
-        Lam = np.asarray(Lam, dtype=float).reshape(len(X), self.m)
-        if self.batch_jacobians is None:
-            jx = np.stack([self.dphi_dx(x, lam) for x, lam in zip(X, Lam)])
-            jl = np.stack([self.dphi_dlambda(x, lam) for x, lam in zip(X, Lam)])
-            return jx, jl
-        jx, jl = self.batch_jacobians(X, Lam)
-        count = len(X)
-        if jx.shape != (count, self.k, self.n) or jl.shape != (count, self.k, self.m):
+        return self._batched(X, np.asarray(Lam, dtype=float).reshape(len(X), self.m))
+
+    def _at_point(self, x, lam) -> tuple[np.ndarray, np.ndarray]:
+        # skips the reshapes of jacobians: every per-point Newton step comes here
+        x, lam = self._check(x, lam)
+        jx, jl = self._batched(x[None], lam[None])
+        return jx[0], jl[0]
+
+    def _batched(self, X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        jx, jl = self.jac_many(X, Lam)
+        want_x, want_l = (len(X), self.k, self.n), (len(X), self.k, self.m)
+        if jx.shape != want_x or jl.shape != want_l:
             raise DimensionMismatch(f"batched Jacobians have shapes {jx.shape} and {jl.shape}, "
-                                    f"expected {(count, self.k, self.n)} and {(count, self.k, self.m)}")
+                                    f"expected {want_x} and {want_l}")
         return jx, jl
 
     def _check(self, x, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -179,12 +172,28 @@ def from_callable(
     jac_lambda: ArrayFun | None = None,
     name: str = "custom",
 ) -> ParametricSystem:
-    """Wrap a residual callable, filling missing Jacobians by differences."""
-    if jac_x is None:
-        jac_x = lambda x, lam: fd_jacobians(fun, n, m, x, lam)[0]
-    if jac_lambda is None:
-        jac_lambda = lambda x, lam: fd_jacobians(fun, n, m, x, lam)[1]
-    return ParametricSystem(n=n, m=m, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name=name)
+    """Wrap a residual callable and per-point Jacobian callables into a system.
+
+    The batched Jacobian stacks the per-point blocks; the missing ones come
+    from one fd_jacobians pass per point, shared by both blocks.
+    """
+    def blocks(x, lam):
+        fd = fd_jacobians(fun, n, m, x, lam) if jac_x is None or jac_lambda is None else None
+        jx = np.asarray(fd[0] if jac_x is None else jac_x(x, lam), dtype=float)
+        jl = np.asarray(fd[1] if jac_lambda is None else jac_lambda(x, lam), dtype=float)
+        if jx.shape != (n, n):
+            raise DimensionMismatch(f"state Jacobian has shape {jx.shape}, expected {(n, n)}")
+        if jl.size != n * m:
+            raise DimensionMismatch(f"parameter Jacobian has shape {jl.shape}, expected {(n, m)}")
+        return jx, jl.reshape(n, m)
+
+    def jac_many(X, Lam):
+        jx, jl = np.empty((len(X), n, n)), np.empty((len(X), n, m))
+        for i, (x, lam) in enumerate(zip(X, Lam)):
+            jx[i], jl[i] = blocks(x, lam)
+        return jx, jl
+
+    return ParametricSystem(n=n, m=m, fun=fun, jac_many=jac_many, name=name)
 
 
 # --- built-in models ---------------------------------------------------------
@@ -196,21 +205,7 @@ def _tanh2() -> ParametricSystem:
         l = lam[0]
         return np.array([-x[0] + math.tanh(l * x[1]), -x[1] + math.tanh(l * x[0])])
 
-    def jac_x(x, lam):
-        l = lam[0]
-        return np.array([
-            [-1.0, l * sech_power(l * x[1], 2)],
-            [l * sech_power(l * x[0], 2), -1.0],
-        ])
-
-    def jac_lambda(x, lam):
-        l = lam[0]
-        return np.array([
-            [x[1] * sech_power(l * x[1], 2)],
-            [x[0] * sech_power(l * x[0], 2)],
-        ])
-
-    def jacobians(X, Lam):
+    def jac_many(X, Lam):
         l = Lam[:, 0]
         # sech_power per element: numpy's cosh rounds differently from math.cosh
         s = [np.array([sech_power(v, 2) for v in (l * X[:, i]).tolist()]) for i in range(2)]
@@ -221,22 +216,15 @@ def _tanh2() -> ParametricSystem:
         jl = np.stack([X[:, 1] * s[1], X[:, 0] * s[0]], axis=1)[:, :, None]
         return jx, jl
 
-    return ParametricSystem(n=2, m=1, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name="tanh2",
-                            batch_jacobians=jacobians)
+    return ParametricSystem(n=2, m=1, fun=fun, jac_many=jac_many, name="tanh2")
 
 
 def _pitchfork_normal_form() -> ParametricSystem:
-    def fun(x, lam):
-        return np.array([lam[0] * x[0] - x[0] ** 3])
-
-    def jac_x(x, lam):
-        return np.array([[lam[0] - 3.0 * x[0] ** 2]])
-
-    def jac_lambda(x, lam):
-        return np.array([[x[0]]])
-
-    return ParametricSystem(n=1, m=1, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda,
-                            name="pitchfork_normal_form")
+    return from_callable(
+        lambda x, lam: np.array([lam[0] * x[0] - x[0] ** 3]), 1, 1,
+        jac_x=lambda x, lam: np.array([[lam[0] - 3.0 * x[0] ** 2]]),
+        jac_lambda=lambda x, lam: np.array([[x[0]]]),
+        name="pitchfork_normal_form")
 
 
 def _linear(params: dict) -> ParametricSystem:
@@ -250,14 +238,8 @@ def _linear(params: dict) -> ParametricSystem:
         b = b.reshape(-1, 1)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"b has {b.shape[0]} rows, expected {a.shape[0]}")
-    n, m = a.shape[0], b.shape[1]
-    return ParametricSystem(
-        n=n, m=m,
-        fun=lambda x, lam: a @ x + b @ lam,
-        jac_x=lambda x, lam: a,
-        jac_lambda=lambda x, lam: b,
-        name="linear",
-    )
+    return from_callable(lambda x, lam: a @ x + b @ lam, a.shape[0], b.shape[1],
+                         jac_x=lambda x, lam: a, jac_lambda=lambda x, lam: b, name="linear")
 
 
 _BUILTINS = ("tanh2", "pitchfork_normal_form", "linear")
@@ -291,17 +273,11 @@ def system_from_expressions(source: str, n: int, m: int,
     def fun(x, lam):
         return values(x.tolist(), lam.tolist())
 
-    def jac_x(x, lam):
-        return duals(x[None], lam[None])[1][0]
-
-    def jac_lambda(x, lam):
-        return duals(x[None], lam[None])[2][0]
-
-    def jacobians(X, Lam):
+    def jac_many(X, Lam):
         return duals(X, Lam)[1:]
 
-    return ParametricSystem(n=n, m=m, fun=fun, jac_x=jac_x, jac_lambda=jac_lambda, name="expr",
-                            batch_jacobians=jacobians, components=components)
+    return ParametricSystem(n=n, m=m, fun=fun, jac_many=jac_many, name="expr",
+                            components=components)
 
 
 def is_bifurcation_candidate(

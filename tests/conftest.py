@@ -208,21 +208,72 @@ def central_difference_jacobian(node, names, x, lam, h: float = 1e-6):
     return dx, dl
 
 
+# --- per-point references for the batched Jacobians ---------------------------
+#
+# The per-point forms the batched Jacobian callables replaced, kept as they
+# were: the references the batched paths are held to bit for bit.
+
+
+def tanh2_jac_x(x, lam):
+    l = lam[0]
+    return np.array([
+        [-1.0, l * sech_power(l * x[1], 2)],
+        [l * sech_power(l * x[0], 2), -1.0],
+    ])
+
+
+def tanh2_jac_lambda(x, lam):
+    l = lam[0]
+    return np.array([
+        [x[1] * sech_power(l * x[1], 2)],
+        [x[0] * sech_power(l * x[0], 2)],
+    ])
+
+
+def expr_jacobians(source, n, m):
+    """Per-point (jac_x, jac_lambda) of a DSL system through per_point_eval_dual."""
+    names = default_names(n, m)
+    asts = expr_mod.parse_components(source, n, *names)
+    return (lambda x, lam: per_point_eval_dual(asts, x, lam, n, names)[1],
+            lambda x, lam: per_point_eval_dual(asts, x, lam, n, names)[2])
+
+
+def split_view_blocks(ss, jac_x, jac_lambda):
+    """Per-point (dx, dy) of ss.as_split_function() as 2-D products.
+
+    jac_x and jac_lambda are per-point Jacobian blocks of ss.sys; the state is
+    ss.state(alpha, beta), the 2-D V alpha + Vperp beta.
+    """
+    w_t, v, v_perp, q = ss.decomp.W.T, ss.decomp.V, ss.decomp.Vperp, ss.q
+
+    def dx(p, beta):
+        x, lam = ss.state(p[:q], np.atleast_1d(beta)), p[q:]
+        return np.hstack([w_t @ jac_x(x, lam) @ v, w_t @ jac_lambda(x, lam)])
+
+    def dy(p, beta):
+        x, lam = ss.state(p[:q], np.atleast_1d(beta)), p[q:]
+        return w_t @ jac_x(x, lam) @ v_perp
+
+    return dx, dy
+
+
 # --- per-point reference for the sampled deviation suprema --------------------
 
 
-def per_point_L(f, x0, y0, r_x, r_y, samples_per_dim, norm_kind="spectral", x_weights=None,
+def per_point_L(dx, dy, x0, y0, r_x, r_y, samples_per_dim, norm_kind="spectral", x_weights=None,
                 base=None):
     """(L_x, L_y) as the per-point loop takes them, one pair at a time.
 
     The reference the chunked sampler in lscert.imft is held to bit for bit:
     max of ||(block(px, py) - base_block) diag(w)|| over
     itertools.product(pts_x, pts_y), on the same ball points, with
-    L_x over the x-ball at y0 and L_y over the x-ball times the y-ball.
+    L_x over the x-ball at y0 and L_y over the x-ball times the y-ball. dx
+    and dy are per-point references for the blocks; the base blocks default
+    to their values at (x0, y0).
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    base = base or BaseBlocks.at(f, x0, y0)
+    base = base or BaseBlocks(dx=dx(x0, y0), dy=dy(x0, y0))
     w = None if x_weights is None else np.asarray(x_weights, dtype=float)
 
     def sup(block, base_block, pts_x, pts_y, weights=None):
@@ -236,7 +287,7 @@ def per_point_L(f, x0, y0, r_x, r_y, samples_per_dim, norm_kind="spectral", x_we
 
     pts_x = ball_points(x0, r_x, samples_per_dim, norm_kind, weights=w)
     pts_y = ball_points(y0, r_y, samples_per_dim, norm_kind)
-    return sup(f.dx, base.dx, pts_x, [y0], w), sup(f.dy, base.dy, pts_x, pts_y)
+    return sup(dx, base.dx, pts_x, [y0], w), sup(dy, base.dy, pts_x, pts_y)
 
 
 # --- per-point reference for the compiled expression trees --------------------

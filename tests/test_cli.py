@@ -379,11 +379,18 @@ def test_sin_of_an_overflowed_argument_is_an_error_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+# the cubic model's range equation has no Newton descent from beta0 at the
+# outer alphas for lambda near 0.5
+CUBIC = {
+    "model": {"kind": "expr", "n": 2, "m": 1,
+              "source": "-x1 + tanh(l1*x2); -x2 + tanh(l1*x1) + 0.3*x2^3"},
+    "base_point": {"x0": [0.0, 0.0], "lambda0": [1.0]},
+}
+
+
 def test_trace_leaves_failed_newton_solves_as_gaps(tmp_path, capsys):
     cfg = write_config(tmp_path, "gaps.json", {
-        "model": {"kind": "expr", "n": 2, "m": 1,
-                  "source": "-x1 + tanh(l1*x2); -x2 + tanh(l1*x1) + 0.3*x2^3"},
-        "base_point": {"x0": [0.0, 0.0], "lambda0": [1.0]},
+        **CUBIC,
         "trace": {"lambda_min": 0.5, "lambda_max": 0.6, "lambda_step": 0.05,
                   "alpha_min": -4.0, "alpha_max": 4.0, "alpha_samples": 41},
     })
@@ -398,3 +405,24 @@ def test_trace_leaves_failed_newton_solves_as_gaps(tmp_path, capsys):
     assert notes[0].endswith("first at alpha=-4: range block: no descent after 30 backtracks "
                              "(residual 2.820e+00) at alpha=[-4.], lambda=[0.5]")
     assert out.read_text(encoding="utf-8").startswith("branch_id,lambda,alpha,x_1,x_2,residual_full")
+
+
+def test_reduce_leaves_failed_newton_rows_empty(tmp_path, capsys):
+    cfg = write_config(tmp_path, "gaps.json", {
+        **CUBIC,
+        "reduce": {"alpha_min": -4.0, "alpha_max": 4.0, "alpha_samples": 41,
+                   "lambda_values": [0.5]},
+    })
+    out = tmp_path / "reduce.csv"
+    code = main(["reduce", "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == (
+        "note: lambda=0.5: Newton failed at 10 alpha value(s), left as gaps; first at "
+        "alpha=-4: range block: no descent after 30 backtracks (residual 2.820e+00) at "
+        "alpha=[-4.], lambda=[0.5]\n")
+    assert "wrote 41 rows" in captured.out
+    rows = [l for l in out.open(encoding="utf-8", newline="").read().split("\r\n")[1:] if l]
+    assert len(rows) == 41
+    failed = [row for row in rows if row.endswith(",0.5,,,")]
+    assert len(failed) == 10 and rows[0] == "-4,0.5,,,"

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -24,7 +25,14 @@ from lscert.config import parse_config
 from lscert.imft import certify_grid
 from lscert.norms import NORM_KINDS, induced_norm, induced_norms
 from lscert.sampling import ball_points, max_over
-from conftest import per_point_L
+from lscert.system import fd_jacobians
+from conftest import (
+    expr_jacobians,
+    per_point_L,
+    split_view_blocks,
+    tanh2_jac_lambda,
+    tanh2_jac_x,
+)
 
 
 def parabola():
@@ -215,37 +223,57 @@ def test_ball_points_holds_each_point_once():
 RING4 = "-x1 + tanh(l1*x2); -x2 + tanh(l1*x3); -x3 + tanh(l1*x4); -x4 + tanh(l1*x1)"
 
 
-def _ls_case(model, spd, radii, weights=None):
+def _ls_case(model, jacs, spd, radii, weights=None):
     sys_ = lscert.build_system(parse_config({"model": model}).model)
     point = lscert.evaluation_point(sys_, np.zeros(sys_.n), [1.0])
     ss = lscert.build_split_system(sys_, point)
-    return ss.as_split_function(), ss.par_center, ss.beta0, ss.base_blocks, spd, radii, weights
+    return (ss.as_split_function(), ss.par_center, ss.beta0, ss.base_blocks, spd, radii, weights,
+            split_view_blocks(ss, *jacs))
+
+
+def _combined_blocks(jac_x, jac_lambda, n, x_idx, y_idx):
+    # per-point blocks of the combined (state ++ parameter) split
+    def full(x, y):
+        u = np.empty(len(x_idx) + len(y_idx))
+        u[x_idx], u[y_idx] = x, y
+        return np.hstack([jac_x(u[:n], u[n:]), jac_lambda(u[:n], u[n:])])
+
+    return (lambda x, y: full(x, y)[:, x_idx]), (lambda x, y: full(x, y)[:, y_idx])
+
+
+def _fd_blocks(fun, n_x, n_y):
+    return (lambda x, y: fd_jacobians(fun, n_x, n_y, x, y)[0],
+            lambda x, y: fd_jacobians(fun, n_x, n_y, x, y)[1])
 
 
 def _sampler_case(name):
+    """(f, x0, y0, base, spd, radii, weights, per-point reference (dx, dy))."""
     tanh2 = {"kind": "builtin", "name": "tanh2"}
+    tanh2_jacs = (tanh2_jac_x, tanh2_jac_lambda)
     ring4 = {"kind": "expr", "source": RING4, "n": 4, "m": 1}
     if name == "tanh2":
-        return _ls_case(tanh2, 9, [(0.5, 0.5), (1.5, 2.0)])
+        return _ls_case(tanh2, tanh2_jacs, 9, [(0.5, 0.5), (1.5, 2.0)])
     if name == "tanh2-steep":
-        return _ls_case(tanh2, 5, [(1.0, 400.0)])
+        return _ls_case(tanh2, tanh2_jacs, 5, [(1.0, 400.0)])
     if name == "tanh2-weights":
-        return _ls_case(tanh2, 9, [(1.0, 0.5)], weights=np.array([1.0, 0.5]))
+        return _ls_case(tanh2, tanh2_jacs, 9, [(1.0, 0.5)], weights=np.array([1.0, 0.5]))
     if name == "ring4-ls":
-        return _ls_case(ring4, 5, [(1.0, 0.5)])
+        return _ls_case(ring4, expr_jacobians(RING4, 4, 1), 5, [(1.0, 0.5)])
     if name == "ring4-imft":
         cfg = parse_config({
             "model": ring4, "base_point": {"x0": [0.5], "y0": [0.0] * 4},
             "imft": {"x_indices": [4], "y_indices": [0, 1, 2, 3],
                      "r_x_grid": [0.4], "r_y_grid": [0.3]}})
         f = _combined_split(cfg.model, cfg.imft, cfg.base_point)
-        return f, np.array([0.5]), np.zeros(4), None, 5, [(0.4, 0.3)], None
+        ref = _combined_blocks(*expr_jacobians(RING4, 4, 1), 4, [4], [0, 1, 2, 3])
+        return f, np.array([0.5]), np.zeros(4), None, 5, [(0.4, 0.3)], None, ref
     if name == "parabola-fd":
-        f = split_function(lambda x, y: np.array([y[0] - x[0] ** 2]), 1, 1)
-        return f, X0, Y0, None, 9, [(0.3, 0.2)], None
+        fun = lambda x, y: np.array([y[0] - x[0] ** 2])
+        return split_function(fun, 1, 1), X0, Y0, None, 9, [(0.3, 0.2)], None, _fd_blocks(fun, 1, 1)
     assert name == "empty-y"
-    f = split_function(lambda x, y: np.zeros(0), 2, 0)
-    return f, np.zeros(2), np.zeros(0), None, 5, [(0.5, 0.0)], None
+    fun = lambda x, y: np.zeros(0)
+    return (split_function(fun, 2, 0), np.zeros(2), np.zeros(0), None, 5, [(0.5, 0.0)], None,
+            _fd_blocks(fun, 2, 0))
 
 
 SAMPLER_CASES = ["tanh2", "tanh2-steep", "tanh2-weights", "ring4-ls", "ring4-imft",
@@ -254,15 +282,17 @@ SAMPLER_CASES = ["tanh2", "tanh2-steep", "tanh2-weights", "ring4-ls", "ring4-imf
 
 @pytest.mark.parametrize("name", SAMPLER_CASES)
 def test_batched_blocks_equal_per_point_blocks_bitwise(name):
-    f, x0, y0, _, _, radii, _ = _sampler_case(name)
+    f, x0, y0, _, _, radii, _, (dx_ref, dy_ref) = _sampler_case(name)
     r_x, r_y = radii[0]
     rng = np.random.default_rng(707)
     xs = x0 + rng.uniform(-r_x, r_x, size=(50, f.n_x))
     ys = y0 + rng.uniform(-r_y, r_y, size=(50, f.n_y))
     dx, dy = f.dx_many(xs, ys), f.dy_many(xs, ys)
     for i, (x, y) in enumerate(zip(xs, ys)):
-        assert dx[i].tobytes() == f.dx(x, y).tobytes()
-        assert dy[i].tobytes() == f.dy(x, y).tobytes()
+        assert dx[i].tobytes() == dx_ref(x, y).tobytes()
+        assert dy[i].tobytes() == dy_ref(x, y).tobytes()
+        assert f.dx(x, y).tobytes() == dx[i].tobytes()
+        assert f.dy(x, y).tobytes() == dy[i].tobytes()
 
 
 def test_batched_norms_equal_per_matrix_norms_bitwise():
@@ -280,10 +310,10 @@ def test_batched_norms_equal_per_matrix_norms_bitwise():
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)
 @pytest.mark.parametrize("name", SAMPLER_CASES)
 def test_chunked_L_equals_the_per_point_loop_bitwise(name, norm_kind, monkeypatch):
-    f, x0, y0, base, spd, radii, weights = _sampler_case(name)
+    f, x0, y0, base, spd, radii, weights, (dx_ref, dy_ref) = _sampler_case(name)
     est = SupremumEstimator(samples_per_dim=spd)
     for r_x, r_y in radii:
-        want = per_point_L(f, x0, y0, r_x, r_y, spd, norm_kind, weights, base)
+        want = per_point_L(dx_ref, dy_ref, x0, y0, r_x, r_y, spd, norm_kind, weights, base)
         for chunk in (1, 7, 10**9):  # 10**9: every pair in one chunk
             monkeypatch.setattr(imft, "CHUNK_PAIRS", chunk)
             got = estimate_L(f, x0, y0, r_x, r_y, est, norm_kind, weights, base)
@@ -300,9 +330,7 @@ def test_a_failing_chunk_surfaces_the_first_failing_pairs_error(monkeypatch):
                 raise ValueError(f"bad row {float(x[0])}")
         return -2.0 * X[:, :, None]
 
-    f = imft.SplitFunction(n_x=1, n_y=1, fun=lambda x, y: np.array([y[0] - x[0] ** 2]),
-                           jac_x=lambda x, y: np.array([[-2.0 * x[0]]]),
-                           jac_y=lambda x, y: np.array([[1.0]]), jac_x_many=jac_x_many)
+    f = dataclasses.replace(parabola(), jac_x_many=jac_x_many)
     first = next(float(p[0]) for p in ball_points(X0, 1.0, 9, "spectral") if abs(p[0]) > 0.5)
     monkeypatch.setattr(imft, "CHUNK_PAIRS", 10**9)
     with pytest.raises(ValueError, match=re.escape(f"bad row {first}") + "$"):

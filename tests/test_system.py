@@ -15,6 +15,7 @@ from lscert import (
     system_from_expressions,
 )
 from lscert.system import fd_jacobians
+from conftest import expr_jacobians, tanh2_jac_lambda, tanh2_jac_x
 
 
 @pytest.mark.parametrize("name,params,n,m", [
@@ -34,17 +35,29 @@ def test_builtin_jacobians_match_finite_differences(name, params, n, m):
         assert np.abs(sys_.dphi_dlambda(x, lam) - jl_fd).max() <= 1e-5
 
 
-@pytest.mark.parametrize("make", [
-    lambda: builtin_model("tanh2"),
-    lambda: builtin_model("pitchfork_normal_form"),
-    lambda: builtin_model("linear", {"A": [[2.0, 1.0], [0.0, 3.0]], "b": [[1.0], [0.5]]}),
-    lambda: system_from_expressions("x1*sech(l1) - exp(x2/3); sin(x1)*x2^3 - l1*l2", 2, 2),
-    lambda: from_callable(lambda x, lam: np.array([x[0] ** 3 - lam[0], x[0] * x[1]]), 2, 1),
-    lambda: from_callable(lambda x, lam: np.array([x[0] * lam[0]]), 1, 1,
-                          jac_x=lambda x, lam: np.array([[lam[0]]]),
-                          jac_lambda=lambda x, lam: np.array([[x[0]]])),
+_LINEAR = {"A": [[2.0, 1.0], [0.0, 3.0]], "b": [[1.0], [0.5]]}
+_EXPR = "x1*sech(l1) - exp(x2/3); sin(x1)*x2^3 - l1*l2"
+_FD = lambda x, lam: np.array([x[0] ** 3 - lam[0], x[0] * x[1]])
+_CUSTOM = (lambda x, lam: np.array([[lam[0]]]), lambda x, lam: np.array([[x[0]]]))
+
+
+def _pair(jac_x, jac_lambda):
+    return lambda x, lam: (jac_x(x, lam), jac_lambda(x, lam))
+
+
+# each system with a per-point reference (x, lam) -> (D_x Phi, D_lambda Phi)
+@pytest.mark.parametrize("make,reference", [
+    (lambda: builtin_model("tanh2"), _pair(tanh2_jac_x, tanh2_jac_lambda)),
+    (lambda: builtin_model("pitchfork_normal_form"),
+     lambda x, lam: (np.array([[lam[0] - 3.0 * x[0] ** 2]]), np.array([[x[0]]]))),
+    (lambda: builtin_model("linear", _LINEAR),
+     lambda x, lam: (np.array(_LINEAR["A"]), np.array(_LINEAR["b"]))),
+    (lambda: system_from_expressions(_EXPR, 2, 2), _pair(*expr_jacobians(_EXPR, 2, 2))),
+    (lambda: from_callable(_FD, 2, 1), lambda x, lam: fd_jacobians(_FD, 2, 1, x, lam)),
+    (lambda: from_callable(lambda x, lam: np.array([x[0] * lam[0]]), 1, 1, *_CUSTOM),
+     _pair(*_CUSTOM)),
 ], ids=["tanh2", "pitchfork", "linear", "expr", "fd", "custom"])
-def test_batched_jacobians_equal_per_point_bitwise(make):
+def test_batched_jacobians_equal_per_point_bitwise(make, reference):
     sys_ = make()
     rng = np.random.default_rng(606)
     xs = rng.uniform(-2.0, 2.0, size=(40, sys_.n))
@@ -52,8 +65,11 @@ def test_batched_jacobians_equal_per_point_bitwise(make):
     jx, jl = sys_.jacobians(xs, lams)
     assert jx.shape == (40, sys_.n, sys_.n) and jl.shape == (40, sys_.n, sys_.m)
     for i, (x, lam) in enumerate(zip(xs, lams)):
-        assert jx[i].tobytes() == sys_.dphi_dx(x, lam).tobytes()
-        assert jl[i].tobytes() == sys_.dphi_dlambda(x, lam).tobytes()
+        want_x, want_l = reference(x, lam)
+        assert jx[i].tobytes() == want_x.tobytes()
+        assert jl[i].tobytes() == want_l.tobytes()
+        assert sys_.dphi_dx(x, lam).tobytes() == jx[i].tobytes()
+        assert sys_.dphi_dlambda(x, lam).tobytes() == jl[i].tobytes()
 
 
 def test_tanh2_residual_is_exactly_odd(tanh2_system):
@@ -142,6 +158,25 @@ def test_parameter_jacobian_shape_is_checked():
     fun = lambda x, lam: np.array([x[0] - lam[0], x[1]])
     ok = from_callable(fun, 2, 1, jac_lambda=lambda x, lam: np.array([-1.0, 0.0]))
     assert ok.dphi_dlambda([0.0, 0.0], [0.0]).tolist() == [[-1.0], [0.0]]
-    bad = from_callable(fun, 2, 1, jac_lambda=lambda x, lam: np.zeros(3))
-    with pytest.raises(lscert.DimensionMismatch, match=r"parameter Jacobian has shape \(3,\)"):
-        bad.dphi_dlambda([0.0, 0.0], [0.0])
+    for jacs, message in (
+        ({"jac_lambda": lambda x, lam: np.zeros(3)}, r"parameter Jacobian has shape \(3,\)"),
+        ({"jac_x": lambda x, lam: np.zeros((2, 3))}, r"state Jacobian has shape \(2, 3\)"),
+    ):
+        bad = from_callable(fun, 2, 1, **jacs)
+        with pytest.raises(lscert.DimensionMismatch, match=message):
+            bad.dphi_dlambda([0.0, 0.0], [0.0])
+
+
+def test_from_callable_differences_each_point_once():
+    # one central-difference pass per point gives both blocks: a base call
+    # plus two calls per coordinate, 1 + 2 * (n + m) = 7 here
+    calls = []
+
+    def fun(x, lam):
+        calls.append(1)
+        return np.array([x[0] ** 2 - lam[0], x[0] * x[1]])
+
+    sys_ = from_callable(fun, 2, 1)
+    rng = np.random.default_rng(909)
+    sys_.jacobians(rng.uniform(-1.0, 1.0, size=(10, 2)), rng.uniform(-1.0, 1.0, size=(10, 1)))
+    assert len(calls) == 70
