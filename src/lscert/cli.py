@@ -32,14 +32,7 @@ from .config import (
     build_system,
     load_config,
 )
-from .errors import (
-    ArityError,
-    LscertError,
-    NewtonDiverged,
-    ParseError,
-    SingularNewtonSystem,
-    UnknownIdentifier,
-)
+from .errors import ArityError, LscertError, ParseError, UnknownIdentifier
 from .imft import SplitFunction, certify_grid, imft_quantities
 from .system import evaluation_point
 
@@ -252,24 +245,20 @@ def _cmd_reduce(args) -> int:
     _print_series(rm)
     frontier = _frontier_for_warnings(cfg, ss)
     alphas = np.linspace(section.alpha_min, section.alpha_max, section.alpha_samples)
-    rows = []
-    for lam in section.lambda_values:
-        rm.reset_warm_start()
-        failed = []
-        for alpha in alphas:
-            try:
-                point = rm.evaluate(alpha, lam)
-            except (NewtonDiverged, SingularNewtonSystem) as exc:
-                failed.append((float(alpha), exc))
-                rows.append((alpha, lam, None, None))
-                continue
-            warning = None
-            if frontier is not None:
-                warning = reduction.region_note(
-                    ss, frontier, point.alpha, point.lam, point.beta, cfg.norm)
-            rows.append((alpha, lam, point, warning))
-        if failed:
-            print(f"note: {reduction.failure_note(lam, failed)}", file=sys.stderr)
+    lams = np.repeat(np.asarray(section.lambda_values, dtype=float), len(alphas))
+    batch = rm.evaluate_many(np.tile(alphas, len(section.lambda_values))[:, None], lams[:, None])
+    rows, failed = [], {}
+    for i, (alpha, lam) in enumerate(zip(batch.alpha[:, 0], lams)):
+        point, warning = batch.point(i), None
+        if point is None:
+            failed.setdefault(i // len(alphas), []).append((float(alpha), batch.errors[i]))
+        elif frontier is not None:
+            warning = reduction.region_note(
+                ss, frontier, point.alpha, point.lam, point.beta, cfg.norm)
+        rows.append((alpha, lam, point, warning))
+    for li, failures in failed.items():
+        print(f"note: {reduction.failure_note(section.lambda_values[li], failures)}",
+              file=sys.stderr)
     if args.out is not None:
         _write_text(args.out, report.reduce_csv(rows, ss.q, ss.m, ss.n_perp))
         print(f"wrote {len(rows)} rows to {args.out}")

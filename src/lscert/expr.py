@@ -14,14 +14,15 @@ supply other names (the analytic-override expressions use rpar/rperp or
 rx/ry). Exponents are nonnegative integer literals only.
 
 Each component list is compiled once into closure trees, one walker per
-number type. `compile_values` walks Python floats: plain evaluation, which is
-kink-safe, as the closed-form override hooks need. `compile_duals` walks
-first-order dual numbers over a stack of points and returns the component
-values together with both Jacobian blocks in one pass; it rejects
-abs/min/max within 1e-12 of their kinks because the derivative is not
-defined there. Each row of it is bit for bit what per-point forward mode
-gives. `eval_values`, `eval_dual` (one point) and `eval_dual_many` compile
-and evaluate in one call.
+number type. `compile_values` walks Python floats, or stacks of them: plain
+evaluation, which is kink-safe, as the closed-form override hooks and the
+residuals need. `compile_duals` walks first-order dual numbers over a stack
+of points and returns the component values together with both Jacobian
+blocks in one pass; it rejects abs/min/max within 1e-12 of their kinks
+because the derivative is not defined there. Each row of either batched
+walker is bit for bit what the per-point walk gives. `eval_values`,
+`eval_dual` (one point) and `eval_dual_many` compile and evaluate in one
+call.
 """
 
 from __future__ import annotations
@@ -405,18 +406,25 @@ def _variable(nd: StateVar | ParamVar):
     return lambda xs, ls: ls[i]
 
 
-def _float_tree(nd: Node, names):
-    """`nd` as a closure f(xs, ls) over lists of Python floats; kink-safe."""
+def _float_tree(nd: Node, names, batched: bool = False):
+    """`nd` as a closure f(xs, ls) over lists of Python floats; kink-safe.
+
+    batched: the lists hold (N,) float arrays, one entry per point. + - * /
+    run vectorised, which is IEEE-exact, so each row is the per-point value
+    bit for bit; min/max select as Python's min/max do, and powers and
+    one-argument functions go through the per-point float function per
+    element (see _each).
+    """
     if isinstance(nd, Const):
         value = nd.value
         return lambda xs, ls: value
     if isinstance(nd, (StateVar, ParamVar)):
         return _variable(nd)
     if isinstance(nd, Neg):
-        fa = _float_tree(nd.arg, names)
+        fa = _float_tree(nd.arg, names, batched)
         return lambda xs, ls: -fa(xs, ls)
     if isinstance(nd, Binary):
-        fa, fb = _float_tree(nd.left, names), _float_tree(nd.right, names)
+        fa, fb = _float_tree(nd.left, names, batched), _float_tree(nd.right, names, batched)
         if nd.op == "+":
             return lambda xs, ls: fa(xs, ls) + fb(xs, ls)
         if nd.op == "-":
@@ -426,16 +434,26 @@ def _float_tree(nd: Node, names):
 
         def divide(xs, ls):
             a, b = fa(xs, ls), fb(xs, ls)
-            if b == 0.0:
+            if np.any(b == 0.0) if batched else b == 0.0:
                 raise _domain_error(nd, names, "division by zero")
             return a / b
         return divide
     if isinstance(nd, Func) and nd.name in BINARY_FUNCTIONS:
-        fa, fb = (_float_tree(arg, names) for arg in nd.args)
-        pick = min if nd.name == "min" else max
-        return lambda xs, ls: pick(fa(xs, ls), fb(xs, ls))
-    fa = _float_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names)
+        fa, fb = (_float_tree(arg, names, batched) for arg in nd.args)
+        if not batched:
+            pick = min if nd.name == "min" else max
+            return lambda xs, ls: pick(fa(xs, ls), fb(xs, ls))
+        # min(a, b) is b only where b < a, max(a, b) only where b > a
+        beats = np.less if nd.name == "min" else np.greater
+
+        def select(xs, ls):
+            a, b = fa(xs, ls), fb(xs, ls)
+            return np.where(beats(b, a), b, a)
+        return select
+    fa = _float_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names, batched)
     fn = _value_fn(nd, names)
+    if batched:
+        return lambda xs, ls: _each(fn, np.atleast_1d(fa(xs, ls)))
     return lambda xs, ls: fn(fa(xs, ls))
 
 
@@ -535,12 +553,16 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
     return chain
 
 
-def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ...]]):
+def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ...]],
+                   batched: bool = False):
     """All components as one function values(xs, ls) of Python float lists.
 
     Returns the (k,) component values; raises NonFinite if any is not finite.
+    batched: values(X, Lam) takes float arrays X (N, n) and Lam (N, m) and
+    returns (N, k), each row bit for bit the per-point values. When several
+    points fail, the error reported need not be the first failing point.
     """
-    trees = [_float_tree(ast, names) for ast in asts]
+    trees = [_float_tree(ast, names, batched) for ast in asts]
 
     def values(xs: list[float], ls: list[float]) -> np.ndarray:
         vals = np.array([tree(xs, ls) for tree in trees], dtype=float)
@@ -548,7 +570,18 @@ def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ..
             raise NonFinite("expression evaluation produced a non-finite value")
         return vals
 
-    return values
+    def values_many(X: np.ndarray, Lam: np.ndarray) -> np.ndarray:
+        xs, ls = list(X.T), list(Lam.T)
+        vals = np.empty((len(X), len(trees)))
+        # overflow and NaN propagate as in float arithmetic and are caught below
+        with np.errstate(all="ignore"):
+            for row, tree in enumerate(trees):
+                vals[:, row] = tree(xs, ls)
+        if not np.isfinite(vals).all():
+            raise NonFinite("expression evaluation produced a non-finite value")
+        return vals
+
+    return values_many if batched else values
 
 
 def compile_duals(asts: list[Node], n: int, m: int,

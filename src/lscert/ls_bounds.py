@@ -79,47 +79,58 @@ class SplitSystem:
     def state(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         return self.decomp.V @ alpha + self.decomp.Vperp @ beta
 
+    # The *_many forms take point stacks alpha (N, q), beta (N, n-q) and
+    # lam (N, m). They use stacked matmul at the per-point shapes and
+    # association, which keeps each row bitwise equal to the 2-D products at
+    # one point; einsum or one flattened GEMM would round differently. The
+    # per-point forms are their row 0, and beta may be a scalar when
+    # n - q = 1.
+
+    def states(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """state at each row, shape (N, n)."""
+        return (self.decomp.V[None] @ alpha[:, :, None])[..., 0] \
+            + (self.decomp.Vperp[None] @ beta[:, :, None])[..., 0]
+
     def evaluator(self, alpha, beta, lam) -> np.ndarray:
         """Range part of the residual, W^T Phi(V alpha + Vperp beta, lambda)."""
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return self.decomp.W.T @ self.sys.phi(self.state(alpha, beta), lam)
+        return self.evaluator_many(*self._one_point(alpha, beta, lam))[0]
+
+    def evaluator_many(self, alpha, beta, lam) -> np.ndarray:
+        """evaluator at each row, shape (N, n-q)."""
+        full = self.sys.residuals(self.states(alpha, beta), lam)
+        return (self.decomp.W.T[None] @ full[:, :, None])[..., 0]
 
     def jac_perp(self, alpha, beta, lam) -> np.ndarray:
         """d(W^T Phi)/d(beta), shape (n-q, n-q)."""
-        x = self.state(np.atleast_1d(alpha), np.atleast_1d(beta))
-        return self.decomp.W.T @ self.sys.dphi_dx(x, np.atleast_1d(lam)) @ self.decomp.Vperp
+        return self.jac_perp_many(*self._one_point(alpha, beta, lam))[0]
+
+    def jac_perp_many(self, alpha, beta, lam) -> np.ndarray:
+        """jac_perp at each row, shape (N, n-q, n-q)."""
+        jx = self.sys.jacobians(self.states(alpha, beta), lam)[0]
+        return self.decomp.W.T[None] @ jx @ self.decomp.Vperp[None]
+
+    def _one_point(self, alpha, beta, lam):
+        return tuple(np.asarray(v, dtype=float).reshape(1, -1) for v in (alpha, beta, lam))
 
     def xi2(self, alpha, beta, lam) -> np.ndarray:
         """Deviation of the beta block from W^T J Vperp."""
         return self.jac_perp(alpha, beta, lam) - self.reduced_block
 
     def as_split_function(self) -> SplitFunction:
-        """Generic split-variable view with x := (alpha, lambda), y := beta.
-
-        As with jac_perp, beta may be a scalar when n - q = 1.
-        """
+        """Generic split-variable view with x := (alpha, lambda), y := beta."""
         q, m = self.q, self.m
 
         def fun(p, beta):
             return self.evaluator(p[:q], beta, p[q:])
 
-        # stacked matmul at the per-point shapes and association, which keeps
-        # each row bitwise equal to the 2-D products at one point; einsum or
-        # one flattened GEMM would round differently
-        w_t, v, v_perp = self.decomp.W.T[None], self.decomp.V[None], self.decomp.Vperp[None]
-
-        def jacobians_at(P, B):
-            states = (v @ P[:, :q, None])[..., 0] + (v_perp @ B[:, :, None])[..., 0]
-            return self.sys.jacobians(states, P[:, q:])
+        w_t, v = self.decomp.W.T[None], self.decomp.V[None]
 
         def jac_x_many(P, B):
-            jx, jl = jacobians_at(P, B)
+            jx, jl = self.sys.jacobians(self.states(P[:, :q], B), P[:, q:])
             return np.concatenate([w_t @ jx @ v, w_t @ jl], axis=2)
 
         def jac_y_many(P, B):
-            return w_t @ jacobians_at(P, B)[0] @ v_perp
+            return self.jac_perp_many(P[:, :q], B, P[:, q:])
 
         return SplitFunction(n_x=q + m, n_y=self.n_perp, fun=fun,
                              jac_x_many=jac_x_many, jac_y_many=jac_y_many)

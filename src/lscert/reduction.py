@@ -9,6 +9,10 @@ the reduced map
 carries the remaining q equations. Zeros of g correspond one-to-one with
 equilibria of the full system inside the certified region; outside it the
 correspondence is best effort and flagged.
+
+phi is the solution in the certified ball around the base beta0, so the
+grid paths (series, trace, the reduce table) seed every solve at beta0 and
+run them in lockstep, many points per batched Newton.
 """
 
 from __future__ import annotations
@@ -17,17 +21,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NewtonDiverged, SingularNewtonSystem, UnsupportedDimensions
+from .errors import UnsupportedDimensions
 from .ls_bounds import FrontierPoint, SplitSystem
 from .norms import vector_norm
-from .system import damped_newton
+from .system import damped_newton_many, row_norms
 
 DEGENERATE_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_ROOT_TOL = 1e-10
 DEFAULT_ALPHA_SAMPLES = 401
 
+# points per batched pass of the reduced map. Every residual and Jacobian
+# call holds a few (N, n) arrays per point stack: unchunked, the 60,551-node
+# trace benchmark peaked at 44.6 MB against 33.2 MB for the per-point loop,
+# while chunks of 401 to 4,096 points peaked at 34.6-34.8 MB
+CHUNK_ROWS = 4096
+
 _EPS = float(np.finfo(float).eps)
+
+
+def _range_error(exc: Exception, alpha: np.ndarray, lam: np.ndarray) -> Exception:
+    err = type(exc)(f"range block: {exc} at alpha={alpha}, lambda={lam}")
+    err.__cause__ = exc
+    return err
+
+
+def solve_phi_many(
+    ss: SplitSystem,
+    alpha: np.ndarray,
+    lam: np.ndarray,
+    beta_init: np.ndarray | None = None,
+    tol: float = 1e-12,
+    max_iters: int = 50,
+    max_backtracks: int = 30,
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """solve_phi at each row of alpha (N, q) and lam (N, m), in lockstep.
+
+    Row i is seeded at beta_init[i] (default beta0). Returns beta (N, n-q)
+    and {row: the error solve_phi raises there} for the rows that failed.
+    """
+    seeds = np.broadcast_to(ss.beta0 if beta_init is None else beta_init,
+                            (len(alpha), ss.n_perp))
+    beta, errors = damped_newton_many(
+        lambda B, rows: ss.evaluator_many(alpha[rows], B, lam[rows]),
+        lambda B, rows: ss.jac_perp_many(alpha[rows], B, lam[rows]),
+        seeds, tol, max_iters, max_backtracks)
+    return beta, {i: _range_error(exc, alpha[i], lam[i]) for i, exc in sorted(errors.items())}
 
 
 def solve_phi(
@@ -48,13 +87,12 @@ def solve_phi(
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    try:
-        return damped_newton(lambda beta: ss.evaluator(alpha, beta, lam),
-                             lambda beta: ss.jac_perp(alpha, beta, lam),
-                             ss.beta0 if beta_init is None else beta_init,
-                             tol, max_iters, max_backtracks)
-    except (SingularNewtonSystem, NewtonDiverged) as exc:
-        raise type(exc)(f"range block: {exc} at alpha={alpha}, lambda={lam}") from exc
+    seed = None if beta_init is None else np.asarray(beta_init, dtype=float).reshape(1, -1)
+    beta, errors = solve_phi_many(ss, alpha[None], lam[None], seed, tol, max_iters,
+                                  max_backtracks)
+    if errors:
+        raise errors[0]
+    return beta[0]
 
 
 @dataclass(frozen=True)
@@ -87,24 +125,110 @@ class ReducedMap:
         self._warm_beta = None
 
     def phi(self, alpha, lam, beta_init: np.ndarray | None = None) -> np.ndarray:
-        seed = beta_init if beta_init is not None else self._warm_beta
-        beta = solve_phi(self.ss, alpha, lam, seed, self.newton_tol,
-                         self.max_iters, self.max_backtracks)
-        self._warm_beta = beta
-        return beta
+        return self.evaluate(alpha, lam, beta_init).beta
 
     def g(self, alpha, lam, beta_init: np.ndarray | None = None) -> np.ndarray:
         return self.evaluate(alpha, lam, beta_init).g
 
     def evaluate(self, alpha, lam, beta_init: np.ndarray | None = None) -> ReducedPoint:
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        beta = self.phi(alpha, lam, beta_init)
-        x = self.ss.state(alpha, beta)
-        full = self.ss.sys.phi(x, lam)
-        g = self.ss.decomp.Wperp.T @ full
-        return ReducedPoint(alpha=alpha, lam=lam, beta=beta, x=x, g=g,
-                            residual_full=float(np.linalg.norm(full)))
+        """The reduced map at one point, seeded at beta_init, else at the warm start."""
+        seed = beta_init if beta_init is not None else self._warm_beta
+        batch = self._batch(np.atleast_1d(np.asarray(alpha, dtype=float))[None],
+                            np.atleast_1d(np.asarray(lam, dtype=float))[None],
+                            None if seed is None else np.reshape(seed, (1, -1)))
+        if batch.errors:
+            raise batch.errors[0]
+        point = batch.point(0)
+        self._warm_beta = point.beta
+        return point
+
+    # The *_many forms evaluate at each row of alpha (N, q) and lam (N, m)
+    # with every solve seeded at beta0; the warm start is neither used nor
+    # changed. A failed Newton solve is that row's entry in the returned
+    # errors, {row: error as solve_phi raises it}. Rows run CHUNK_ROWS at a
+    # time, and a chunk that raises anything else is replayed one row at a
+    # time, so the error that surfaces is the one of the first failing row.
+
+    def evaluate_many(self, alpha, lam) -> ReducedBatch:
+        """evaluate at each row."""
+        alpha, lam = np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float)
+        out = ReducedBatch(alpha=alpha, lam=lam, beta=np.empty((len(alpha), self.ss.n_perp)),
+                           x=np.empty((len(alpha), self.ss.decomp.n)),
+                           g=np.empty((len(alpha), self.ss.q)),
+                           residual_full=np.empty(len(alpha)), errors={})
+        for rows, part in self._chunks(len(alpha), lambda rows: (alpha[rows], lam[rows])):
+            for name in ("beta", "x", "g", "residual_full"):
+                getattr(out, name)[rows] = getattr(part, name)
+            out.errors.update((rows.start + i, exc) for i, exc in part.errors.items())
+        return out
+
+    def g_grid(self, alphas, lambdas) -> tuple[np.ndarray, dict[int, Exception]]:
+        """g at each (lambda, alpha) pair of alphas (S, q) and lambdas (L, m).
+
+        Returns g as (L, S, q), NaN where the solve failed, and the errors
+        keyed by the lambda-major row index. The pairs are built a chunk at
+        a time and only g is kept, so a whole grid costs little more memory
+        than its output.
+        """
+        alphas, lambdas = np.asarray(alphas, dtype=float), np.asarray(lambdas, dtype=float)
+        count = len(alphas)
+
+        def pairs(rows):
+            i = np.arange(rows.start, rows.stop)
+            return alphas[i % count], lambdas[i // count]
+
+        g, errors = np.empty((len(lambdas) * count, self.ss.q)), {}
+        for rows, part in self._chunks(len(g), pairs):
+            g[rows] = part.g
+            errors.update((rows.start + i, exc) for i, exc in part.errors.items())
+        return g.reshape(len(lambdas), count, self.ss.q), errors
+
+    def _chunks(self, total: int, points):
+        """(rows, _batch of points(rows)) for each CHUNK_ROWS slice of range(total)."""
+        for start in range(0, total, CHUNK_ROWS):
+            rows = slice(start, min(start + CHUNK_ROWS, total))
+            try:
+                part = self._batch(*points(rows))
+            except Exception:
+                for i in range(rows.start, rows.stop):
+                    self._batch(*points(slice(i, i + 1)))
+                raise
+            yield rows, part
+
+    def _batch(self, alpha, lam, seeds=None) -> ReducedBatch:
+        ss = self.ss
+        beta, errors = solve_phi_many(ss, alpha, lam, seeds, self.newton_tol, self.max_iters,
+                                      self.max_backtracks)
+        solved = np.ones(len(alpha), dtype=bool)
+        solved[list(errors)] = False
+        beta[~solved] = np.nan
+        x = ss.states(alpha, beta)
+        full = np.full((len(alpha), ss.sys.k), np.nan)
+        full[solved] = ss.sys.residuals(x[solved], lam[solved])
+        return ReducedBatch(alpha=alpha, lam=lam, beta=beta, x=x,
+                            g=(ss.decomp.Wperp.T[None] @ full[:, :, None])[..., 0],
+                            residual_full=row_norms(full), errors=errors)
+
+
+@dataclass(frozen=True)
+class ReducedBatch:
+    """The reduced map at each row of a point stack; failed rows hold NaN."""
+
+    alpha: np.ndarray          # (N, q)
+    lam: np.ndarray            # (N, m)
+    beta: np.ndarray           # (N, n-q)
+    x: np.ndarray              # (N, n)
+    g: np.ndarray              # (N, q)
+    residual_full: np.ndarray  # (N,)
+    errors: dict               # {row: the Newton error solve_phi raises there}
+
+    def point(self, i: int) -> ReducedPoint | None:
+        """Row i as a ReducedPoint; None if its solve failed."""
+        if i in self.errors:
+            return None
+        return ReducedPoint(alpha=self.alpha[i], lam=self.lam[i], beta=self.beta[i],
+                            x=self.x[i], g=self.g[i],
+                            residual_full=float(self.residual_full[i]))
 
 
 @dataclass(frozen=True)
@@ -123,7 +247,9 @@ def series_coefficients(rm: ReducedMap) -> SeriesCoefficients:
 
     Step sizes follow the usual eps^(1/(k+2)) balance between truncation and
     roundoff for a k-th derivative. Only the scalar case is supported; the
-    classification logic has no canonical form to match otherwise.
+    classification logic has no canonical form to match otherwise. All the
+    offsets go through one evaluate_many call, each solve seeded at beta0;
+    the first failing offset's error is raised.
     """
     ss = rm.ss
     if ss.q != 1 or ss.m != 1:
@@ -132,15 +258,21 @@ def series_coefficients(rm: ReducedMap) -> SeriesCoefficients:
     a0 = float(ss.alpha0[0])
     l0 = float(ss.base.lambda0[0])
 
-    def g(da: float, dl: float = 0.0) -> float:
-        rm.reset_warm_start()
-        return float(rm.g(a0 + da, l0 + dl)[0])
-
     h1 = _EPS ** (1.0 / 3.0) * max(1.0, abs(a0))
     h2 = _EPS ** (1.0 / 4.0) * max(1.0, abs(a0))
     h3 = _EPS ** (1.0 / 5.0) * max(1.0, abs(a0))
     k1 = _EPS ** (1.0 / 3.0) * max(1.0, abs(l0))
     k2 = _EPS ** (1.0 / 4.0) * max(1.0, abs(l0))
+    offsets = [(h1, 0.0), (-h1, 0.0), (0.0, k1), (0.0, -k1), (h2, 0.0), (0.0, 0.0), (-h2, 0.0),
+               (2.0 * h3, 0.0), (h3, 0.0), (-h3, 0.0), (-2.0 * h3, 0.0),
+               (h2, k2), (h2, -k2), (-h2, k2), (-h2, -k2)]
+    batch = rm.evaluate_many([[a0 + da] for da, _ in offsets], [[l0 + dl] for _, dl in offsets])
+    if batch.errors:
+        raise batch.errors[min(batch.errors)]
+    values = dict(zip(offsets, batch.g[:, 0].tolist()))
+
+    def g(da: float, dl: float = 0.0) -> float:
+        return values[da, dl]
 
     g_alpha = (g(h1) - g(-h1)) / (2.0 * h1)
     g_lambda = (g(0.0, k1) - g(0.0, -k1)) / (2.0 * k1)
@@ -202,48 +334,36 @@ class TraceResult:
         return [p for branch in self.branches for p in branch if p.lam == lam]
 
 
-def _bisect_root(gfun, lo: float, hi: float, g_lo: float, g_hi: float, tol: float) -> float | None:
+def _bisect_roots(rm: ReducedMap, lo, hi, g_lo, lam, tol: float):
+    """Bisect every bracket [lo[i], hi[i]] of g(., lam[i]) to width tol, in lockstep.
+
+    g(lo[i]) has the sign of g_lo[i] and g(hi[i]) the other one; each step
+    is one evaluate_many call over the open brackets. Returns the roots, NaN
+    where a failed solve inside the bracket drops it, and per bracket None
+    or the (alpha, error) of that failure.
+    """
+    lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
+    root = np.full(len(lo), np.nan)
+    stopped = np.zeros(len(lo), dtype=bool)  # by a failed solve or an exact zero
+    failures: list[tuple[float, Exception] | None] = [None] * len(lo)
     for _ in range(200):
-        if hi - lo <= tol:
+        live = np.flatnonzero(~stopped & ~(hi - lo <= tol))
+        if not len(live):
             break
-        mid = 0.5 * (lo + hi)
-        g_mid = gfun(mid)
-        if g_mid is None:
-            return None  # a failed solve inside the bracket drops its root
-        if g_mid == 0.0:
-            return mid
-        if (g_lo < 0.0) != (g_mid < 0.0):
-            hi, g_hi = mid, g_mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
-
-
-def _roots_at_lambda(gfun, lam, grid, values, root_tol, notes):
-    """Roots of g on the alpha grid; a None value is a gap that brackets nothing."""
-    roots: list[float] = []
-    for i, (a, v) in enumerate(zip(grid, values)):
-        if v == 0.0:
-            roots.append(float(a))
-        elif v is not None and abs(v) < DEGENERATE_TOL:
-            left = i > 0 and values[i - 1] is not None and (values[i - 1] < 0.0) != (v < 0.0)
-            right = i + 1 < len(values) and values[i + 1] is not None \
-                and (v < 0.0) != (values[i + 1] < 0.0)
-            if not (left or right):
-                notes.append(
-                    f"lambda={lam:.6g}: |g({a:.6g})| = {abs(v):.2e} without a sign change; "
-                    "possible degenerate root")
-    for i in range(len(grid) - 1):
-        v0, v1 = values[i], values[i + 1]
-        if None not in (v0, v1) and v0 != 0.0 and v1 != 0.0 and (v0 < 0.0) != (v1 < 0.0):
-            roots.append(_bisect_root(gfun, float(grid[i]), float(grid[i + 1]), v0, v1, root_tol))
-    roots = [r for r in roots if r is not None]
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 2.0 * root_tol:
-            deduped.append(r)
-    return deduped
+        mid = 0.5 * (lo[live] + hi[live])
+        batch = rm.evaluate_many(mid[:, None], lam[live, None])
+        g_mid, bad = batch.g[:, 0], np.zeros(len(live), dtype=bool)
+        for j, exc in batch.errors.items():
+            failures[live[j]], bad[j] = (float(mid[j]), exc), True
+        hit = ~bad & (g_mid == 0.0)
+        root[live[hit]] = mid[hit]
+        stopped[live[bad | hit]] = True
+        left = ~(bad | hit) & ((g_lo[live] < 0.0) != (g_mid < 0.0))
+        right = ~(bad | hit | left)
+        hi[live[left]] = mid[left]
+        lo[live[right]], g_lo[live[right]] = mid[right], g_mid[right]
+    root[~stopped] = 0.5 * (lo[~stopped] + hi[~stopped])
+    return root, failures
 
 
 def failure_note(lam: float, failed: list[tuple[float, Exception]]) -> str:
@@ -269,7 +389,10 @@ def trace_branches(
     max_jump, default a quarter of the window) or start a new one. Points
     whose lifted full residual exceeds residual_tol are dropped with a note.
     An alpha whose Newton solve fails is a gap, and a bisection that meets one
-    drops its root; each lambda with failures gets one note.
+    drops its root, as does a root whose lift fails; each lambda with
+    failures gets one note. Every solve is seeded at beta0: the whole
+    (lambda x alpha) grid is one g_grid call, the bisections of all lambdas
+    run in lockstep, and all roots are lifted in one evaluate_many call.
     """
     if rm.ss.q != 1 or rm.ss.m != 1:
         raise UnsupportedDimensions(
@@ -284,36 +407,72 @@ def trace_branches(
         max_jump = 0.25 * (hi - lo)
     grid = np.linspace(lo, hi, alpha_samples)
     lambda_values = [float(l) for l in lambda_values]
+    lams = np.array(lambda_values)
+    count = len(grid)
+
+    values, errors = rm.g_grid(grid[:, None], lams[:, None])
+    values = values[:, :, 0]
+    solved = np.ones(values.shape, dtype=bool)
+    failed: list[list[tuple[float, Exception]]] = [[] for _ in lams]
+    for i, exc in sorted(errors.items()):
+        solved[divmod(i, count)] = False
+        failed[i // count].append((float(grid[i % count]), exc))
+    roots: list[list[float]] = [[] for _ in lams]
+    for li, ai in zip(*np.nonzero(solved & (values == 0.0))):
+        roots[li].append(float(grid[ai]))
+    # a sign change between neighbours, neither of them a gap
+    negative = values < 0.0
+    change = solved[:, :-1] & solved[:, 1:] & (negative[:, :-1] != negative[:, 1:])
+    degenerate = solved & (values != 0.0) & (np.abs(values) < DEGENERATE_TOL)
+    degenerate[:, 1:] &= ~change
+    degenerate[:, :-1] &= ~change
+    notes_at: list[list[str]] = [[] for _ in lams]
+    for li, ai in zip(*np.nonzero(degenerate)):
+        notes_at[li].append(
+            f"lambda={lams[li]:.6g}: |g({grid[ai]:.6g})| = {abs(values[li, ai]):.2e} "
+            "without a sign change; possible degenerate root")
+
+    bl, ba = np.nonzero(change & (values[:, :-1] != 0.0) & (values[:, 1:] != 0.0))
+    bisected, bracket_failures = _bisect_roots(rm, grid[ba], grid[ba + 1], values[bl, ba],
+                                               lams[bl], root_tol)
+    for li, r, failure in zip(bl, bisected.tolist(), bracket_failures):
+        if failure is not None:
+            failed[li].append(failure)
+        else:
+            roots[li].append(r)
+    for li, found in enumerate(roots):
+        roots[li] = []
+        for r in sorted(found):
+            if not roots[li] or r - roots[li][-1] > 2.0 * root_tol:
+                roots[li].append(r)
+
+    owner = np.repeat(np.arange(len(lams)), [len(found) for found in roots])
+    flat = np.array([r for found in roots for r in found])
+    lifted = rm.evaluate_many(flat[:, None], lams[owner, None])
+    points_at: list[list[BranchPoint]] = [[] for _ in lams]
+    dropped_at: list[list[str]] = [[] for _ in lams]
+    for i, (li, r) in enumerate(zip(owner, flat.tolist())):
+        pt = lifted.point(i)
+        if pt is None:
+            failed[li].append((r, lifted.errors[i]))
+        elif pt.residual_full > residual_tol:
+            dropped_at[li].append(
+                f"lambda={lams[li]:.6g}: root alpha={r:.6g} dropped, lifted residual "
+                f"{pt.residual_full:.2e} exceeds {residual_tol:g}")
+        else:
+            points_at[li].append(BranchPoint(lam=lambda_values[li], alpha=r, beta=pt.beta,
+                                             x=pt.x, g_value=float(pt.g[0]),
+                                             residual_full=pt.residual_full))
 
     branches: list[list[BranchPoint]] = []
     last_alpha: list[float | None] = []  # None once a branch has gone inactive
     notes: list[str] = []
-    for lam in lambda_values:
-        rm.reset_warm_start()
-        failed: list[tuple[float, Exception]] = []
-
-        def gfun(a):
-            try:
-                return float(rm.g(a, lam)[0])
-            except (NewtonDiverged, SingularNewtonSystem) as exc:
-                failed.append((float(a), exc))
-                return None
-
-        values = [gfun(a) for a in grid]
-        roots = _roots_at_lambda(gfun, lam, grid, values, root_tol, notes)
-        if failed:
-            notes.append(failure_note(lam, failed))
-        points: list[BranchPoint] = []
-        for r in roots:
-            pt = rm.evaluate(r, lam)
-            if pt.residual_full > residual_tol:
-                notes.append(
-                    f"lambda={lam:.6g}: root alpha={r:.6g} dropped, lifted residual "
-                    f"{pt.residual_full:.2e} exceeds {residual_tol:g}")
-                continue
-            points.append(BranchPoint(lam=lam, alpha=r, beta=pt.beta, x=pt.x,
-                                      g_value=float(pt.g[0]),
-                                      residual_full=pt.residual_full))
+    for lam, degenerate_notes, failures, dropped, points in zip(
+            lambda_values, notes_at, failed, dropped_at, points_at):
+        notes += degenerate_notes
+        if failures:
+            notes.append(failure_note(lam, failures))
+        notes += dropped
         # greedy nearest-neighbour continuation
         active_before = {bi for bi, la in enumerate(last_alpha) if la is not None}
         candidates = sorted(

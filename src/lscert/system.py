@@ -1,10 +1,12 @@
 """Parameterised nonlinear systems Phi(x, lambda) = 0 and their Jacobians.
 
-A system bundles the residual map with one batched Jacobian callable;
-from_callable adapts per-point Jacobian callables and fills missing ones by
-central finite differences. Built-in models cover the cases used throughout
-the tests and the CLI. Maps are assumed at least twice continuously
-differentiable on the working region.
+A system bundles one batched residual callable with one batched Jacobian
+callable; the per-point forms are their row 0. from_callable adapts
+per-point callables and fills missing Jacobians by central finite
+differences. damped_newton_many is the package's one Newton iteration, run
+in lockstep over a stack of problems. Built-in models cover the cases used
+throughout the tests and the CLI. Maps are assumed at least twice
+continuously differentiable on the working region.
 """
 
 from __future__ import annotations
@@ -40,15 +42,17 @@ class ParametricSystem:
 
     The residual has n components, except for the expression models of the
     generic split view (imft-certify), which have as many as y coordinates:
-    `components`, when set. `jac_many` is the one Jacobian callable: it takes
-    point stacks X (N, n) and Lam (N, m) and returns both blocks at every
-    row, (N, k, n) and (N, k, m); the per-point blocks are its row 0 (see
-    from_callable for per-point callables).
+    `components`, when set. `fun_many` is the one residual callable: it
+    takes point stacks X (N, n) and Lam (N, m) and returns the residual at
+    every row, (N, k). `jac_many` is the one Jacobian callable: it takes the
+    same stacks and returns both blocks at every row, (N, k, n) and
+    (N, k, m). The per-point residual and blocks are row 0 of a one-point
+    call (see from_callable for per-point callables).
     """
 
     n: int
     m: int
-    fun: ArrayFun
+    fun_many: ArrayFun
     jac_many: BatchJac
     name: str = "custom"
     components: int | None = None
@@ -59,10 +63,22 @@ class ParametricSystem:
         return self.n if self.components is None else self.components
 
     def phi(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """The residual at one point: row 0 of residuals."""
         x, lam = self._check(x, lam)
-        out = np.asarray(self.fun(x, lam), dtype=float).ravel()
-        if out.shape != (self.k,):
-            raise DimensionMismatch(f"residual has shape {out.shape}, expected ({self.k},)")
+        return self.residuals(x[None], lam[None])[0]
+
+    def residuals(self, X: np.ndarray, Lam: np.ndarray) -> np.ndarray:
+        """The residual at each row of X (N, n) and Lam (N, m), shape (N, k)."""
+        X, Lam = np.asarray(X, dtype=float), np.asarray(Lam, dtype=float)
+        for what, Z, width in (("state", X, self.n), ("parameter", Lam, self.m)):
+            if Z.ndim != 2 or Z.shape[1:] != (width,):
+                raise DimensionMismatch(f"{what} has shape {Z.shape[1:]}, expected ({width},)")
+        if len(Lam) != len(X):
+            raise DimensionMismatch(f"{len(X)} states but {len(Lam)} parameters")
+        out = self.fun_many(X, Lam)
+        if out.shape != (len(X), self.k):
+            raise DimensionMismatch(f"batched residuals have shape {out.shape}, "
+                                    f"expected {(len(X), self.k)}")
         return out
 
     def dphi_dx(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -137,31 +153,24 @@ def fd_jacobians(
 
     Per-coordinate step h_i = rel_step * max(1, |z_i|), the usual cube-root
     of machine epsilon balance between truncation and rounding for first
-    derivatives.
+    derivatives. The component count is that of the first difference, so fun
+    is called exactly 2 (n + m) times.
     """
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
-    base = np.asarray(fun(x, lam), dtype=float).ravel()
-    k = base.size
-    jx = np.empty((k, n))
-    jl = np.empty((k, m))
-    for i in range(n):
-        h = rel_step * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jx[:, i] = (np.asarray(fun(xp, lam), dtype=float).ravel()
-                    - np.asarray(fun(xm, lam), dtype=float).ravel()) / (2 * h)
-    for j in range(m):
-        h = rel_step * max(1.0, abs(lam[j]))
-        lp, lm_ = lam.copy(), lam.copy()
-        lp[j] += h
-        lm_[j] -= h
-        jl[:, j] = (np.asarray(fun(x, lp), dtype=float).ravel()
-                    - np.asarray(fun(x, lm_), dtype=float).ravel()) / (2 * h)
-    if not (np.all(np.isfinite(jx)) and np.all(np.isfinite(jl))):
+    columns = []
+    for z, shifted in ((x, lambda zs: fun(zs, lam)), (lam, lambda zs: fun(x, zs))):
+        for i in range(z.size):
+            h = rel_step * max(1.0, abs(z[i]))
+            zp, zm = z.copy(), z.copy()
+            zp[i] += h
+            zm[i] -= h
+            columns.append((np.asarray(shifted(zp), dtype=float).ravel()
+                            - np.asarray(shifted(zm), dtype=float).ravel()) / (2 * h))
+    jac = np.array(columns, dtype=float).T
+    if not np.all(np.isfinite(jac)):
         raise NonFinite("finite-difference probe produced non-finite values")
-    return jx, jl
+    return jac[:, :n], jac[:, n:]
 
 
 def from_callable(
@@ -174,9 +183,18 @@ def from_callable(
 ) -> ParametricSystem:
     """Wrap a residual callable and per-point Jacobian callables into a system.
 
-    The batched Jacobian stacks the per-point blocks; the missing ones come
-    from one fd_jacobians pass per point, shared by both blocks.
+    The batched residual and Jacobians stack the per-point ones; the missing
+    blocks come from one fd_jacobians pass per point, shared by both blocks.
     """
+    def fun_many(X, Lam):
+        out = np.empty((len(X), n))
+        for i, (x, lam) in enumerate(zip(X, Lam)):
+            r = np.asarray(fun(x, lam), dtype=float).ravel()
+            if r.shape != (n,):
+                raise DimensionMismatch(f"residual has shape {r.shape}, expected ({n},)")
+            out[i] = r
+        return out
+
     def blocks(x, lam):
         fd = fd_jacobians(fun, n, m, x, lam) if jac_x is None or jac_lambda is None else None
         jx = np.asarray(fd[0] if jac_x is None else jac_x(x, lam), dtype=float)
@@ -193,7 +211,7 @@ def from_callable(
             jx[i], jl[i] = blocks(x, lam)
         return jx, jl
 
-    return ParametricSystem(n=n, m=m, fun=fun, jac_many=jac_many, name=name)
+    return ParametricSystem(n=n, m=m, fun_many=fun_many, jac_many=jac_many, name=name)
 
 
 # --- built-in models ---------------------------------------------------------
@@ -201,9 +219,10 @@ def from_callable(
 
 def _tanh2() -> ParametricSystem:
     # coupled pair x1 = tanh(l x2), x2 = tanh(l x1); symmetric kernel at l = +-1
-    def fun(x, lam):
-        l = lam[0]
-        return np.array([-x[0] + math.tanh(l * x[1]), -x[1] + math.tanh(l * x[0])])
+    def fun_many(X, Lam):
+        # math.tanh per element: numpy's tanh rounds differently
+        t = [np.array([math.tanh(v) for v in (Lam[:, 0] * X[:, i]).tolist()]) for i in (1, 0)]
+        return np.stack([-X[:, 0] + t[0], -X[:, 1] + t[1]], axis=1)
 
     def jac_many(X, Lam):
         l = Lam[:, 0]
@@ -216,7 +235,7 @@ def _tanh2() -> ParametricSystem:
         jl = np.stack([X[:, 1] * s[1], X[:, 0] * s[0]], axis=1)[:, :, None]
         return jx, jl
 
-    return ParametricSystem(n=2, m=1, fun=fun, jac_many=jac_many, name="tanh2")
+    return ParametricSystem(n=2, m=1, fun_many=fun_many, jac_many=jac_many, name="tanh2")
 
 
 def _pitchfork_normal_form() -> ParametricSystem:
@@ -267,16 +286,13 @@ def system_from_expressions(source: str, n: int, m: int,
 
     names = _expr.default_names(n, m)
     asts = _expr.parse_components(source, n if components is None else components, *names)
-    values = _expr.compile_values(asts, names)
+    values = _expr.compile_values(asts, names, batched=True)
     duals = _expr.compile_duals(asts, n, m, names)
-
-    def fun(x, lam):
-        return values(x.tolist(), lam.tolist())
 
     def jac_many(X, Lam):
         return duals(X, Lam)[1:]
 
-    return ParametricSystem(n=n, m=m, fun=fun, jac_many=jac_many, name="expr",
+    return ParametricSystem(n=n, m=m, fun_many=values, jac_many=jac_many, name="expr",
                             components=components)
 
 
@@ -294,6 +310,93 @@ def is_bifurcation_candidate(
     return True, decomp.q
 
 
+def row_norms(R: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of R (N, k), bit for bit np.linalg.norm of the row."""
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+
+
+def _newton_steps(J: np.ndarray, R: np.ndarray, rnorm: np.ndarray):
+    """Steps solving J[i] s = -R[i], and {row: SingularNewtonSystem} for failed solves.
+
+    One stacked solve gives each row the bits of its own solve; when it
+    raises, the rows are solved one by one to find the singular ones.
+    """
+    try:
+        return np.linalg.solve(J, -R[:, :, None])[:, :, 0], {}
+    except np.linalg.LinAlgError:
+        steps, singular = np.empty_like(R), {}
+        for i in range(len(R)):
+            try:
+                steps[i] = np.linalg.solve(J[i], -R[i])
+            except np.linalg.LinAlgError as exc:
+                singular[i] = SingularNewtonSystem(
+                    f"Newton linear system is singular (residual {rnorm[i]:.3e})")
+                singular[i].__cause__ = exc
+        return steps, singular
+
+
+def damped_newton_many(
+    residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    Z0: np.ndarray,
+    tol: float = 1e-12,
+    max_iters: int = 50,
+    max_backtracks: int = 30,
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Newton on residual(z) = 0 with halving backtracks, in lockstep over the rows of Z0.
+
+    The package's one Newton loop. residual(Z, rows) and jacobian(Z, rows)
+    take the iterates Z of the rows `rows` (indices into Z0) and return
+    (len(rows), k) and (len(rows), k, k). Each step takes the first t in 1,
+    1/2, 1/4, ... whose residual norm is finite and strictly smaller. Every
+    row follows the iterates it would follow alone, bit for bit.
+
+    Returns the final iterates and {row: error} for the rows that failed:
+    SingularNewtonSystem when the row's linear solve fails, NewtonDiverged
+    when no step descends within max_backtracks or its residual is still
+    above tol after max_iters steps.
+    """
+    Z = np.array(Z0, dtype=float)
+    errors: dict[int, Exception] = {}
+    rows = np.arange(len(Z))
+    if not len(Z):
+        return Z, errors
+    R = residual(Z, rows)
+    rnorm = row_norms(R)
+    for _ in range(max_iters):
+        live = ~(rnorm <= tol)  # a NaN norm has not converged
+        rows, R, rnorm = rows[live], R[live], rnorm[live]
+        if not len(rows):
+            break
+        steps, singular = _newton_steps(jacobian(Z[rows], rows), R, rnorm)
+        for i, exc in singular.items():
+            errors[int(rows[i])] = exc
+        moved = np.zeros(len(rows), dtype=bool)
+        pending = np.array([i for i in range(len(rows)) if i not in singular], dtype=int)
+        t = np.ones(len(rows))
+        for _ in range(max_backtracks):
+            if not len(pending):
+                break
+            trial = Z[rows[pending]] + t[pending, None] * steps[pending]
+            r_trial = residual(trial, rows[pending])
+            n_trial = row_norms(r_trial)
+            down = np.isfinite(n_trial) & (n_trial < rnorm[pending])
+            took = pending[down]
+            Z[rows[took]], R[took], rnorm[took] = trial[down], r_trial[down], n_trial[down]
+            moved[took] = True
+            pending = pending[~down]
+            t[pending] *= 0.5
+        for i in pending:
+            errors[int(rows[i])] = NewtonDiverged(
+                f"no descent after {max_backtracks} backtracks (residual {rnorm[i]:.3e})")
+        rows, R, rnorm = rows[moved], R[moved], rnorm[moved]
+    for i, rn in zip(rows, rnorm):
+        if not rn <= tol:
+            errors[int(i)] = NewtonDiverged(
+                f"residual {rn:.3e} above tolerance {tol:g} after {max_iters} iterations")
+    return Z, errors
+
+
 def damped_newton(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
@@ -302,40 +405,14 @@ def damped_newton(
     max_iters: int = 50,
     max_backtracks: int = 30,
 ) -> np.ndarray:
-    """Newton on residual(z) = 0 with halving backtracks; the package's one Newton loop.
-
-    Each step takes the first t in 1, 1/2, 1/4, ... whose residual norm is
-    finite and strictly smaller. Raises SingularNewtonSystem when a linear
-    solve fails and NewtonDiverged when no step descends within
-    max_backtracks or the residual is still above tol after max_iters steps.
-    """
-    z = np.array(z0, dtype=float)
-    r = residual(z)
-    rnorm = float(np.linalg.norm(r))
-    for _ in range(max_iters):
-        if rnorm <= tol:
-            return z
-        try:
-            step = np.linalg.solve(jacobian(z), -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNewtonSystem(
-                f"Newton linear system is singular (residual {rnorm:.3e})") from exc
-        t = 1.0
-        for _ in range(max_backtracks):
-            z_new = z + t * step
-            r_new = residual(z_new)
-            rnorm_new = float(np.linalg.norm(r_new))
-            if np.isfinite(rnorm_new) and rnorm_new < rnorm:
-                break
-            t *= 0.5
-        else:
-            raise NewtonDiverged(
-                f"no descent after {max_backtracks} backtracks (residual {rnorm:.3e})")
-        z, r, rnorm = z_new, r_new, rnorm_new
-    if rnorm <= tol:
-        return z
-    raise NewtonDiverged(
-        f"residual {rnorm:.3e} above tolerance {tol:g} after {max_iters} iterations")
+    """damped_newton_many on one problem: returns the root or raises its error."""
+    z, errors = damped_newton_many(
+        lambda Z, rows: np.asarray(residual(Z[0]), dtype=float).reshape(1, -1),
+        lambda Z, rows: np.asarray(jacobian(Z[0]), dtype=float)[None],
+        np.asarray(z0, dtype=float).reshape(1, -1), tol, max_iters, max_backtracks)
+    if errors:
+        raise errors[0]
+    return z[0]
 
 
 def newton_full(
@@ -352,12 +429,11 @@ def newton_full(
     system; callers sweeping many start points treat None as 'no root from
     here'.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    try:
-        return damped_newton(lambda z: sys.phi(z, lam), lambda z: sys.dphi_dx(z, lam),
-                             x, tol, max_iters, max_backtracks)
-    except (SingularNewtonSystem, NewtonDiverged):
-        return None
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))[None]
+    z, errors = damped_newton_many(
+        lambda Z, rows: sys.residuals(Z, lam), lambda Z, rows: sys.jacobians(Z, lam)[0],
+        np.atleast_1d(np.asarray(x, dtype=float))[None], tol, max_iters, max_backtracks)
+    return None if errors else z[0]
 
 
 def refine_equilibrium(

@@ -6,7 +6,7 @@ import pytest
 
 import lscert
 from lscert import expr as expr_mod
-from lscert.errors import DomainError, NonFinite
+from lscert.errors import DomainError, NewtonDiverged, NonFinite, SingularNewtonSystem
 from lscert.expr import (
     BINARY_FUNCTIONS,
     KINK_TOL,
@@ -208,10 +208,15 @@ def central_difference_jacobian(node, names, x, lam, h: float = 1e-6):
     return dx, dl
 
 
-# --- per-point references for the batched Jacobians ---------------------------
+# --- per-point references for the batched residual and Jacobians -------------
 #
-# The per-point forms the batched Jacobian callables replaced, kept as they
-# were: the references the batched paths are held to bit for bit.
+# The per-point forms the batched callables replaced, kept as they were: the
+# references the batched paths are held to bit for bit.
+
+
+def tanh2_fun(x, lam):
+    l = lam[0]
+    return np.array([-x[0] + math.tanh(l * x[1]), -x[1] + math.tanh(l * x[0])])
 
 
 def tanh2_jac_x(x, lam):
@@ -468,3 +473,57 @@ def per_point_eval_values(
     if not np.all(np.isfinite(vals)):
         raise NonFinite("expression evaluation produced a non-finite value")
     return vals
+
+
+# --- per-point references for the lockstep Newton -----------------------------
+
+
+def per_point_damped_newton(residual, jacobian, z0, tol=1e-12, max_iters=50, max_backtracks=30):
+    """The per-point damped Newton loop damped_newton_many replaced, kept as it was."""
+    z = np.array(z0, dtype=float)
+    r = residual(z)
+    rnorm = float(np.linalg.norm(r))
+    for _ in range(max_iters):
+        if rnorm <= tol:
+            return z
+        try:
+            step = np.linalg.solve(jacobian(z), -r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularNewtonSystem(
+                f"Newton linear system is singular (residual {rnorm:.3e})") from exc
+        t = 1.0
+        for _ in range(max_backtracks):
+            z_new = z + t * step
+            r_new = residual(z_new)
+            rnorm_new = float(np.linalg.norm(r_new))
+            if np.isfinite(rnorm_new) and rnorm_new < rnorm:
+                break
+            t *= 0.5
+        else:
+            raise NewtonDiverged(
+                f"no descent after {max_backtracks} backtracks (residual {rnorm:.3e})")
+        z, r, rnorm = z_new, r_new, rnorm_new
+    if rnorm <= tol:
+        return z
+    raise NewtonDiverged(
+        f"residual {rnorm:.3e} above tolerance {tol:g} after {max_iters} iterations")
+
+
+def per_point_reduced(ss, alpha, lam):
+    """(beta, x, g, residual_full) of the reduced map at one point, solved from beta0.
+
+    Uses per_point_damped_newton, the per-point residual and 2-D products; a
+    failed solve raises its error worded as solve_phi words it.
+    """
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    w_t, v, v_perp = ss.decomp.W.T, ss.decomp.V, ss.decomp.Vperp
+    try:
+        beta = per_point_damped_newton(
+            lambda b: w_t @ ss.sys.phi(v @ alpha + v_perp @ b, lam),
+            lambda b: w_t @ ss.sys.dphi_dx(v @ alpha + v_perp @ b, lam) @ v_perp, ss.beta0)
+    except (NewtonDiverged, SingularNewtonSystem) as exc:
+        raise type(exc)(f"range block: {exc} at alpha={alpha}, lambda={lam}") from exc
+    x = v @ alpha + v_perp @ beta
+    full = ss.sys.phi(x, lam)
+    return beta, x, ss.decomp.Wperp.T @ full, float(np.linalg.norm(full))

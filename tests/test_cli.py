@@ -401,10 +401,27 @@ def test_trace_leaves_failed_newton_solves_as_gaps(tmp_path, capsys):
     notes = captured.err.splitlines()
     assert [note.split(": Newton failed at ")[0] for note in notes] == \
         ["note: lambda=0.5", "note: lambda=0.55", "note: lambda=0.6"]
-    assert [int(note.split(" at ")[1].split()[0]) for note in notes] == [10, 5, 4]
+    assert [int(note.split(" at ")[1].split()[0]) for note in notes] == [14, 14, 14]
     assert notes[0].endswith("first at alpha=-4: range block: no descent after 30 backtracks "
                              "(residual 2.820e+00) at alpha=[-4.], lambda=[0.5]")
     assert out.read_text(encoding="utf-8").startswith("branch_id,lambda,alpha,x_1,x_2,residual_full")
+
+
+def test_trace_keeps_the_trunk_at_every_lambda(tmp_path, capsys):
+    # x = 0 solves the cubic model at every lambda; with every solve seeded at
+    # beta0 the trace keeps the root alpha = 0 that the range solve through
+    # beta0 gives, however many outer alphas fail
+    cfg = write_config(tmp_path, "trunk.json", {
+        **CUBIC,
+        "trace": {"lambda_min": 0.5, "lambda_max": 0.6, "lambda_step": 0.05,
+                  "alpha_min": -4.0, "alpha_max": 4.0, "alpha_samples": 41},
+    })
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [row.split(",") for row in out.read_text(encoding="utf-8").splitlines()[1:] if row]
+    trunk = [float(row[1]) for row in rows if float(row[2]) == 0.0]
+    assert trunk == pytest.approx([0.5, 0.55, 0.6], abs=1e-12)
 
 
 def test_reduce_leaves_failed_newton_rows_empty(tmp_path, capsys):
@@ -418,11 +435,11 @@ def test_reduce_leaves_failed_newton_rows_empty(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err == (
-        "note: lambda=0.5: Newton failed at 10 alpha value(s), left as gaps; first at "
+        "note: lambda=0.5: Newton failed at 14 alpha value(s), left as gaps; first at "
         "alpha=-4: range block: no descent after 30 backtracks (residual 2.820e+00) at "
         "alpha=[-4.], lambda=[0.5]\n")
     assert "wrote 41 rows" in captured.out
     rows = [l for l in out.open(encoding="utf-8", newline="").read().split("\r\n")[1:] if l]
     assert len(rows) == 41
     failed = [row for row in rows if row.endswith(",0.5,,,")]
-    assert len(failed) == 10 and rows[0] == "-4,0.5,,,"
+    assert len(failed) == 14 and rows[0] == "-4,0.5,,,"

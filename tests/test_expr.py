@@ -12,6 +12,7 @@ from lscert import (
     NonFinite,
     ParseError,
     UnknownIdentifier,
+    system_from_expressions,
 )
 from lscert import expr
 from conftest import (
@@ -150,6 +151,35 @@ def test_batched_duals_equal_per_point_duals_bitwise(seed):
         for i, (_, _, one) in enumerate(rows):
             for got, want in zip(many, one):
                 assert got[i].tobytes() == want.tobytes(), expr.to_source(node, *names)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_residuals_equal_per_point_residuals_bitwise(seed):
+    # each generated tree as a one-component system, at its own point and at
+    # points around it; rows where the per-point walk fails are evaluated
+    # alone and must fail with the same message
+    rng = np.random.default_rng(seed)
+    for node, names, x, lam in generate_expression_cases(8, seed=seed):
+        sys_ = system_from_expressions(expr.to_source(node, *names), x.size, lam.size,
+                                       components=1)
+        xs = np.vstack([x, x + rng.uniform(-1.0, 1.0, size=(15, x.size))])
+        ls = np.vstack([lam, lam + rng.uniform(-1.0, 1.0, size=(15, lam.size))])
+        rows = []
+        for xi, li in zip(xs, ls):
+            try:
+                with np.errstate(all="ignore"):  # the per-point reference warns on inf * 0
+                    rows.append((xi, li, per_point_eval_values([node], xi, li, names)))
+            except LscertError as exc:
+                with pytest.raises(type(exc)) as err:
+                    sys_.residuals(xi[None], li[None])
+                assert str(err.value) == str(exc)
+        if not rows:
+            continue
+        many = sys_.residuals(np.array([r[0] for r in rows]),
+                              np.array([r[1] for r in rows]).reshape(len(rows), -1))
+        for i, (_, _, one) in enumerate(rows):
+            assert many[i].tobytes() == one.tobytes(), expr.to_source(node, *names)
 
 
 def test_division_by_zero_reports_offending_subexpression():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,10 @@ from lscert import (
     solve_phi,
     trace_branches,
 )
+from lscert.errors import DomainError
 from lscert.ls_bounds import FrontierPoint
+from lscert.system import _newton_steps, damped_newton_many, row_norms
+from conftest import expr_jacobians, per_point_damped_newton, per_point_reduced, split_view_blocks
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,6 +57,14 @@ def test_solve_phi_quadratic_graph():
 def test_solve_phi_diverges_on_tight_budget(tanh2_split):
     with pytest.raises(NewtonDiverged):
         solve_phi(tanh2_split, [1.0], [1.0], beta_init=np.array([5.0]), max_iters=1)
+
+
+def test_a_wrong_sized_parameter_is_a_dimension_mismatch(tanh2_split):
+    message = r"parameter has shape \(2,\), expected \(1,\)"
+    with pytest.raises(lscert.DimensionMismatch, match=message):
+        solve_phi(tanh2_split, [0.0], [1.0, 5.0])
+    with pytest.raises(lscert.DimensionMismatch, match=message):
+        ReducedMap(tanh2_split).evaluate([0.0], [1.0, 5.0])
 
 
 def test_solve_phi_singular_system_is_reported():
@@ -241,14 +254,15 @@ def test_failed_newton_solves_are_gaps_in_the_trace(tanh2_split, monkeypatch):
     # fails, so nothing brackets +1.354, and the first bisection step for
     # -1.354 (alpha = -1.4) fails, so that root is dropped
     rm = ReducedMap(tanh2_split)
-    solve = rm.g
+    solve = rm._batch
 
-    def g(alpha, lam):
-        if abs(float(alpha) - 1.2) < 1e-9 or -1.5 < float(alpha) < -1.3:
-            raise NewtonDiverged("no descent")
-        return solve(alpha, lam)
+    def batch(alpha, lam, seeds=None):
+        out = solve(alpha, lam, seeds)
+        fails = (np.abs(alpha[:, 0] - 1.2) < 1e-9) | ((-1.5 < alpha[:, 0]) & (alpha[:, 0] < -1.3))
+        return dataclasses.replace(out, errors={
+            **out.errors, **{int(i): NewtonDiverged("no descent") for i in np.flatnonzero(fails)}})
 
-    monkeypatch.setattr(rm, "g", g)
+    monkeypatch.setattr(rm, "_batch", batch)
     result = trace_branches(rm, [2.0], (-1.6, 1.6), alpha_samples=9)
     assert [p.alpha for p in result.roots_at(2.0)] == [0.0]
     assert result.notes == ("lambda=2: Newton failed at 2 alpha value(s), left as gaps; "
@@ -261,6 +275,8 @@ def test_trace_input_validation(tanh2_split):
         trace_branches(rm, [1.0], (1.0, -1.0))
     with pytest.raises(ValueError):
         trace_branches(rm, [1.0], (-1.0, 1.0), alpha_samples=2)
+    empty = trace_branches(rm, [], (-1.0, 1.0))
+    assert (empty.branches, empty.notes, empty.lambda_values) == ((), (), ())
 
 
 # --- certified-region lookups ---------------------------------------------------
@@ -282,3 +298,132 @@ def test_region_note_inside_and_outside(tanh2_split):
     assert region_note(tanh2_split, FRONTIER, [0.5], [1.2], [0.1]) is None
     note = region_note(tanh2_split, FRONTIER, [2.0], [1.0], [0.0])
     assert note is not None and "outside the certified region" in note
+
+
+# --- the batched reduced map ---------------------------------------------------
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def cubic_split():
+    cfg = lscert.load_config(str(CONFIGS / "cubic_trace.json"))
+    sys_ = lscert.build_system(cfg.model)
+    point = lscert.evaluation_point(sys_, cfg.base_point.x0, cfg.base_point.lambda0)
+    return build_split_system(sys_, point), cfg.trace
+
+
+def test_batched_reduced_map_equals_the_per_point_reference_bitwise():
+    # every third lambda of the cubic_trace.json march, over a window wide
+    # enough that some range solves fail from beta0
+    ss, t = cubic_split()
+    lams = [t.lambda_min + i * t.lambda_step for i in range(0, 31, 3)]
+    grid = np.linspace(-4.0, 4.0, 41)
+    alpha, lam = np.tile(grid, len(lams))[:, None], np.repeat(lams, len(grid))[:, None]
+    batch = ReducedMap(ss).evaluate_many(alpha, lam)
+    failures = 0
+    for i in range(len(alpha)):
+        try:
+            want = per_point_reduced(ss, alpha[i], lam[i])
+        except (NewtonDiverged, SingularNewtonSystem) as exc:
+            failures += 1
+            assert type(batch.errors[i]) is type(exc) and str(batch.errors[i]) == str(exc)
+            assert batch.point(i) is None
+            continue
+        assert i not in batch.errors
+        got = (batch.beta[i], batch.x[i], batch.g[i], batch.residual_full[i])
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    assert 0 < failures < len(alpha)
+
+
+def test_lockstep_newton_equals_the_per_point_loop_row_by_row():
+    # rows that converge, start on a singular Jacobian, have no real root, run
+    # out of iterations or start at a NaN residual; each must end as it ends
+    # alone
+    c = np.array([2.0, 2.0, -0.5, 2.0, 9.0, np.nan])
+    z0 = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1e3, 0.0], [-3.5, 2.0], [1.0, 0.0]])
+    f = lambda z, ci: np.array([z[0] ** 2 - ci, z[1] - z[0]])
+    jac = lambda z: np.array([[2.0 * z[0], 0.0], [-1.0, 1.0]])
+    z, errors = damped_newton_many(
+        lambda Z, rows: np.stack([f(zi, c[r]) for zi, r in zip(Z, rows)]),
+        lambda Z, rows: np.stack([jac(zi) for zi in Z]), z0, max_iters=6)
+    kinds = []
+    for i in range(len(c)):
+        try:
+            want = per_point_damped_newton(lambda zi: f(zi, c[i]), jac, z0[i], max_iters=6)
+        except (NewtonDiverged, SingularNewtonSystem) as exc:
+            assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+            kinds.append(str(exc).split(" (")[0])
+            continue
+        assert i not in errors and z[i].tobytes() == want.tobytes()
+    assert isinstance(errors[1].__cause__, np.linalg.LinAlgError)
+    assert kinds == ["Newton linear system is singular", "no descent after 30 backtracks",
+                     "residual 2.435e+02 above tolerance 1e-12 after 6 iterations",
+                     "no descent after 30 backtracks"]
+
+
+RING4_CUBIC = ("-x1 + tanh(l1*x2); -x2 + tanh(l1*x3); -x3 + tanh(l1*x4); "
+               "-x4 + tanh(l1*x1) + 0.3*x4^3")
+
+
+def test_stacked_newton_steps_equal_single_solves_at_three_complement_dimensions():
+    sys_ = lscert.system_from_expressions(RING4_CUBIC, 4, 1)
+    ss = build_split_system(sys_, lscert.evaluation_point(sys_, [0.0] * 4, [1.0]))
+    assert ss.n_perp == 3
+    rng = np.random.default_rng(1212)
+    alpha = rng.uniform(-0.8, 0.8, size=(60, 1))
+    beta = rng.uniform(-0.3, 0.3, size=(60, 3))
+    lam = rng.uniform(0.6, 1.6, size=(60, 1))
+    r = ss.evaluator_many(alpha, beta, lam)
+    steps, singular = _newton_steps(ss.jac_perp_many(alpha, beta, lam), r, row_norms(r))
+    assert not singular
+    _, dy = split_view_blocks(ss, *expr_jacobians(RING4_CUBIC, 4, 1))
+    for i in range(len(alpha)):
+        r_i = ss.decomp.W.T @ ss.sys.phi(ss.state(alpha[i], beta[i]), lam[i])
+        want = np.linalg.solve(dy(np.concatenate([alpha[i], lam[i]]), beta[i]), -r_i)
+        assert r[i].tobytes() == r_i.tobytes() and steps[i].tobytes() == want.tobytes()
+    # and whole range solves, which take Newton steps here
+    batch = ReducedMap(ss).evaluate_many(alpha, lam)
+    for i in range(len(alpha)):
+        beta_i, x_i, g_i, res_i = per_point_reduced(ss, alpha[i], lam[i])
+        assert batch.beta[i].tobytes() == beta_i.tobytes()
+        assert batch.g[i].tobytes() == g_i.tobytes()
+
+
+def trace_fingerprint(result):
+    return ([[(p.lam, p.alpha, p.beta.tobytes(), p.x.tobytes(), p.g_value, p.residual_full)
+              for p in branch] for branch in result.branches], result.notes)
+
+
+def trace_cases(tanh2_split):
+    # the cubic model has gaps and an exact node zero; tanh2 bisects its roots
+    return [(ReducedMap(cubic_split()[0]), [0.5, 0.55, 0.6], (-4.0, 4.0)),
+            (ReducedMap(tanh2_split), [0.8, 1.2, 2.0], (-1.6, 1.6))]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+def test_trace_is_the_same_at_every_chunk_size(chunk, tanh2_split, monkeypatch):
+    want = [trace_fingerprint(trace_branches(rm, lams, window, alpha_samples=41))
+            for rm, lams, window in trace_cases(tanh2_split)]
+    monkeypatch.setattr(lscert.reduction, "CHUNK_ROWS", chunk)
+    got = [trace_fingerprint(trace_branches(rm, lams, window, alpha_samples=41))
+           for rm, lams, window in trace_cases(tanh2_split)]
+    assert got == want
+    assert want[0][1] and want[1][0]  # notes on the cubic model, branches on tanh2
+
+
+@pytest.mark.parametrize("chunk", [7, 10**9])
+def test_a_failing_chunk_surfaces_the_first_failing_points_error(chunk, monkeypatch):
+    # the first component fails at one end of the alpha window and the second
+    # at the other; a batched walk meets the first component first, while
+    # point by point the first grid alpha fails in the second
+    sys_ = lscert.system_from_expressions(
+        "-x1 + tanh(l1*x2) + 0*sqrt(2 - x1); -x2 + tanh(l1*x1) + 0*log(2 + x1)", 2, 1)
+    ss = build_split_system(sys_, lscert.evaluation_point(sys_, [0.0, 0.0], [1.0]))
+    with pytest.raises(DomainError) as first:
+        solve_phi(ss, [-4.0], [1.0])
+    monkeypatch.setattr(lscert.reduction, "CHUNK_ROWS", chunk)
+    with pytest.raises(DomainError) as err:
+        trace_branches(ReducedMap(ss), [1.0], (-4.0, 4.0), alpha_samples=41)
+    assert str(err.value) == str(first.value)

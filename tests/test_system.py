@@ -14,8 +14,16 @@ from lscert import (
     refine_equilibrium,
     system_from_expressions,
 )
+from lscert import expr as expr_mod
+from lscert.expr import default_names
 from lscert.system import fd_jacobians
-from conftest import expr_jacobians, tanh2_jac_lambda, tanh2_jac_x
+from conftest import (
+    expr_jacobians,
+    per_point_eval_values,
+    tanh2_fun,
+    tanh2_jac_lambda,
+    tanh2_jac_x,
+)
 
 
 @pytest.mark.parametrize("name,params,n,m", [
@@ -147,6 +155,13 @@ def test_shape_validation_on_wrappers(tanh2_system):
         tanh2_system.phi(np.zeros(3), np.zeros(1))
     with pytest.raises(lscert.DimensionMismatch):
         tanh2_system.phi(np.zeros(2), np.zeros(2))
+    with pytest.raises(lscert.DimensionMismatch, match=r"state has shape \(3,\), expected \(2,\)"):
+        tanh2_system.residuals(np.zeros((4, 3)), np.zeros((4, 1)))
+    with pytest.raises(lscert.DimensionMismatch,
+                       match=r"parameter has shape \(2,\), expected \(1,\)"):
+        tanh2_system.residuals(np.zeros((4, 2)), np.zeros((4, 2)))
+    with pytest.raises(lscert.DimensionMismatch, match="4 states but 3 parameters"):
+        tanh2_system.residuals(np.zeros((4, 2)), np.zeros((3, 1)))
 
 
 def test_linear_model_requires_params():
@@ -167,9 +182,44 @@ def test_parameter_jacobian_shape_is_checked():
             bad.dphi_dlambda([0.0, 0.0], [0.0])
 
 
+def _dsl_reference(source, n, m):
+    names = default_names(n, m)
+    asts = expr_mod.parse_components(source, n, *names)
+    return lambda x, lam: per_point_eval_values(asts, x, lam, names)
+
+
+_TIES = "min(x1, x2) * l1; max(x1, x2) - x1 / l1"
+
+
+# each system with its per-point residual, at random points plus the
+# signed-zero ties where min/max must pick as Python's min/max do
+@pytest.mark.parametrize("make,reference", [
+    (lambda: builtin_model("tanh2"), tanh2_fun),
+    (lambda: builtin_model("pitchfork_normal_form"),
+     lambda x, lam: np.array([lam[0] * x[0] - x[0] ** 3])),
+    (lambda: builtin_model("linear", _LINEAR),
+     lambda x, lam: np.array(_LINEAR["A"]) @ x + np.array(_LINEAR["b"]) @ lam),
+    (lambda: system_from_expressions(_EXPR, 2, 2), _dsl_reference(_EXPR, 2, 2)),
+    (lambda: system_from_expressions(_TIES, 2, 1), _dsl_reference(_TIES, 2, 1)),
+    (lambda: from_callable(_FD, 2, 1), _FD),
+], ids=["tanh2", "pitchfork", "linear", "expr", "expr-ties", "fd"])
+def test_batched_residuals_equal_per_point_bitwise(make, reference):
+    sys_ = make()
+    rng = np.random.default_rng(707)
+    xs = rng.uniform(-2.0, 2.0, size=(40, sys_.n))
+    lams = rng.uniform(0.5, 2.0, size=(40, sys_.m))
+    if sys_.n == 2:
+        xs[:2] = [[0.0, -0.0], [-0.0, 0.0]]
+    got = sys_.residuals(xs, lams)
+    assert got.shape == (40, sys_.k)
+    for i, (x, lam) in enumerate(zip(xs, lams)):
+        assert got[i].tobytes() == reference(x, lam).tobytes()
+        assert got[i].tobytes() == sys_.phi(x, lam).tobytes()
+
+
 def test_from_callable_differences_each_point_once():
-    # one central-difference pass per point gives both blocks: a base call
-    # plus two calls per coordinate, 1 + 2 * (n + m) = 7 here
+    # one central-difference pass per point gives both blocks: two calls per
+    # coordinate, 2 * (n + m) = 6 here
     calls = []
 
     def fun(x, lam):
@@ -179,4 +229,4 @@ def test_from_callable_differences_each_point_once():
     sys_ = from_callable(fun, 2, 1)
     rng = np.random.default_rng(909)
     sys_.jacobians(rng.uniform(-1.0, 1.0, size=(10, 2)), rng.uniform(-1.0, 1.0, size=(10, 1)))
-    assert len(calls) == 70
+    assert len(calls) == 60
