@@ -20,7 +20,10 @@ residuals need. `compile_duals` walks first-order dual numbers over a stack
 of points and returns the component values together with both Jacobian
 blocks in one pass; it rejects abs/min/max within 1e-12 of their kinks
 because the derivative is not defined there. Each row of either batched
-walker is bit for bit what the per-point walk gives. `eval_values`,
+walker is bit for bit what the per-point walk gives: + - * / run
+vectorised, and powers and one-argument functions make the per-point
+walk's own `math` call on each element, mapped over the stack from C
+(PerElement). `eval_values`,
 `eval_dual` (one point) and `eval_dual_many` compile and evaluate in one
 call.
 """
@@ -30,6 +33,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -352,13 +357,52 @@ def sech_power(v: float, k: int) -> float:
         return 0.0
 
 
+@dataclass(frozen=True)
+class PerElement:
+    """A float function taken at each element of an array, as per-point code takes it.
+
+    `one` is the per-element function on a Python float. `mapped` makes the
+    same math calls on the same floats over a list, from C (map into
+    np.fromiter), so its results are one's bit for bit wherever none of
+    those calls raises. Where one raises OverflowError or ValueError, the
+    elements are replayed through `one`, which applies the limits, checks
+    and error texts and raises at the first failing element. numpy's own
+    tanh/cosh/exp/log/power ufuncs round differently and are never used.
+    """
+
+    one: Callable[[float], float]
+    mapped: Callable[[list], np.ndarray]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        lst = values.tolist()
+        try:
+            return self.mapped(lst)
+        except (OverflowError, ValueError):
+            return np.array([self.one(v) for v in lst], dtype=float)
+
+
+def _mapped(f, *consts):
+    """f(v, *consts) over a list of floats, each call made from C."""
+    return lambda lst: np.fromiter(map(f, lst, *map(repeat, consts)), float, len(lst))
+
+
+def _sech_powers(k: int):
+    """sech_power(., k) over a list: the same cosh and ** calls; raises where they overflow."""
+    return lambda lst: 1.0 / np.fromiter(map(pow, map(math.cosh, lst), repeat(k)), float, len(lst))
+
+
+_tanh, _sin, _sech = _mapped(math.tanh), _mapped(math.sin), _sech_powers(1)
+
 # smooth one-argument functions: value and slope per element, through math
-_SMOOTH = {
-    "tanh": (math.tanh, lambda v: sech_power(v, 2)),
-    "sech": (lambda v: sech_power(v, 1), lambda v: -sech_power(v, 1) * math.tanh(v)),
-    "sin": (math.sin, math.cos),
-    "cos": (math.cos, lambda v: -math.sin(v)),
-    "exp": (math.exp, math.exp),
+SMOOTH = {
+    "tanh": (PerElement(math.tanh, _tanh), PerElement(lambda v: sech_power(v, 2), _sech_powers(2))),
+    "sech": (PerElement(lambda v: sech_power(v, 1), _sech),
+             PerElement(lambda v: -sech_power(v, 1) * math.tanh(v),
+                        lambda lst: -_sech(lst) * _tanh(lst))),
+    "sin": (PerElement(math.sin, _sin), PerElement(math.cos, _mapped(math.cos))),
+    "cos": (PerElement(math.cos, _mapped(math.cos)),
+            PerElement(lambda v: -math.sin(v), lambda lst: -_sin(lst))),
+    "exp": (PerElement(math.exp, _mapped(math.exp)),) * 2,
 }
 
 
@@ -366,7 +410,7 @@ def _domain_error(node: Node, names, head: str, tail: str = "") -> DomainError:
     return DomainError(f"{head} in '{to_source(node, *names)}'{tail}")
 
 
-def _value_fn(nd: Pow | Func, names):
+def _value_fn(nd: Pow | Func, names) -> PerElement:
     """The float function of a Pow or a one-argument Func.
 
     It checks the log and sqrt domains, and raises math's range errors as
@@ -375,28 +419,30 @@ def _value_fn(nd: Pow | Func, names):
     """
     if isinstance(nd, Pow):
         k = nd.exponent
-        raw = lambda v: v**k
-    elif nd.name in _SMOOTH:
-        raw = _SMOOTH[nd.name][0]
+        raw, mapped = (lambda v: v**k), _mapped(pow, k)
+    elif nd.name in SMOOTH:
+        raw, mapped = SMOOTH[nd.name][0].one, SMOOTH[nd.name][0].mapped
     elif nd.name == "abs":
-        raw = abs
+        raw, mapped = abs, _mapped(abs)
     elif nd.name == "log":
         def raw(v: float) -> float:
             if v <= 0.0:
                 raise _domain_error(nd, names, f"log of non-positive value {v!r}")
             return math.log(v)
+        mapped = _mapped(math.log)  # raises ValueError exactly where raw checks
     else:
         def raw(v: float) -> float:
             if v < 0.0:
                 raise _domain_error(nd, names, f"sqrt of negative value {v!r}")
             return math.sqrt(v)
+        mapped = _mapped(math.sqrt)
 
     def fn(v: float) -> float:
         try:
             return raw(v)
         except (OverflowError, ValueError) as exc:
             raise NonFinite(f"overflow evaluating '{to_source(nd, *names)}'") from exc
-    return fn
+    return PerElement(fn, mapped)
 
 
 def _variable(nd: StateVar | ParamVar):
@@ -413,7 +459,7 @@ def _float_tree(nd: Node, names, batched: bool = False):
     run vectorised, which is IEEE-exact, so each row is the per-point value
     bit for bit; min/max select as Python's min/max do, and powers and
     one-argument functions go through the per-point float function per
-    element (see _each).
+    element (see PerElement).
     """
     if isinstance(nd, Const):
         value = nd.value
@@ -451,15 +497,10 @@ def _float_tree(nd: Node, names, batched: bool = False):
             return np.where(beats(b, a), b, a)
         return select
     fa = _float_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names, batched)
-    fn = _value_fn(nd, names)
+    value = _value_fn(nd, names)
     if batched:
-        return lambda xs, ls: _each(fn, np.atleast_1d(fa(xs, ls)))
-    return lambda xs, ls: fn(fa(xs, ls))
-
-
-def _each(fn, values: np.ndarray) -> np.ndarray:
-    """fn over the elements as Python floats, so each result is the float tree's own."""
-    return np.array([fn(v) for v in values.tolist()], dtype=float)
+        return lambda xs, ls: value(np.atleast_1d(fa(xs, ls)))
+    return lambda xs, ls: value.one(fa(xs, ls))
 
 
 def _dual_tree(nd: Node, names, zero: np.ndarray):
@@ -469,7 +510,7 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
     and seeds hold (1,) and (1, n+m) arrays that broadcast. Only IEEE-exact
     operations (+ - * /, copysign, selection) are vectorised, so every row
     rounds as per-point float arithmetic does; powers and one-argument
-    functions take their values through _each, because numpy's vectorised
+    functions take their values through PerElement, because numpy's vectorised
     tanh/cosh/exp/log/power round differently from the math module.
     """
     if isinstance(nd, Const):
@@ -522,10 +563,13 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
     value, check = _value_fn(nd, names), None
     if isinstance(nd, Pow) and nd.exponent == 0:
         rule = lambda v, out, d: zero  # x^0 is 1 with derivative 0 wherever x is
-    elif isinstance(nd, Pow) or nd.name in _SMOOTH:
-        slope = _SMOOTH[nd.name][1] if isinstance(nd, Func) else \
-            (lambda v, k=nd.exponent: k * v ** (k - 1))
-        rule = lambda v, out, d: d * _each(slope, v)[:, None]
+    elif isinstance(nd, Pow) or nd.name in SMOOTH:
+        if isinstance(nd, Func):
+            slope = SMOOTH[nd.name][1]
+        else:
+            k, below = nd.exponent, _mapped(pow, nd.exponent - 1)
+            slope = PerElement(lambda v: k * v ** (k - 1), lambda lst: k * below(lst))
+        rule = lambda v, out, d: d * slope(v)[:, None]
     elif nd.name == "log":
         rule = lambda v, out, d: d / v[:, None]
     elif nd.name == "sqrt":
@@ -548,7 +592,7 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
         v, d = fa(xs, ls)
         if check is not None:
             check(v)
-        out = _each(value, v)
+        out = value(v)
         return out, rule(v, out, d)
     return chain
 

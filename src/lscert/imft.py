@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import LscertError, NewtonDiverged, NonFinite, SingularDyf, SingularNewtonSystem
-from .norms import check_norm_kind, induced_norm, induced_norms, inverse_norm, vector_norm
+from .norms import check_norm_kind, induced_norm, inverse_norm, max_induced_norm, vector_norm
 from .sampling import ball_points, max_over
 from .system import damped_newton, fd_jacobians
 
@@ -267,26 +267,30 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> flo
     """Max of ||(blocks(px, py) - base_block) diag(weights)|| over pts_x x pts_y.
 
     The pairs run in the order of itertools.product(pts_x, pts_y), CHUNK_PAIRS
-    at a time, each chunk one call of the batched `blocks` and one batched
-    norm; the maximum is the per-point one bit for bit. A chunk that raises is
-    replayed one pair at a time, so the error that surfaces is the one of the
-    first failing pair.
+    at a time, each chunk one call of the batched `blocks` and one
+    max_induced_norm floored at the maximum so far, so a chunk computes the
+    SVD only of the matrices that can still raise it; the maximum is the
+    per-point one bit for bit. A chunk that raises is replayed one pair at a
+    time, so the error that surfaces is the one of the first failing pair.
     """
     per_x = len(pts_y)
     total = len(pts_x) * per_x
+    best = -np.inf
 
     def deviations(xs, ys):
         d = blocks(xs, ys) - base_block
         return d if weights is None else d * weights
 
     def chunk_max(start):
+        nonlocal best
         pairs = np.arange(start, min(start + CHUNK_PAIRS, total))
         xs, ys = pts_x[pairs // per_x], pts_y[pairs % per_x]
         try:
-            return float(induced_norms(deviations(xs, ys), norm_kind).max())
+            best = max_induced_norm(deviations(xs, ys), norm_kind, best)
         except Exception:
-            return max(induced_norm(deviations(xs[i:i + 1], ys[i:i + 1])[0], norm_kind)
-                       for i in range(len(pairs)))
+            best = max(best, max(induced_norm(deviations(xs[i:i + 1], ys[i:i + 1])[0], norm_kind)
+                                 for i in range(len(pairs))))
+        return best
 
     return max_over(range(0, total, CHUNK_PAIRS), chunk_max)
 

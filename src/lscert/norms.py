@@ -2,7 +2,9 @@
 
 One norm kind is chosen per run and used consistently for every bound
 quantity; mixing kinds across the two certification inequalities would not
-compose soundly.
+compose soundly. induced_norms takes the norms of a stack of matrices, and
+max_induced_norm the largest of them, computing an SVD only for the
+matrices that cheap bounds cannot rule out.
 """
 
 from __future__ import annotations
@@ -17,6 +19,14 @@ _VEC_ORD = {"spectral": 2, "one": 1, "infinity": np.inf}
 _MAT_ORD = {"spectral": 2, "one": 1, "infinity": np.inf}
 
 COND_LIMIT = 1e14
+
+# max_induced_norm bounds a matrix only when its largest entry lies in this
+# range, so that no square or sum of squares of its entries under- or
+# overflows
+SAFE_SCALE = (1e-150, 1e150)
+# relative gap a bound must clear to skip an SVD: far above the rounding of
+# the SVD and of the bounds, which are a few ulps each
+PRUNE_MARGIN = 1e-8
 
 
 def check_norm_kind(kind: str) -> str:
@@ -65,6 +75,46 @@ def induced_norms(a: np.ndarray, kind: str = "spectral") -> np.ndarray:
         v = a.reshape(count, 1, rows * cols)
         return np.sqrt(v @ v.transpose(0, 2, 1))[:, 0, 0]
     return np.linalg.norm(a, _MAT_ORD[kind], axis=(1, 2))
+
+
+def max_induced_norm(a: np.ndarray, kind: str = "spectral", floor: float = 0.0) -> float:
+    """max(floor, induced_norms(a, kind).max()) of a stack (N, r, c), bit for bit.
+
+    For spectral norms of matrices with at least two rows and two columns,
+    each matrix first gets the cheap bounds (Golub & Van Loan, Matrix
+    Computations, 2.3)
+
+        largest row or column 2-norm <= ||A||_2 <= min(||A||_F, sqrt(||A||_1 ||A||_inf)),
+
+    and the SVD runs only on the matrices whose upper bound times
+    (1 + PRUNE_MARGIN) reaches the best lower bound, max(floor, largest
+    lower bound). A skipped matrix is below that by far more than any
+    rounding, so the maximum is the same value. Matrices whose largest entry
+    lies outside SAFE_SCALE (zero ones included) get no bounds and always
+    the SVD. Other kinds and shapes are not worth bounding: their norms are
+    sums and dot products, as in induced_norms.
+    """
+    a = np.asarray(a, dtype=float)
+    count, rows, cols = a.shape
+    if kind == "spectral" and min(rows, cols) > 1 and count:
+        if not np.all(np.isfinite(a)):
+            raise NonFinite("matrix contains non-finite entries")
+        # entries as (r, c, N): every reduction below runs along whole stacks
+        t = np.ascontiguousarray(np.moveaxis(a, 0, -1))
+        mag = np.abs(t)
+        top = mag.max(axis=(0, 1))
+        bounded = (top > SAFE_SCALE[0]) & (top < SAFE_SCALE[1])
+        # the bounds of unbounded matrices may overflow; they are not used
+        with np.errstate(over="ignore", under="ignore"):
+            squares = t * t
+            row_sq, col_sq = squares.sum(axis=1), squares.sum(axis=0)
+            lower = np.sqrt(np.maximum(row_sq.max(axis=0), col_sq.max(axis=0)))
+            upper = np.minimum(np.sqrt(row_sq.sum(axis=0)),
+                               np.sqrt(mag.sum(axis=0).max(axis=0) * mag.sum(axis=1).max(axis=0)))
+        best = max(floor, lower[bounded].max(initial=-np.inf))
+        a = a[~bounded | (upper * (1.0 + PRUNE_MARGIN) >= best)]
+    norms = induced_norms(a, kind)
+    return max(floor, float(norms.max())) if len(norms) else floor
 
 
 def inverse_norm(a: np.ndarray, kind: str = "spectral", error: type[Exception] = SingularDyf) -> float:

@@ -17,7 +17,7 @@ run them in lockstep, many points per batched Newton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,20 +109,16 @@ class ReducedPoint:
 
 @dataclass
 class ReducedMap:
-    """Evaluator for g with natural-continuation warm starts.
+    """Evaluator for g, each solve seeded at beta0 unless a call gives its own seed.
 
-    Successive calls reuse the previous beta as the Newton seed, which keeps
-    solves cheap along parameter sweeps; reset_warm_start returns to beta0.
+    g is a function of (alpha, lambda) alone: no call changes what a later
+    one returns.
     """
 
     ss: SplitSystem
     newton_tol: float = 1e-12
     max_iters: int = 50
     max_backtracks: int = 30
-    _warm_beta: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def reset_warm_start(self) -> None:
-        self._warm_beta = None
 
     def phi(self, alpha, lam, beta_init: np.ndarray | None = None) -> np.ndarray:
         return self.evaluate(alpha, lam, beta_init).beta
@@ -131,23 +127,21 @@ class ReducedMap:
         return self.evaluate(alpha, lam, beta_init).g
 
     def evaluate(self, alpha, lam, beta_init: np.ndarray | None = None) -> ReducedPoint:
-        """The reduced map at one point, seeded at beta_init, else at the warm start."""
-        seed = beta_init if beta_init is not None else self._warm_beta
-        batch = self._batch(np.atleast_1d(np.asarray(alpha, dtype=float))[None],
-                            np.atleast_1d(np.asarray(lam, dtype=float))[None],
-                            None if seed is None else np.reshape(seed, (1, -1)))
+        """The reduced map at one point, its solve seeded at beta_init (default beta0)."""
+        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))[None]
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))[None]
+        seed = None if beta_init is None else np.reshape(beta_init, (1, -1))
+        batch = self._lift(alpha, lam, *self._solve(alpha, lam, seed))
         if batch.errors:
             raise batch.errors[0]
-        point = batch.point(0)
-        self._warm_beta = point.beta
-        return point
+        return batch.point(0)
 
     # The *_many forms evaluate at each row of alpha (N, q) and lam (N, m)
-    # with every solve seeded at beta0; the warm start is neither used nor
-    # changed. A failed Newton solve is that row's entry in the returned
-    # errors, {row: error as solve_phi raises it}. Rows run CHUNK_ROWS at a
-    # time, and a chunk that raises anything else is replayed one row at a
-    # time, so the error that surfaces is the one of the first failing row.
+    # with every solve seeded at beta0. A failed Newton solve is that row's
+    # entry in the returned errors, {row: error as solve_phi raises it}. Rows
+    # run CHUNK_ROWS at a time, and a chunk that raises anything else is
+    # replayed one row at a time, so the error that surfaces is the one of
+    # the first failing row.
 
     def evaluate_many(self, alpha, lam) -> ReducedBatch:
         """evaluate at each row."""
@@ -195,10 +189,16 @@ class ReducedMap:
                 raise
             yield rows, part
 
-    def _batch(self, alpha, lam, seeds=None) -> ReducedBatch:
+    def _batch(self, alpha, lam) -> ReducedBatch:
+        return self._lift(alpha, lam, *self._solve(alpha, lam))
+
+    def _solve(self, alpha, lam, seeds=None) -> tuple[np.ndarray, dict[int, Exception]]:
+        return solve_phi_many(self.ss, alpha, lam, seeds, self.newton_tol, self.max_iters,
+                              self.max_backtracks)
+
+    def _lift(self, alpha, lam, beta, errors) -> ReducedBatch:
+        """The full states, residuals and g of the solved rows; failed rows hold NaN."""
         ss = self.ss
-        beta, errors = solve_phi_many(ss, alpha, lam, seeds, self.newton_tol, self.max_iters,
-                                      self.max_backtracks)
         solved = np.ones(len(alpha), dtype=bool)
         solved[list(errors)] = False
         beta[~solved] = np.nan

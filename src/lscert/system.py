@@ -11,7 +11,6 @@ continuously differentiable on the working region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +24,7 @@ from .errors import (
     SingularNewtonSystem,
     UnknownModel,
 )
-from .expr import sech_power
+from .expr import SMOOTH
 from .subspace import DEFAULT_RANK_TOL, compute_decomposition
 
 DEFAULT_EQUILIBRIUM_TOL = 1e-10
@@ -218,16 +217,18 @@ def from_callable(
 
 
 def _tanh2() -> ParametricSystem:
-    # coupled pair x1 = tanh(l x2), x2 = tanh(l x1); symmetric kernel at l = +-1
+    # coupled pair x1 = tanh(l x2), x2 = tanh(l x1); symmetric kernel at l = +-1.
+    # tanh and its slope sech^2 run through math per element, as the DSL's
+    # do: numpy's tanh and cosh round differently
+    tanh, sech2 = SMOOTH["tanh"]
+
     def fun_many(X, Lam):
-        # math.tanh per element: numpy's tanh rounds differently
-        t = [np.array([math.tanh(v) for v in (Lam[:, 0] * X[:, i]).tolist()]) for i in (1, 0)]
+        t = [tanh(Lam[:, 0] * X[:, i]) for i in (1, 0)]
         return np.stack([-X[:, 0] + t[0], -X[:, 1] + t[1]], axis=1)
 
     def jac_many(X, Lam):
         l = Lam[:, 0]
-        # sech_power per element: numpy's cosh rounds differently from math.cosh
-        s = [np.array([sech_power(v, 2) for v in (l * X[:, i]).tolist()]) for i in range(2)]
+        s = [sech2(l * X[:, i]) for i in range(2)]
         jx = np.empty((len(X), 2, 2))
         jx[:, 0, 0] = jx[:, 1, 1] = -1.0
         jx[:, 0, 1] = l * s[1]

@@ -64,6 +64,9 @@ GOLDEN_CASES = (
     ("ls-certify", "tanh2_certify_analytic.json", "tanh2_analytic_nonmeta.json"),
     ("ls-certify", "tanh2_certify_sampled.json", "tanh2_sampled_nonmeta.json"),
     ("imft-certify", "parabola_imft.json", "parabola_imft_nonmeta.json"),
+    # 3x2, 3x3 and 4x4 spectral norms of DSL Jacobian deviations over product lattices
+    ("ls-certify", "ring4_certify_sampled.json", "ring4_sampled_nonmeta.json"),
+    ("imft-certify", "ring4_imft.json", "ring4_imft_nonmeta.json"),
 )
 
 

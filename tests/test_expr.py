@@ -335,6 +335,38 @@ def test_reference_comparison_covers_every_node_kind():
     assert kinds == every
 
 
+# stacks in which some elements overflow or leave a domain: the mapped math
+# calls raise there and the node is replayed element by element
+_FALLBACK_CASES = (
+    ("tanh(x1)", [0.3, 356.0, -400.0, 1.0, 2.5]),  # the slope's cosh(v)^2 overflows
+    ("sech(x1)", [0.5, 800.0, -711.0, 2.0]),  # cosh(v) overflows
+    ("sech(x1)^2 + tanh(0.5*x1)", [800.0, 1.0, 720.0]),
+    ("log(x1)", [2.0, 0.5, 0.0, -1.0, 3.0]),
+    ("x1 + log(x1)", [-3.0, 1.0, 0.0]),
+    ("sqrt(x1)", [4.0, -0.5, 1.0, -2.0]),
+    ("exp(x1)", [1.0, 800.0, 900.0]),
+    ("x1^3", [2.0, 1e200, -1e150]),
+)
+
+
+@pytest.mark.parametrize("source,column", _FALLBACK_CASES)
+def test_mapped_calls_fall_back_per_element_where_one_raises(source, column):
+    names = expr.default_names(1, 0)
+    asts = expr.parse(source, 1, 0)
+    X, Lam = np.array(column)[:, None], np.empty((len(column), 0))
+    for evaluate, reference in ((expr.compile_values(asts, names, batched=True),
+                                 per_point_eval_values),
+                                (expr.compile_duals(asts, 1, 0, names), per_point_eval_dual)):
+        rows = [_outcome(reference, asts, x, []) for x in X]
+        failed = [row for row in rows if isinstance(row[0], type)]
+        ok = [i for i, row in enumerate(rows) if not isinstance(row[0], type)]
+        joined = tuple(b"".join(parts) for parts in zip(*(rows[i] for i in ok)))
+        # the stack fails with its first failing element's own error, and the
+        # elements that do not fail give the per-point bits
+        assert _outcome(evaluate, X, Lam) == (failed[0] if failed else joined), source
+        assert _outcome(evaluate, X[ok], Lam[ok]) == joined, source
+
+
 def test_sin_and_cos_of_an_overflowed_argument_raise_nonfinite():
     # 1e300 * x1 * x1 overflows to inf silently; math.sin(inf) would raise ValueError
     for name in ("sin", "cos"):

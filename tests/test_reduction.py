@@ -96,15 +96,23 @@ def test_reduced_map_matches_closed_form(tanh2_split):
                 point.x, [alpha / SQRT2, alpha / SQRT2], atol=1e-15)
 
 
-def test_warm_start_is_kept_and_resettable():
-    ss = parabola_split()
+def test_reduced_map_does_not_depend_on_call_history():
+    # on the cubic model a solve at alpha = -3.8 lands far from beta0; it must
+    # not change what a later call at alpha = 0 returns
+    ss, _ = cubic_split()
+    grid, errors = ReducedMap(ss).g_grid(np.array([[0.0], [-3.8]]), np.array([[0.5]]))
+    assert not errors
+    fresh = ReducedMap(ss).g([0.0], [0.5])
     rm = ReducedMap(ss)
-    assert rm._warm_beta is None
-    rm.phi([0.5], [])
-    assert rm._warm_beta is not None
-    assert abs(rm._warm_beta[0] - 0.25) <= 1e-12
-    rm.reset_warm_start()
-    assert rm._warm_beta is None
+    far = rm.g([-3.8], [0.5])
+    after = rm.g([0.0], [0.5])
+    assert fresh.tobytes() == after.tobytes() == grid[0, 0].tobytes()
+    assert far.tobytes() == grid[0, 1].tobytes()
+    assert after[0] == 0.0
+    # an explicit seed is used for that call only
+    seeded = rm.evaluate([0.0], [0.5], beta_init=rm.phi([-3.8], [0.5]))
+    assert seeded.beta.tobytes() == solve_phi(ss, [0.0], [0.5], rm.phi([-3.8], [0.5])).tobytes()
+    assert rm.g([0.0], [0.5]).tobytes() == fresh.tobytes()
 
 
 # --- series coefficients and classification ------------------------------------
@@ -256,8 +264,8 @@ def test_failed_newton_solves_are_gaps_in_the_trace(tanh2_split, monkeypatch):
     rm = ReducedMap(tanh2_split)
     solve = rm._batch
 
-    def batch(alpha, lam, seeds=None):
-        out = solve(alpha, lam, seeds)
+    def batch(alpha, lam):
+        out = solve(alpha, lam)
         fails = (np.abs(alpha[:, 0] - 1.2) < 1e-9) | ((-1.5 < alpha[:, 0]) & (alpha[:, 0] < -1.3))
         return dataclasses.replace(out, errors={
             **out.errors, **{int(i): NewtonDiverged("no descent") for i in np.flatnonzero(fails)}})

@@ -217,6 +217,21 @@ def test_batched_residuals_equal_per_point_bitwise(make, reference):
         assert got[i].tobytes() == sys_.phi(x, lam).tobytes()
 
 
+def test_tanh2_slope_is_zero_where_cosh_squared_overflows():
+    # cosh(l x)^2 overflows past |l x| ~ 355; those elements are replayed
+    # through sech_power, whose limit is 0.0, and the others keep their bits
+    sys_ = builtin_model("tanh2")
+    xs = np.array([[0.5, 400.0], [300.0, -0.1], [-800.0, 1.0], [0.25, -0.75]])
+    lams = np.array([[1.0], [1.2], [1.0], [1.5]])
+    jx, jl = sys_.jacobians(xs, lams)
+    res = sys_.residuals(xs, lams)
+    for i, (x, lam) in enumerate(zip(xs, lams)):
+        assert jx[i].tobytes() == tanh2_jac_x(x, lam).tobytes()
+        assert jl[i].tobytes() == tanh2_jac_lambda(x, lam).tobytes()
+        assert res[i].tobytes() == tanh2_fun(x, lam).tobytes()
+    assert jx[0, 0, 1] == jx[1, 1, 0] == jx[2, 1, 0] == 0.0
+
+
 def test_from_callable_differences_each_point_once():
     # one central-difference pass per point gives both blocks: two calls per
     # coordinate, 2 * (n + m) = 6 here
