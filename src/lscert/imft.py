@@ -37,10 +37,11 @@ from .system import damped_newton, fd_jacobians
 DEFAULT_SAMPLES_PER_DIM = 17
 
 # lattice pairs per batched pass of a sampled L. Each DSL node holds an
-# (N, n + m) derivative array: on the ring-4 benchmark workloads 1,024-pair
-# chunks raised peak RSS by about 11 % over the pair-by-pair loop and 256 by
-# about 3 %, while smaller chunks than 256 cost time in per-chunk overhead
-CHUNK_PAIRS = 256
+# (N, n + m) derivative array and max_induced_norm one (r, c, N) copy of the
+# stack. Against 256 pairs, 1,024 cut op_s by 10-25 % on the three lattice
+# benchmark workloads and kept worker peak RSS within 0.6 % (traced peak
+# about 0.2-0.3 MB higher); 4,096 pairs raised it by 1.0-1.5 MB on ring-4
+CHUNK_PAIRS = 1024
 
 
 @dataclass(frozen=True)

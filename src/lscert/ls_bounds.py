@@ -97,8 +97,17 @@ class SplitSystem:
 
     def evaluator_many(self, alpha, beta, lam) -> np.ndarray:
         """evaluator at each row, shape (N, n-q)."""
-        full = self.sys.residuals(self.states(alpha, beta), lam)
-        return (self.decomp.W.T[None] @ full[:, :, None])[..., 0]
+        return self.lifted_many(alpha, beta, lam)[2]
+
+    def lifted_many(self, alpha, beta, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The states x (N, n), full residuals Phi (N, k) and range parts W^T Phi (N, n-q).
+
+        One residual evaluation gives all three: the reduced map reads g and
+        the lifted residual off the full residual its range solve ended on.
+        """
+        x = self.states(alpha, beta)
+        full = self.sys.residuals(x, lam)
+        return x, full, (self.decomp.W.T[None] @ full[:, :, None])[..., 0]
 
     def jac_perp(self, alpha, beta, lam) -> np.ndarray:
         """d(W^T Phi)/d(beta), shape (n-q, n-q)."""

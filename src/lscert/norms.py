@@ -20,9 +20,9 @@ _MAT_ORD = {"spectral": 2, "one": 1, "infinity": np.inf}
 
 COND_LIMIT = 1e14
 
-# max_induced_norm bounds a matrix only when its largest entry lies in this
-# range, so that no square or sum of squares of its entries under- or
-# overflows
+# a matrix whose largest entry lies in this range has no square or sum of
+# squares of its entries that under- or overflows: max_induced_norm bounds
+# only such matrices, and induced_norms rescales every other row or column
 SAFE_SCALE = (1e-150, 1e150)
 # relative gap a bound must clear to skip an SVD: far above the rounding of
 # the SVD and of the bounds, which are a few ulps each
@@ -53,7 +53,7 @@ def induced_norm(a: np.ndarray, kind: str = "spectral") -> float:
         raise NonFinite("matrix contains non-finite entries")
     if min(a.shape) == 1 and kind == "spectral":
         # spectral norm of a single row or column is the Euclidean vector norm
-        return float(np.linalg.norm(a.ravel()))
+        return float(induced_norms(a[None], kind)[0])
     return float(np.linalg.norm(a, _MAT_ORD[kind]))
 
 
@@ -63,7 +63,10 @@ def induced_norms(a: np.ndarray, kind: str = "spectral") -> np.ndarray:
     Each norm is taken with the operation induced_norm uses on one matrix:
     the same SVD or absolute sums along the same axis, and for a single row
     or column the dot product np.linalg.norm takes (a summed square would
-    round differently).
+    round differently). A row or column whose largest entry lies outside
+    SAFE_SCALE is scaled by a power of two first, so that its dot product
+    neither overflows nor underflows; in-range ones keep sqrt(v . v) bit for
+    bit.
     """
     a = np.asarray(a, dtype=float)
     count, rows, cols = a.shape
@@ -73,7 +76,21 @@ def induced_norms(a: np.ndarray, kind: str = "spectral") -> np.ndarray:
         raise NonFinite("matrix contains non-finite entries")
     if min(rows, cols) == 1 and kind == "spectral":
         v = a.reshape(count, 1, rows * cols)
-        return np.sqrt(v @ v.transpose(0, 2, 1))[:, 0, 0]
+        with np.errstate(over="ignore", under="ignore"):  # such rows are redone below
+            squares = (v @ v.transpose(0, 2, 1))[:, 0, 0]
+        norms = np.sqrt(squares)
+        # a sum of k squares lies in this range only if the largest entry is
+        # inside SAFE_SCALE: the sum is at least the largest square and at
+        # most k times it, within rounding
+        low, high = 2.0 * rows * cols * SAFE_SCALE[0] ** 2, SAFE_SCALE[1] ** 2
+        if squares.min(initial=np.inf) > low and squares.max(initial=0.0) < high:
+            return norms
+        top = np.abs(v).max(axis=(1, 2))
+        outside = np.flatnonzero((top <= SAFE_SCALE[0]) | (top >= SAFE_SCALE[1]))
+        exponent = np.frexp(top[outside])[1]
+        w = np.ldexp(v[outside], -exponent[:, None, None])
+        norms[outside] = np.ldexp(np.sqrt(w @ w.transpose(0, 2, 1))[:, 0, 0], exponent)
+        return norms
     return np.linalg.norm(a, _MAT_ORD[kind], axis=(1, 2))
 
 
@@ -99,18 +116,18 @@ def max_induced_norm(a: np.ndarray, kind: str = "spectral", floor: float = 0.0) 
     if kind == "spectral" and min(rows, cols) > 1 and count:
         if not np.all(np.isfinite(a)):
             raise NonFinite("matrix contains non-finite entries")
-        # entries as (r, c, N): every reduction below runs along whole stacks
-        t = np.ascontiguousarray(np.moveaxis(a, 0, -1))
-        mag = np.abs(t)
+        # |entries| as (r, c, N): every reduction below runs along whole
+        # stacks, and the one copy is squared in place once the sums are taken
+        mag = np.abs(np.moveaxis(a, 0, -1), order="C")
         top = mag.max(axis=(0, 1))
         bounded = (top > SAFE_SCALE[0]) & (top < SAFE_SCALE[1])
         # the bounds of unbounded matrices may overflow; they are not used
         with np.errstate(over="ignore", under="ignore"):
-            squares = t * t
+            one_inf = np.sqrt(mag.sum(axis=0).max(axis=0) * mag.sum(axis=1).max(axis=0))
+            squares = np.square(mag, out=mag)
             row_sq, col_sq = squares.sum(axis=1), squares.sum(axis=0)
             lower = np.sqrt(np.maximum(row_sq.max(axis=0), col_sq.max(axis=0)))
-            upper = np.minimum(np.sqrt(row_sq.sum(axis=0)),
-                               np.sqrt(mag.sum(axis=0).max(axis=0) * mag.sum(axis=1).max(axis=0)))
+            upper = np.minimum(np.sqrt(row_sq.sum(axis=0)), one_inf)
         best = max(floor, lower[bounded].max(initial=-np.inf))
         a = a[~bounded | (upper * (1.0 + PRUNE_MARGIN) >= best)]
     norms = induced_norms(a, kind)

@@ -32,9 +32,11 @@ DEFAULT_ROOT_TOL = 1e-10
 DEFAULT_ALPHA_SAMPLES = 401
 
 # points per batched pass of the reduced map. Every residual and Jacobian
-# call holds a few (N, n) arrays per point stack: unchunked, the 60,551-node
-# trace benchmark peaked at 44.6 MB against 33.2 MB for the per-point loop,
-# while chunks of 401 to 4,096 points peaked at 34.6-34.8 MB
+# call holds a few (N, n) arrays per point stack, and the Newton solve keeps
+# the (N, n) states and (N, k) residuals of each row's last evaluation for
+# the lift: unchunked, the 60,551-node trace benchmark peaked at 44.6 MB
+# against 33.2 MB for the per-point loop, while chunks of 401 to 4,096
+# points peaked at 34.6-34.8 MB
 CHUNK_ROWS = 4096
 
 _EPS = float(np.finfo(float).eps)
@@ -54,19 +56,28 @@ def solve_phi_many(
     tol: float = 1e-12,
     max_iters: int = 50,
     max_backtracks: int = 30,
-) -> tuple[np.ndarray, dict[int, Exception]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
     """solve_phi at each row of alpha (N, q) and lam (N, m), in lockstep.
 
-    Row i is seeded at beta_init[i] (default beta0). Returns beta (N, n-q)
-    and {row: the error solve_phi raises there} for the rows that failed.
+    Row i is seeded at beta_init[i] (default beta0). Returns beta (N, n-q),
+    the states x (N, n) and full residuals (N, k) of each row's last
+    residual evaluation, which for a solved row is at its beta (see
+    damped_newton_many), and {row: the error solve_phi raises there} for
+    the rows that failed.
     """
     seeds = np.broadcast_to(ss.beta0 if beta_init is None else beta_init,
                             (len(alpha), ss.n_perp))
+    x, full = np.empty((len(alpha), ss.decomp.n)), np.empty((len(alpha), ss.sys.k))
+
+    def residual(B, rows):
+        x[rows], full[rows], range_part = ss.lifted_many(alpha[rows], B, lam[rows])
+        return range_part
+
     beta, errors = damped_newton_many(
-        lambda B, rows: ss.evaluator_many(alpha[rows], B, lam[rows]),
-        lambda B, rows: ss.jac_perp_many(alpha[rows], B, lam[rows]),
+        residual, lambda B, rows: ss.jac_perp_many(alpha[rows], B, lam[rows]),
         seeds, tol, max_iters, max_backtracks)
-    return beta, {i: _range_error(exc, alpha[i], lam[i]) for i, exc in sorted(errors.items())}
+    return beta, x, full, {i: _range_error(exc, alpha[i], lam[i])
+                           for i, exc in sorted(errors.items())}
 
 
 def solve_phi(
@@ -88,8 +99,8 @@ def solve_phi(
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     seed = None if beta_init is None else np.asarray(beta_init, dtype=float).reshape(1, -1)
-    beta, errors = solve_phi_many(ss, alpha[None], lam[None], seed, tol, max_iters,
-                                  max_backtracks)
+    beta, _, _, errors = solve_phi_many(ss, alpha[None], lam[None], seed, tol, max_iters,
+                                        max_backtracks)
     if errors:
         raise errors[0]
     return beta[0]
@@ -192,21 +203,18 @@ class ReducedMap:
     def _batch(self, alpha, lam) -> ReducedBatch:
         return self._lift(alpha, lam, *self._solve(alpha, lam))
 
-    def _solve(self, alpha, lam, seeds=None) -> tuple[np.ndarray, dict[int, Exception]]:
+    def _solve(
+        self, alpha, lam, seeds=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
         return solve_phi_many(self.ss, alpha, lam, seeds, self.newton_tol, self.max_iters,
                               self.max_backtracks)
 
-    def _lift(self, alpha, lam, beta, errors) -> ReducedBatch:
-        """The full states, residuals and g of the solved rows; failed rows hold NaN."""
-        ss = self.ss
-        solved = np.ones(len(alpha), dtype=bool)
-        solved[list(errors)] = False
-        beta[~solved] = np.nan
-        x = ss.states(alpha, beta)
-        full = np.full((len(alpha), ss.sys.k), np.nan)
-        full[solved] = ss.sys.residuals(x[solved], lam[solved])
+    def _lift(self, alpha, lam, beta, x, full, errors) -> ReducedBatch:
+        """g and the residual norms of the solved rows from their solve; failed rows hold NaN."""
+        failed = list(errors)
+        beta[failed] = x[failed] = full[failed] = np.nan
         return ReducedBatch(alpha=alpha, lam=lam, beta=beta, x=x,
-                            g=(ss.decomp.Wperp.T[None] @ full[:, :, None])[..., 0],
+                            g=(self.ss.decomp.Wperp.T[None] @ full[:, :, None])[..., 0],
                             residual_full=row_norms(full), errors=errors)
 
 

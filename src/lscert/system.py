@@ -352,6 +352,11 @@ def damped_newton_many(
     1/2, 1/4, ... whose residual norm is finite and strictly smaller. Every
     row follows the iterates it would follow alone, bit for bit.
 
+    A row is never evaluated again once it has converged, so the last
+    residual call that held a solved row was made at the iterate returned
+    for it, with the same floats: a caller may keep what that call computed
+    at the row instead of evaluating there again.
+
     Returns the final iterates and {row: error} for the rows that failed:
     SingularNewtonSystem when the row's linear solve fails, NewtonDiverged
     when no step descends within max_backtracks or its residual is still

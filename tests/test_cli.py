@@ -85,6 +85,25 @@ def test_reports_are_deterministic_and_match_golden(tmp_path, monkeypatch):
         assert texts[0] == (GOLDEN / golden).read_text(encoding="utf-8"), config
 
 
+CSV_GOLDEN_CASES = (
+    ("trace", "tanh2_trace.json", "tanh2_trace.csv"),
+    ("trace", "cubic_trace.json", "cubic_trace.csv"),
+    ("reduce", "tanh2_reduce.json", "tanh2_reduce.csv"),
+)
+
+
+def test_trace_and_reduce_csvs_are_deterministic_and_match_golden(tmp_path, capsys):
+    for command, config, golden in CSV_GOLDEN_CASES:
+        runs = []
+        for i in range(2):
+            out = tmp_path / f"{golden}.run{i}"
+            assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1], config
+        assert runs[0] == (GOLDEN / golden).read_bytes(), config
+    capsys.readouterr()
+
+
 def test_builtin_and_expression_models_agree_bitwise(tmp_path):
     # the expression evaluator mirrors the builtin arithmetic operation for
     # operation, so even sampled deviation estimates match bit for bit; the

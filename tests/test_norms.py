@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from lscert import NonFinite
 from lscert import norms
-from lscert.norms import NORM_KINDS, induced_norms, max_induced_norm
+from lscert.norms import NORM_KINDS, SAFE_SCALE, induced_norm, induced_norms, max_induced_norm
 
 
 def full_maximum(stack, kind, floor):
@@ -49,7 +51,6 @@ def stacks(draw):
 @settings(max_examples=300, deadline=None)
 @given(stacks(), st.sampled_from(NORM_KINDS),
        st.sampled_from(["none", "zero", "below", "ulp_below", "at", "ulp_above", "above"]))
-@np.errstate(over="ignore")  # a huge row's 2-norm overflows to inf, as induced_norm's does
 def test_pruned_maximum_equals_the_full_maximum_bitwise(stack, kind, where):
     top = float(induced_norms(stack, kind).max())
     floor = {"none": -np.inf, "zero": 0.0, "below": 0.5 * top,
@@ -125,3 +126,38 @@ def test_only_the_matrices_that_can_hold_the_maximum_get_the_svd(monkeypatch):
 def test_empty_stacks_and_shapes_give_the_floor_or_zero():
     assert max_induced_norm(np.empty((0, 3, 3)), "spectral", 0.25) == 0.25
     assert max_induced_norm(np.empty((4, 0, 3)), "spectral", -np.inf) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("scale", [1e160, 1e170, 1e-170])
+def test_a_row_or_column_outside_the_safe_scale_has_a_finite_norm(shape, scale):
+    # its sum of squares over- or underflows; the spectral norm does not
+    a = np.array([3.0, 4.0]).reshape(shape) * scale
+    assert induced_norm(a) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+    assert induced_norms(a[None])[0] == induced_norm(a)
+    assert max_induced_norm(a[None]) == induced_norm(a)
+
+
+@st.composite
+def vector_stacks(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count, size = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    # each row its own scale: in range, at either end of SAFE_SCALE, past it
+    # by a little or a lot, subnormal, or zero
+    scales = rng.choice([1.0, 1e-149, 1e149, 1e-150, 1e150, 1e-151, 1e151, 1e-170, 1e170,
+                         1e-300, 1e300, 1e-320, 0.0], size=count)
+    v = rng.standard_normal((count, size)) * scales[:, None]
+    return v.reshape(count, size, 1) if draw(st.booleans()) else v.reshape(count, 1, size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_stacks())
+def test_rows_in_the_safe_scale_keep_the_dot_product_bits(stack):
+    got = induced_norms(stack)
+    for norm, v in zip(got.tolist(), stack.reshape(len(stack), -1)):
+        top = float(np.abs(v).max())
+        if SAFE_SCALE[0] < top < SAFE_SCALE[1]:
+            assert norm == float(np.sqrt(v @ v))
+        else:
+            assert norm == pytest.approx(math.hypot(*v.tolist()), rel=1e-15, abs=0.0)
+        assert norm == induced_norm(v.reshape(stack.shape[1:]))

@@ -115,6 +115,54 @@ def test_reduced_map_does_not_depend_on_call_history():
     assert rm.g([0.0], [0.5]).tobytes() == fresh.tobytes()
 
 
+def test_one_residual_evaluation_per_node_when_every_solve_converges_at_its_seed():
+    # by the swap symmetry of tanh2 every range solve converges at beta0, so
+    # the evaluation that checks the seed also gives g and the lifted residual
+    base = lscert.builtin_model("tanh2")
+    rows = []
+
+    def fun_many(X, Lam):
+        rows.append(len(X))
+        return base.fun_many(X, Lam)
+
+    counted = dataclasses.replace(base, fun_many=fun_many)
+    ss = build_split_system(counted, lscert.evaluation_point(counted, [0.0, 0.0], [1.0]))
+    rm = ReducedMap(ss)
+    rows.clear()
+    g, errors = rm.g_grid(np.linspace(-1.6, 1.6, 41)[:, None], np.linspace(0.5, 2.0, 7)[:, None])
+    assert not errors and np.all(np.isfinite(g))
+    assert sum(rows) == 41 * 7
+    rows.clear()
+    rm.evaluate([0.3], [1.2])
+    assert rows == [1]
+
+
+def test_a_solved_row_was_last_evaluated_at_its_returned_iterate():
+    # the contract the reduced map relies on to read g off the range solve:
+    # on the cubic model some solves from beta0 backtrack and some fail
+    ss, _ = cubic_split()
+    alpha = np.tile(np.linspace(-4.0, 4.0, 41), 3)[:, None]
+    lam = np.repeat([0.5, 1.0, 2.0], 41)[:, None]
+    last, evaluations, steps = {}, np.zeros(len(alpha), int), np.zeros(len(alpha), int)
+
+    def residual(B, rows):
+        last.update((int(r), b.copy()) for r, b in zip(rows, B))
+        evaluations[rows] += 1
+        return ss.evaluator_many(alpha[rows], B, lam[rows])
+
+    def jacobian(B, rows):
+        steps[rows] += 1
+        return ss.jac_perp_many(alpha[rows], B, lam[rows])
+
+    seeds = np.broadcast_to(ss.beta0, (len(alpha), ss.n_perp))
+    beta, errors = damped_newton_many(residual, jacobian, seeds)
+    solved = [i for i in range(len(alpha)) if i not in errors]
+    assert errors and solved
+    assert any(evaluations[i] > steps[i] + 1 for i in solved)  # some took a shortened step
+    for i in solved:
+        assert last[i].tobytes() == beta[i].tobytes()
+
+
 # --- series coefficients and classification ------------------------------------
 
 
