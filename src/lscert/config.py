@@ -373,7 +373,7 @@ def _compile_override(source: str, path: str, names: tuple[str, ...]):
     values = _expr.compile_values(asts, ((), names))
 
     def fn(*radii: float) -> float:
-        return float(values([], [float(r) for r in radii])[0])
+        return float(values(np.empty((1, 0)), np.array([radii], dtype=float))[0, 0])
 
     return fn
 

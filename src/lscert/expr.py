@@ -13,19 +13,18 @@ State variables are x1..xn and parameters l1..lm by default; callers may
 supply other names (the analytic-override expressions use rpar/rperp or
 rx/ry). Exponents are nonnegative integer literals only.
 
-Each component list is compiled once into closure trees, one walker per
-number type. `compile_values` walks Python floats, or stacks of them: plain
-evaluation, which is kink-safe, as the closed-form override hooks and the
-residuals need. `compile_duals` walks first-order dual numbers over a stack
-of points and returns the component values together with both Jacobian
-blocks in one pass; it rejects abs/min/max within 1e-12 of their kinks
-because the derivative is not defined there. Each row of either batched
-walker is bit for bit what the per-point walk gives: + - * / run
-vectorised, and powers and one-argument functions make the per-point
-walk's own `math` call on each element, mapped over the stack from C
-(PerElement). `eval_values`,
-`eval_dual` (one point) and `eval_dual_many` compile and evaluate in one
-call.
+Each component list is compiled once into closure trees over stacks of
+points, one walker per number type. `compile_values` walks floats: plain
+evaluation, which is kink-safe, as the residuals and the closed-form
+override hooks need. `compile_duals` walks first-order dual numbers and
+returns the component values together with both Jacobian blocks in one
+pass; it rejects abs/min/max within 1e-12 of their kinks because the
+derivative is not defined there. Each row of either walker is bit for bit
+what a per-point walk over Python floats gives: + - * / run vectorised,
+and powers and one-argument functions make the per-point walk's own `math`
+call on each element, mapped over the stack from C (PerElement).
+`eval_values`, `eval_dual` (one point, row 0 of a one-point stack) and
+`eval_dual_many` compile and evaluate in one call.
 """
 
 from __future__ import annotations
@@ -452,12 +451,12 @@ def _variable(nd: StateVar | ParamVar):
     return lambda xs, ls: ls[i]
 
 
-def _float_tree(nd: Node, names, batched: bool = False):
-    """`nd` as a closure f(xs, ls) over lists of Python floats; kink-safe.
+def _float_tree(nd: Node, names):
+    """`nd` as a closure f(xs, ls) over lists of (N,) float arrays; kink-safe.
 
-    batched: the lists hold (N,) float arrays, one entry per point. + - * /
-    run vectorised, which is IEEE-exact, so each row is the per-point value
-    bit for bit; min/max select as Python's min/max do, and powers and
+    Each list holds one array per variable, one entry per point. + - * /
+    run vectorised, which is IEEE-exact, so each row is the per-point float
+    value bit for bit; min/max select as Python's min/max do, and powers and
     one-argument functions go through the per-point float function per
     element (see PerElement).
     """
@@ -467,10 +466,10 @@ def _float_tree(nd: Node, names, batched: bool = False):
     if isinstance(nd, (StateVar, ParamVar)):
         return _variable(nd)
     if isinstance(nd, Neg):
-        fa = _float_tree(nd.arg, names, batched)
+        fa = _float_tree(nd.arg, names)
         return lambda xs, ls: -fa(xs, ls)
     if isinstance(nd, Binary):
-        fa, fb = _float_tree(nd.left, names, batched), _float_tree(nd.right, names, batched)
+        fa, fb = _float_tree(nd.left, names), _float_tree(nd.right, names)
         if nd.op == "+":
             return lambda xs, ls: fa(xs, ls) + fb(xs, ls)
         if nd.op == "-":
@@ -480,15 +479,12 @@ def _float_tree(nd: Node, names, batched: bool = False):
 
         def divide(xs, ls):
             a, b = fa(xs, ls), fb(xs, ls)
-            if np.any(b == 0.0) if batched else b == 0.0:
+            if np.any(b == 0.0):
                 raise _domain_error(nd, names, "division by zero")
             return a / b
         return divide
     if isinstance(nd, Func) and nd.name in BINARY_FUNCTIONS:
-        fa, fb = (_float_tree(arg, names, batched) for arg in nd.args)
-        if not batched:
-            pick = min if nd.name == "min" else max
-            return lambda xs, ls: pick(fa(xs, ls), fb(xs, ls))
+        fa, fb = (_float_tree(arg, names) for arg in nd.args)
         # min(a, b) is b only where b < a, max(a, b) only where b > a
         beats = np.less if nd.name == "min" else np.greater
 
@@ -496,11 +492,9 @@ def _float_tree(nd: Node, names, batched: bool = False):
             a, b = fa(xs, ls), fb(xs, ls)
             return np.where(beats(b, a), b, a)
         return select
-    fa = _float_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names, batched)
+    fa = _float_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names)
     value = _value_fn(nd, names)
-    if batched:
-        return lambda xs, ls: value(np.atleast_1d(fa(xs, ls)))
-    return lambda xs, ls: value.one(fa(xs, ls))
+    return lambda xs, ls: value(np.atleast_1d(fa(xs, ls)))
 
 
 def _dual_tree(nd: Node, names, zero: np.ndarray):
@@ -597,24 +591,17 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
     return chain
 
 
-def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ...]],
-                   batched: bool = False):
-    """All components as one function values(xs, ls) of Python float lists.
+def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ...]]):
+    """All components as one function values(X, Lam) over a stack of points.
 
-    Returns the (k,) component values; raises NonFinite if any is not finite.
-    batched: values(X, Lam) takes float arrays X (N, n) and Lam (N, m) and
-    returns (N, k), each row bit for bit the per-point values. When several
-    points fail, the error reported need not be the first failing point.
+    X (N, n) and Lam (N, m) are float arrays. Returns the (N, k) component
+    values, each row bit for bit the per-point values; raises NonFinite if
+    any is not finite. When several points fail, the error reported need not
+    be the first failing point.
     """
-    trees = [_float_tree(ast, names, batched) for ast in asts]
+    trees = [_float_tree(ast, names) for ast in asts]
 
-    def values(xs: list[float], ls: list[float]) -> np.ndarray:
-        vals = np.array([tree(xs, ls) for tree in trees], dtype=float)
-        if not np.isfinite(vals).all():
-            raise NonFinite("expression evaluation produced a non-finite value")
-        return vals
-
-    def values_many(X: np.ndarray, Lam: np.ndarray) -> np.ndarray:
+    def values(X: np.ndarray, Lam: np.ndarray) -> np.ndarray:
         xs, ls = list(X.T), list(Lam.T)
         vals = np.empty((len(X), len(trees)))
         # overflow and NaN propagate as in float arithmetic and are caught below
@@ -625,7 +612,7 @@ def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ..
             raise NonFinite("expression evaluation produced a non-finite value")
         return vals
 
-    return values_many if batched else values
+    return values
 
 
 def compile_duals(asts: list[Node], n: int, m: int,
@@ -700,8 +687,11 @@ def eval_values(
     lam: np.ndarray = (),
     names: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
 ) -> np.ndarray:
-    """Plain float evaluation of all components (no derivatives, kink-safe)."""
+    """Plain float evaluation of all components (no derivatives, kink-safe).
+
+    Returns the (k,) component values: row 0 of compile_values on a one-point stack.
+    """
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
     values = compile_values(asts, names or default_names(x.size, lam.size))
-    return values(x.tolist(), lam.tolist())
+    return values(x[None], lam[None])[0]

@@ -29,10 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LscertError, NewtonDiverged, NonFinite, SingularDyf, SingularNewtonSystem
+from .errors import LscertError, NonFinite, SingularDyf
 from .norms import check_norm_kind, induced_norm, inverse_norm, max_induced_norm, vector_norm
 from .sampling import ball_points, max_over
-from .system import damped_newton, fd_jacobians
+from .system import damped_newton_many, fd_jacobians
 
 DEFAULT_SAMPLES_PER_DIM = 17
 
@@ -455,23 +455,6 @@ def certify_region(
     return certify_grid(q, r_x_grid, r_y_grid), q
 
 
-def newton_solve_y(
-    f: SplitFunction,
-    x: np.ndarray,
-    y_start: np.ndarray,
-    target: np.ndarray,
-    tol: float = 1e-12,
-    max_iters: int = 50,
-    max_backtracks: int = 30,
-) -> np.ndarray | None:
-    """Damped Newton in y for f(x, y) = target; None when it stalls."""
-    try:
-        return damped_newton(lambda y: f.value(x, y) - target, lambda y: f.dy(x, y),
-                             y_start, tol, max_iters, max_backtracks)
-    except (SingularNewtonSystem, NewtonDiverged):
-        return None
-
-
 @dataclass(frozen=True)
 class WitnessResult:
     converged: int
@@ -494,25 +477,26 @@ def witness_check(
 
     Solves f(x, y) = f(x0, y0) by Newton from y0 at fixed-seed random x in
     B(x0, r_x) and reports whether every solve converged with
-    ||y - y0|| < r_y.
+    ||y - y0|| < r_y. The samples are drawn first and then solved in one
+    lockstep Newton; each converges or fails as it would alone.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     target = f.value(x0, y0)
     rng = np.random.default_rng(seed)
-    converged = 0
-    max_norm = 0.0
-    for _ in range(n_samples):
+    xs = np.empty((n_samples, x0.size))
+    for i in range(n_samples):
         # rejection sample the unit ball of the chosen norm, then scale
         while True:
             u = rng.uniform(-1.0, 1.0, size=x0.size)
             if vector_norm(u, norm_kind) <= 1.0:
                 break
-        x = x0 + r_x * u
-        y = newton_solve_y(f, x, y0, target)
-        if y is None:
-            continue
-        converged += 1
-        max_norm = max(max_norm, vector_norm(y - y0, norm_kind))
-    ok = converged == n_samples and max_norm < r_y
-    return WitnessResult(converged=converged, total=n_samples, max_y_norm=max_norm, ok=ok)
+        xs[i] = x0 + r_x * u
+    ys, errors = damped_newton_many(
+        lambda Y, rows: np.array([f.value(xs[i], y) for i, y in zip(rows, Y)]) - target,
+        lambda Y, rows: f.dy_many(xs[rows], Y),
+        np.broadcast_to(y0, (n_samples, f.n_y)))
+    norms = [vector_norm(y - y0, norm_kind) for i, y in enumerate(ys) if i not in errors]
+    max_norm = max(norms, default=0.0)
+    ok = len(norms) == n_samples and max_norm < r_y
+    return WitnessResult(converged=len(norms), total=n_samples, max_y_norm=max_norm, ok=ok)

@@ -15,7 +15,6 @@ from .errors import NonFinite, SingularDyf
 
 NORM_KINDS = ("spectral", "one", "infinity")
 
-_VEC_ORD = {"spectral": 2, "one": 1, "infinity": np.inf}
 _MAT_ORD = {"spectral": 2, "one": 1, "infinity": np.inf}
 
 COND_LIMIT = 1e14
@@ -36,37 +35,36 @@ def check_norm_kind(kind: str) -> str:
 
 
 def vector_norm(v: np.ndarray, kind: str = "spectral") -> float:
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        return 0.0
-    return float(np.linalg.norm(v.ravel(), _VEC_ORD[kind]))
+    """Norm of v of the given kind: row 0 of induced_norms on v as one column.
+
+    A column's induced 2-, 1- and infinity-norms are its vector norms, and
+    induced_norms keeps the 2-norm finite where a sum of squares would over-
+    or underflow.
+    """
+    return float(induced_norms(np.asarray(v, dtype=float).reshape(1, -1, 1), kind)[0])
 
 
 def induced_norm(a: np.ndarray, kind: str = "spectral") -> float:
-    """Operator norm of a matrix in the induced sense for the given kind."""
+    """Operator norm of a matrix in the induced sense for the given kind.
+
+    Row 0 of induced_norms on a one-matrix stack; a 1-D a is read as one row.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    if a.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(a)):
-        raise NonFinite("matrix contains non-finite entries")
-    if min(a.shape) == 1 and kind == "spectral":
-        # spectral norm of a single row or column is the Euclidean vector norm
-        return float(induced_norms(a[None], kind)[0])
-    return float(np.linalg.norm(a, _MAT_ORD[kind]))
+    return float(induced_norms(a[None], kind)[0])
 
 
 def induced_norms(a: np.ndarray, kind: str = "spectral") -> np.ndarray:
-    """induced_norm of each matrix in a stack of shape (N, r, c), bit for bit.
+    """Induced norm of each matrix in a stack of shape (N, r, c).
 
-    Each norm is taken with the operation induced_norm uses on one matrix:
+    Each norm is taken with the operation np.linalg.norm uses on one matrix:
     the same SVD or absolute sums along the same axis, and for a single row
-    or column the dot product np.linalg.norm takes (a summed square would
-    round differently). A row or column whose largest entry lies outside
-    SAFE_SCALE is scaled by a power of two first, so that its dot product
-    neither overflows nor underflows; in-range ones keep sqrt(v . v) bit for
-    bit.
+    or column the dot product it takes for a vector's 2-norm (a summed
+    square would round differently). A row or column whose largest entry
+    lies outside SAFE_SCALE is scaled by a power of two first, so that its
+    dot product neither overflows nor underflows; in-range ones keep
+    sqrt(v . v) bit for bit.
     """
     a = np.asarray(a, dtype=float)
     count, rows, cols = a.shape

@@ -48,38 +48,6 @@ def _range_error(exc: Exception, alpha: np.ndarray, lam: np.ndarray) -> Exceptio
     return err
 
 
-def solve_phi_many(
-    ss: SplitSystem,
-    alpha: np.ndarray,
-    lam: np.ndarray,
-    beta_init: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iters: int = 50,
-    max_backtracks: int = 30,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
-    """solve_phi at each row of alpha (N, q) and lam (N, m), in lockstep.
-
-    Row i is seeded at beta_init[i] (default beta0). Returns beta (N, n-q),
-    the states x (N, n) and full residuals (N, k) of each row's last
-    residual evaluation, which for a solved row is at its beta (see
-    damped_newton_many), and {row: the error solve_phi raises there} for
-    the rows that failed.
-    """
-    seeds = np.broadcast_to(ss.beta0 if beta_init is None else beta_init,
-                            (len(alpha), ss.n_perp))
-    x, full = np.empty((len(alpha), ss.decomp.n)), np.empty((len(alpha), ss.sys.k))
-
-    def residual(B, rows):
-        x[rows], full[rows], range_part = ss.lifted_many(alpha[rows], B, lam[rows])
-        return range_part
-
-    beta, errors = damped_newton_many(
-        residual, lambda B, rows: ss.jac_perp_many(alpha[rows], B, lam[rows]),
-        seeds, tol, max_iters, max_backtracks)
-    return beta, x, full, {i: _range_error(exc, alpha[i], lam[i])
-                           for i, exc in sorted(errors.items())}
-
-
 def solve_phi(
     ss: SplitSystem,
     alpha,
@@ -96,14 +64,7 @@ def solve_phi(
     NewtonDiverged when the iteration budget runs out above tolerance; both
     messages name alpha and lambda.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    seed = None if beta_init is None else np.asarray(beta_init, dtype=float).reshape(1, -1)
-    beta, _, _, errors = solve_phi_many(ss, alpha[None], lam[None], seed, tol, max_iters,
-                                        max_backtracks)
-    if errors:
-        raise errors[0]
-    return beta[0]
+    return ReducedMap(ss, tol, max_iters, max_backtracks).phi(alpha, lam, beta_init)
 
 
 @dataclass(frozen=True)
@@ -142,7 +103,7 @@ class ReducedMap:
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))[None]
         lam = np.atleast_1d(np.asarray(lam, dtype=float))[None]
         seed = None if beta_init is None else np.reshape(beta_init, (1, -1))
-        batch = self._lift(alpha, lam, *self._solve(alpha, lam, seed))
+        batch = self._batch(alpha, lam, seed)
         if batch.errors:
             raise batch.errors[0]
         return batch.point(0)
@@ -200,22 +161,31 @@ class ReducedMap:
                 raise
             yield rows, part
 
-    def _batch(self, alpha, lam) -> ReducedBatch:
-        return self._lift(alpha, lam, *self._solve(alpha, lam))
+    def _batch(self, alpha, lam, seeds=None) -> ReducedBatch:
+        """The reduced map at each row of alpha (N, q) and lam (N, m), solved in lockstep.
 
-    def _solve(
-        self, alpha, lam, seeds=None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
-        return solve_phi_many(self.ss, alpha, lam, seeds, self.newton_tol, self.max_iters,
-                              self.max_backtracks)
+        Row i is seeded at seeds[i] (default beta0). g and the lifted
+        residual norm come from each row's last residual evaluation, which
+        for a solved row is at its beta (see damped_newton_many); failed
+        rows hold NaN, and their errors name alpha and lambda.
+        """
+        ss = self.ss
+        x, full = np.empty((len(alpha), ss.decomp.n)), np.empty((len(alpha), ss.sys.k))
 
-    def _lift(self, alpha, lam, beta, x, full, errors) -> ReducedBatch:
-        """g and the residual norms of the solved rows from their solve; failed rows hold NaN."""
-        failed = list(errors)
+        def residual(B, rows):
+            x[rows], full[rows], range_part = ss.lifted_many(alpha[rows], B, lam[rows])
+            return range_part
+
+        beta, errors = damped_newton_many(
+            residual, lambda B, rows: ss.jac_perp_many(alpha[rows], B, lam[rows]),
+            np.broadcast_to(ss.beta0 if seeds is None else seeds, (len(alpha), ss.n_perp)),
+            self.newton_tol, self.max_iters, self.max_backtracks)
+        failed = sorted(errors)
         beta[failed] = x[failed] = full[failed] = np.nan
         return ReducedBatch(alpha=alpha, lam=lam, beta=beta, x=x,
-                            g=(self.ss.decomp.Wperp.T[None] @ full[:, :, None])[..., 0],
-                            residual_full=row_norms(full), errors=errors)
+                            g=(ss.decomp.Wperp.T[None] @ full[:, :, None])[..., 0],
+                            residual_full=row_norms(full),
+                            errors={i: _range_error(errors[i], alpha[i], lam[i]) for i in failed})
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import NonFinite
-from .norms import vector_norm
+from .norms import induced_norms
 
 
 def _lattice_sizes(samples_per_dim: int) -> list[int]:
@@ -78,15 +78,14 @@ def ball_points(
         step[i] = radius * w[i]
         boundary.append(center + step)
         boundary.append(center - step)
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            u = np.zeros(dim)
-            u[i], u[j] = 1.0, -1.0
-            u = u / vector_norm(u, norm_kind)
-            boundary.append(center + radius * (w * u))
     chunks.append(np.array(boundary))
+    # the directions e_i - e_j, i != j in row-major order, scaled to unit
+    # norm by one batched call: row k's norm is vector_norm of direction k
+    eye = np.eye(dim)
+    i, j = np.nonzero(eye == 0.0)
+    u = eye[i] - eye[j]
+    u /= induced_norms(u[:, :, None], norm_kind)[:, None]
+    chunks.append(center + radius * (w * u))
     points = np.concatenate(chunks, axis=0)
     rows = points.view(np.dtype((np.void, points.itemsize * dim)))[:, 0]
     _, first = np.unique(rows, return_index=True)

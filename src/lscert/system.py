@@ -63,17 +63,11 @@ class ParametricSystem:
 
     def phi(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """The residual at one point: row 0 of residuals."""
-        x, lam = self._check(x, lam)
-        return self.residuals(x[None], lam[None])[0]
+        return self.residuals(*_one_point(x, lam))[0]
 
     def residuals(self, X: np.ndarray, Lam: np.ndarray) -> np.ndarray:
         """The residual at each row of X (N, n) and Lam (N, m), shape (N, k)."""
-        X, Lam = np.asarray(X, dtype=float), np.asarray(Lam, dtype=float)
-        for what, Z, width in (("state", X, self.n), ("parameter", Lam, self.m)):
-            if Z.ndim != 2 or Z.shape[1:] != (width,):
-                raise DimensionMismatch(f"{what} has shape {Z.shape[1:]}, expected ({width},)")
-        if len(Lam) != len(X):
-            raise DimensionMismatch(f"{len(X)} states but {len(Lam)} parameters")
+        X, Lam = self._stacks(X, Lam)
         out = self.fun_many(X, Lam)
         if out.shape != (len(X), self.k):
             raise DimensionMismatch(f"batched residuals have shape {out.shape}, "
@@ -81,27 +75,19 @@ class ParametricSystem:
         return out
 
     def dphi_dx(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self._at_point(x, lam)[0]
+        """The state Jacobian block at one point: row 0 of jacobians."""
+        return self.jacobians(*_one_point(x, lam))[0][0]
 
     def dphi_dlambda(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self._at_point(x, lam)[1]
+        """The parameter Jacobian block at one point: row 0 of jacobians."""
+        return self.jacobians(*_one_point(x, lam))[1][0]
 
     def jacobians(self, X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both Jacobian blocks at each row of X (N, n) and Lam (N, m).
 
-        Returns (N, k, n) and (N, k, m) arrays. dphi_dx and dphi_dlambda
-        are row 0 of a one-point call.
+        Returns (N, k, n) and (N, k, m) arrays.
         """
-        X = np.asarray(X, dtype=float).reshape(-1, self.n)
-        return self._batched(X, np.asarray(Lam, dtype=float).reshape(len(X), self.m))
-
-    def _at_point(self, x, lam) -> tuple[np.ndarray, np.ndarray]:
-        # skips the reshapes of jacobians: every per-point Newton step comes here
-        x, lam = self._check(x, lam)
-        jx, jl = self._batched(x[None], lam[None])
-        return jx[0], jl[0]
-
-    def _batched(self, X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        X, Lam = self._stacks(X, Lam)
         jx, jl = self.jac_many(X, Lam)
         want_x, want_l = (len(X), self.k, self.n), (len(X), self.k, self.m)
         if jx.shape != want_x or jl.shape != want_l:
@@ -109,14 +95,20 @@ class ParametricSystem:
                                     f"expected {want_x} and {want_l}")
         return jx, jl
 
-    def _check(self, x, lam) -> tuple[np.ndarray, np.ndarray]:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"state has shape {x.shape}, expected ({self.n},)")
-        if lam.shape != (self.m,):
-            raise DimensionMismatch(f"parameter has shape {lam.shape}, expected ({self.m},)")
-        return x, lam
+    def _stacks(self, X, Lam) -> tuple[np.ndarray, np.ndarray]:
+        """X and Lam as float arrays, checked to be (N, n) and (N, m) point stacks."""
+        X, Lam = np.asarray(X, dtype=float), np.asarray(Lam, dtype=float)
+        for what, Z, width in (("state", X, self.n), ("parameter", Lam, self.m)):
+            if Z.ndim != 2 or Z.shape[1:] != (width,):
+                raise DimensionMismatch(f"{what} has shape {Z.shape[1:]}, expected ({width},)")
+        if len(Lam) != len(X):
+            raise DimensionMismatch(f"{len(X)} states but {len(Lam)} parameters")
+        return X, Lam
+
+
+def _one_point(x, lam) -> tuple[np.ndarray, np.ndarray]:
+    """One point as one-row stacks; a scalar is a 1-vector."""
+    return np.atleast_1d(x)[None], np.atleast_1d(lam)[None]
 
 
 @dataclass(frozen=True)
@@ -287,7 +279,7 @@ def system_from_expressions(source: str, n: int, m: int,
 
     names = _expr.default_names(n, m)
     asts = _expr.parse_components(source, n if components is None else components, *names)
-    values = _expr.compile_values(asts, names, batched=True)
+    values = _expr.compile_values(asts, names)
     duals = _expr.compile_duals(asts, n, m, names)
 
     def jac_many(X, Lam):
@@ -401,24 +393,6 @@ def damped_newton_many(
             errors[int(i)] = NewtonDiverged(
                 f"residual {rn:.3e} above tolerance {tol:g} after {max_iters} iterations")
     return Z, errors
-
-
-def damped_newton(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    z0: np.ndarray,
-    tol: float = 1e-12,
-    max_iters: int = 50,
-    max_backtracks: int = 30,
-) -> np.ndarray:
-    """damped_newton_many on one problem: returns the root or raises its error."""
-    z, errors = damped_newton_many(
-        lambda Z, rows: np.asarray(residual(Z[0]), dtype=float).reshape(1, -1),
-        lambda Z, rows: np.asarray(jacobian(Z[0]), dtype=float)[None],
-        np.asarray(z0, dtype=float).reshape(1, -1), tol, max_iters, max_backtracks)
-    if errors:
-        raise errors[0]
-    return z[0]
 
 
 def newton_full(

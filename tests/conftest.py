@@ -509,6 +509,37 @@ def per_point_damped_newton(residual, jacobian, z0, tol=1e-12, max_iters=50, max
         f"residual {rnorm:.3e} above tolerance {tol:g} after {max_iters} iterations")
 
 
+_VECTOR_ORD = {"spectral": 2, "one": 1, "infinity": np.inf}
+
+
+def per_point_witness(f, x0, y0, r_x, r_y, n_samples=100, norm_kind="spectral", seed=0):
+    """(converged, max_y_norm, ok) as the per-sample witness loop takes them.
+
+    The loop witness_check replaced, kept as it was: each sample is drawn and
+    then solved by per_point_damped_newton from y0 before the next is drawn,
+    and a singular or diverged solve counts as not converged.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    target = f.value(x0, y0)
+    rng = np.random.default_rng(seed)
+    converged, max_norm = 0, 0.0
+    for _ in range(n_samples):
+        while True:
+            u = rng.uniform(-1.0, 1.0, size=x0.size)
+            if np.linalg.norm(u, _VECTOR_ORD[norm_kind]) <= 1.0:
+                break
+        x = x0 + r_x * u
+        try:
+            y = per_point_damped_newton(lambda y: f.value(x, y) - target, lambda y: f.dy(x, y),
+                                        y0.reshape(-1))
+        except (SingularNewtonSystem, NewtonDiverged):
+            continue
+        converged += 1
+        max_norm = max(max_norm, float(np.linalg.norm(y - y0, _VECTOR_ORD[norm_kind])))
+    return converged, max_norm, converged == n_samples and max_norm < r_y
+
+
 def per_point_reduced(ss, alpha, lam):
     """(beta, x, g, residual_full) of the reduced map at one point, solved from beta0.
 

@@ -354,8 +354,7 @@ def test_mapped_calls_fall_back_per_element_where_one_raises(source, column):
     names = expr.default_names(1, 0)
     asts = expr.parse(source, 1, 0)
     X, Lam = np.array(column)[:, None], np.empty((len(column), 0))
-    for evaluate, reference in ((expr.compile_values(asts, names, batched=True),
-                                 per_point_eval_values),
+    for evaluate, reference in ((expr.compile_values(asts, names), per_point_eval_values),
                                 (expr.compile_duals(asts, 1, 0, names), per_point_eval_dual)):
         rows = [_outcome(reference, asts, x, []) for x in X]
         failed = [row for row in rows if isinstance(row[0], type)]

@@ -29,6 +29,7 @@ from lscert.system import fd_jacobians
 from conftest import (
     expr_jacobians,
     per_point_L,
+    per_point_witness,
     split_view_blocks,
     tanh2_jac_lambda,
     tanh2_jac_x,
@@ -96,6 +97,40 @@ def test_witness_confirms_certified_pairs():
     # same seed, same verdict (deterministic sampling)
     again = witness_check(parabola(), X0, Y0, 0.2, 0.3, n_samples=100, seed=0)
     assert again == w
+
+
+def _witness_case(name):
+    """(f, x0, y0, r_x, r_y) of a witness run; some of them have samples that fail."""
+    if name == "parabola":
+        return parabola(), X0, Y0, 0.2, 0.3
+    if name == "exp":
+        # exp(y) = x + 1 has no root for x <= -1
+        f = split_function(lambda x, y: np.array([np.exp(y[0]) - x[0] - 1.0]), 1, 1,
+                           jac_x=lambda x, y: np.array([[-1.0]]),
+                           jac_y=lambda x, y: np.array([[np.exp(y[0])]]))
+        return f, X0, Y0, 2.0, 1.0
+    if name == "square":
+        # D_y f = 2 y vanishes at y0 = 0: every solve from it is singular
+        f = split_function(lambda x, y: np.array([y[0] ** 2 - x[0]]), 1, 1,
+                           jac_x=lambda x, y: np.array([[-1.0]]),
+                           jac_y=lambda x, y: np.array([[2.0 * y[0]]]))
+        return f, X0, Y0, 2.0, 1.0
+    f, x0, y0, _, _, ((r_x, r_y), *_), _, _ = _sampler_case(name)
+    # away from the base y0 the solutions move with x
+    return f, x0, y0 + np.linspace(-0.3, 0.2, len(y0)), r_x, r_y
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("norm_kind", NORM_KINDS)
+@pytest.mark.parametrize("name", ["parabola", "exp", "square", "tanh2", "ring4-ls", "ring4-imft"])
+def test_witness_equals_the_per_sample_loop(name, norm_kind, seed):
+    f, x0, y0, r_x, r_y = _witness_case(name)
+    w = witness_check(f, x0, y0, r_x, r_y, n_samples=40, norm_kind=norm_kind, seed=seed)
+    converged, max_norm, ok = per_point_witness(f, x0, y0, r_x, r_y, 40, norm_kind, seed)
+    assert (w.converged, w.max_y_norm.hex(), w.ok) == (converged, max_norm.hex(), ok)
+    assert w.total == 40
+    if name in ("exp", "square"):
+        assert w.converged < w.total
 
 
 def test_singular_dy_is_reported():

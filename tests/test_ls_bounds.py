@@ -108,10 +108,9 @@ def test_split_view_accepts_a_scalar_beta(tanh2_split):
     np.testing.assert_array_equal(f.value(p, 0.25), f.value(p, [0.25]))
     np.testing.assert_array_equal(f.dx(p, 0.25), f.dx(p, [0.25]))
     np.testing.assert_array_equal(f.dy(p, 0.25), f.dy(p, [0.25]))
-    target = f.value(tanh2_split.par_center, tanh2_split.beta0)
-    y = lscert.imft.newton_solve_y(f, p, 0.25, target)
-    assert y is not None
-    np.testing.assert_array_equal(y, lscert.imft.newton_solve_y(f, p, [0.25], target))
+    witness = lscert.witness_check(f, p, 0.25, 0.5, 0.5, n_samples=10)
+    assert witness.converged == 10
+    assert witness == lscert.witness_check(f, p, [0.25], 0.5, 0.5, n_samples=10)
 
 
 def test_build_rejects_non_equilibrium(tanh2_system):

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from lscert import NonFinite
 from lscert import norms
-from lscert.norms import NORM_KINDS, SAFE_SCALE, induced_norm, induced_norms, max_induced_norm
+from lscert.norms import (
+    NORM_KINDS,
+    SAFE_SCALE,
+    induced_norm,
+    induced_norms,
+    max_induced_norm,
+    vector_norm,
+)
 
 
 def full_maximum(stack, kind, floor):
@@ -136,6 +143,22 @@ def test_a_row_or_column_outside_the_safe_scale_has_a_finite_norm(shape, scale):
     assert induced_norm(a) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
     assert induced_norms(a[None])[0] == induced_norm(a)
     assert max_induced_norm(a[None]) == induced_norm(a)
+    assert vector_norm(a) == induced_norm(a)
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_one_matrix_and_one_vector_keep_numpys_bits_in_the_safe_scale(kind):
+    # both are row 0 of induced_norms; in range they are np.linalg.norm bit
+    # for bit, the dot product for a spectral row or column and a vector
+    order = {"spectral": 2, "one": 1, "infinity": np.inf}[kind]
+    rng = np.random.default_rng(909)
+    shapes = [(1, k) for k in range(1, 10)] + [(k, 1) for k in range(2, 10)] \
+        + [(2, 2), (3, 3), (2, 5), (4, 4), (5, 3), (7, 7)]
+    for rows, cols in shapes:
+        for a in rng.standard_normal((20, rows, cols)) * rng.uniform(0.1, 10.0, size=(20, 1, 1)):
+            vector = kind == "spectral" and min(rows, cols) == 1
+            assert induced_norm(a, kind) == np.linalg.norm(a.ravel() if vector else a, order)
+            assert vector_norm(a, kind) == np.linalg.norm(a.ravel(), order)
 
 
 @st.composite

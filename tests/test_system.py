@@ -155,13 +155,15 @@ def test_shape_validation_on_wrappers(tanh2_system):
         tanh2_system.phi(np.zeros(3), np.zeros(1))
     with pytest.raises(lscert.DimensionMismatch):
         tanh2_system.phi(np.zeros(2), np.zeros(2))
-    with pytest.raises(lscert.DimensionMismatch, match=r"state has shape \(3,\), expected \(2,\)"):
-        tanh2_system.residuals(np.zeros((4, 3)), np.zeros((4, 1)))
-    with pytest.raises(lscert.DimensionMismatch,
-                       match=r"parameter has shape \(2,\), expected \(1,\)"):
-        tanh2_system.residuals(np.zeros((4, 2)), np.zeros((4, 2)))
-    with pytest.raises(lscert.DimensionMismatch, match="4 states but 3 parameters"):
-        tanh2_system.residuals(np.zeros((4, 2)), np.zeros((3, 1)))
+    for stacks, message in (
+        ((np.zeros((4, 3)), np.zeros((4, 1))), r"state has shape \(3,\), expected \(2,\)"),
+        ((np.zeros((3, 4)), np.ones((6, 1))), r"state has shape \(4,\), expected \(2,\)"),
+        ((np.zeros((4, 2)), np.zeros((4, 2))), r"parameter has shape \(2,\), expected \(1,\)"),
+        ((np.zeros((4, 2)), np.zeros((3, 1))), "4 states but 3 parameters"),
+    ):
+        for method in (tanh2_system.residuals, tanh2_system.jacobians):
+            with pytest.raises(lscert.DimensionMismatch, match=message):
+                method(*stacks)
 
 
 def test_linear_model_requires_params():
