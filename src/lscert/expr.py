@@ -25,6 +25,20 @@ and powers and one-argument functions make the per-point walk's own `math`
 call on each element, mapped over the stack from C (PerElement).
 `eval_values`, `eval_dual` (one point, row 0 of a one-point stack) and
 `eval_dual_many` compile and evaluate in one call.
+
+The dual walk is demand-driven. `compile_duals` demands the values at the
+roots; the Jacobian of a DSL system (`system_from_expressions`) demands
+none, and a node then takes its value only where a derivative reads it: +
+- and negation pass the demand down, * / min max and every one-argument
+node read their operands' values, and sqrt, sech and exp take their own,
+which their slopes use. A skipped value skips no check: log and sqrt check
+their domains, abs/min/max their kinks and / its denominator, and each
+slope raises NonFinite naming its node where its math call fails, as a
+value does, at the first failing element. So the Jacobian walk gives the
+bits and the error text of the full walk, except where a value alone
+fails: at x1 = 1e103, x2 - x1^3 has finite Jacobian blocks but a value
+that overflows, and there the Jacobians are returned while the residual
+still raises NonFinite.
 """
 
 from __future__ import annotations
@@ -358,22 +372,23 @@ def sech_power(v: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class PerElement:
-    """A float function taken at each element of an array, as per-point code takes it.
+    """A float function taken at each element of a list, as per-point code takes it.
 
     `one` is the per-element function on a Python float. `mapped` makes the
-    same math calls on the same floats over a list, from C (map into
+    same math calls on the same floats over the list, from C (map into
     np.fromiter), so its results are one's bit for bit wherever none of
     those calls raises. Where one raises OverflowError or ValueError, the
     elements are replayed through `one`, which applies the limits, checks
     and error texts and raises at the first failing element. numpy's own
     tanh/cosh/exp/log/power ufuncs round differently and are never used.
+    A caller converts an array to a list once and hands that list to every
+    function it takes there.
     """
 
     one: Callable[[float], float]
     mapped: Callable[[list], np.ndarray]
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        lst = values.tolist()
+    def __call__(self, lst: list) -> np.ndarray:
         try:
             return self.mapped(lst)
         except (OverflowError, ValueError):
@@ -392,16 +407,15 @@ def _sech_powers(k: int):
 
 _tanh, _sin, _sech = _mapped(math.tanh), _mapped(math.sin), _sech_powers(1)
 
-# smooth one-argument functions: value and slope per element, through math
+# smooth one-argument functions: value and slope per element, through math;
+# the slopes of sech and exp are taken from the node's own value instead
 SMOOTH = {
     "tanh": (PerElement(math.tanh, _tanh), PerElement(lambda v: sech_power(v, 2), _sech_powers(2))),
-    "sech": (PerElement(lambda v: sech_power(v, 1), _sech),
-             PerElement(lambda v: -sech_power(v, 1) * math.tanh(v),
-                        lambda lst: -_sech(lst) * _tanh(lst))),
+    "sech": (PerElement(lambda v: sech_power(v, 1), _sech), None),
     "sin": (PerElement(math.sin, _sin), PerElement(math.cos, _mapped(math.cos))),
     "cos": (PerElement(math.cos, _mapped(math.cos)),
             PerElement(lambda v: -math.sin(v), lambda lst: -_sin(lst))),
-    "exp": (PerElement(math.exp, _mapped(math.exp)),) * 2,
+    "exp": (PerElement(math.exp, _mapped(math.exp)), None),
 }
 
 
@@ -409,39 +423,48 @@ def _domain_error(node: Node, names, head: str, tail: str = "") -> DomainError:
     return DomainError(f"{head} in '{to_source(node, *names)}'{tail}")
 
 
-def _value_fn(nd: Pow | Func, names) -> PerElement:
-    """The float function of a Pow or a one-argument Func.
+def _checked(nd: Pow | Func, names, fn: PerElement) -> PerElement:
+    """fn with math's range errors raised as NonFinite naming the node.
 
-    It checks the log and sqrt domains, and raises math's range errors as
-    NonFinite naming the node: OverflowError past the float range, and
-    ValueError for sin/cos of an argument that has already overflowed to inf.
+    That is OverflowError past the float range, and ValueError for sin/cos
+    of an argument that has already overflowed to inf, raised at the first
+    failing element. Values and slopes both go through here, so a walk that
+    skips a value fails with the same text where the slope fails.
+    """
+    def one(v: float) -> float:
+        try:
+            return fn.one(v)
+        except (OverflowError, ValueError) as exc:
+            raise NonFinite(f"overflow evaluating '{to_source(nd, *names)}'") from exc
+    return PerElement(one, fn.mapped)
+
+
+def _value_fn(nd: Pow | Func, names) -> PerElement:
+    """The float function of a Pow or a one-argument Func, checked (_checked).
+
+    It also checks the log and sqrt domains.
     """
     if isinstance(nd, Pow):
         k = nd.exponent
-        raw, mapped = (lambda v: v**k), _mapped(pow, k)
+        fn = PerElement(lambda v: v**k, _mapped(pow, k))
     elif nd.name in SMOOTH:
-        raw, mapped = SMOOTH[nd.name][0].one, SMOOTH[nd.name][0].mapped
+        fn = SMOOTH[nd.name][0]
     elif nd.name == "abs":
-        raw, mapped = abs, _mapped(abs)
+        fn = PerElement(abs, _mapped(abs))
     elif nd.name == "log":
         def raw(v: float) -> float:
             if v <= 0.0:
                 raise _domain_error(nd, names, f"log of non-positive value {v!r}")
             return math.log(v)
-        mapped = _mapped(math.log)  # raises ValueError exactly where raw checks
+        # the mapped log raises ValueError exactly where raw checks
+        fn = PerElement(raw, _mapped(math.log))
     else:
         def raw(v: float) -> float:
             if v < 0.0:
                 raise _domain_error(nd, names, f"sqrt of negative value {v!r}")
             return math.sqrt(v)
-        mapped = _mapped(math.sqrt)
-
-    def fn(v: float) -> float:
-        try:
-            return raw(v)
-        except (OverflowError, ValueError) as exc:
-            raise NonFinite(f"overflow evaluating '{to_source(nd, *names)}'") from exc
-    return PerElement(fn, mapped)
+        fn = PerElement(raw, _mapped(math.sqrt))
+    return _checked(nd, names, fn)
 
 
 def _variable(nd: StateVar | ParamVar):
@@ -494,10 +517,10 @@ def _float_tree(nd: Node, names):
         return select
     fa = _float_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names)
     value = _value_fn(nd, names)
-    return lambda xs, ls: value(np.atleast_1d(fa(xs, ls)))
+    return lambda xs, ls: value(np.atleast_1d(fa(xs, ls)).tolist())
 
 
-def _dual_tree(nd: Node, names, zero: np.ndarray):
+def _dual_tree(nd: Node, names, zero: np.ndarray, demand: bool = True):
     """`nd` as a closure f(xs, ls) over lists of (value, derivative) pairs.
 
     A pair holds N points: values (N,) and derivatives (N, n+m); constants
@@ -506,6 +529,13 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
     rounds as per-point float arithmetic does; powers and one-argument
     functions take their values through PerElement, because numpy's vectorised
     tanh/cosh/exp/log/power round differently from the math module.
+
+    `demand` says whether the caller reads the node's value. Where it does
+    not, the pair's value may be None and the node computes only what its
+    derivative needs: + - and negation pass the demand down; * / min max and
+    the argument of a one-argument node read their operands' values; sqrt,
+    sech and exp keep their own value, which their slope uses. Every check
+    runs either way.
     """
     if isinstance(nd, Const):
         pair = (np.array([nd.value]), zero)
@@ -513,25 +543,26 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
     if isinstance(nd, (StateVar, ParamVar)):
         return _variable(nd)
     if isinstance(nd, Neg):
-        fa = _dual_tree(nd.arg, names, zero)
+        fa = _dual_tree(nd.arg, names, zero, demand)
 
         def negate(xs, ls):
             v, d = fa(xs, ls)
-            return -v, -d
+            return (-v if demand else None), -d
         return negate
+    if isinstance(nd, Binary) and nd.op in "+-":
+        fa, fb = _dual_tree(nd.left, names, zero, demand), _dual_tree(nd.right, names, zero, demand)
+        op = np.add if nd.op == "+" else np.subtract
+
+        def add(xs, ls):
+            (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
+            return (op(av, bv) if demand else None), op(ad, bd)
+        return add
     if isinstance(nd, Binary):
         fa, fb = _dual_tree(nd.left, names, zero), _dual_tree(nd.right, names, zero)
-        if nd.op in "+-":
-            op = np.add if nd.op == "+" else np.subtract
-
-            def add(xs, ls):
-                (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
-                return op(av, bv), op(ad, bd)
-            return add
         if nd.op == "*":
             def multiply(xs, ls):
                 (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
-                return av * bv, ad * bv[:, None] + av[:, None] * bd
+                return (av * bv if demand else None), ad * bv[:, None] + av[:, None] * bd
             return multiply
 
         def divide(xs, ls):
@@ -551,23 +582,37 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
                 raise _domain_error(nd, names, f"{nd.name} arguments tie within {KINK_TOL:g}",
                                     "; derivative undefined at the kink")
             pick_a = (av < bv) == want_less
-            return np.where(pick_a, av, bv), np.where(pick_a[:, None], ad, bd)
+            return (np.where(pick_a, av, bv) if demand else None), np.where(pick_a[:, None], ad, bd)
         return select
     fa = _dual_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names, zero)
     value, check = _value_fn(nd, names), None
+    # the slopes of sqrt, sech and exp read the node's own value
+    own = demand or (isinstance(nd, Func) and nd.name in ("sqrt", "sech", "exp"))
+    # rule(v, lst, out, d): the derivative from the argument's value v (also
+    # as the list lst), the node's own value out (None unless own) and the
+    # argument's derivative d
     if isinstance(nd, Pow) and nd.exponent == 0:
-        rule = lambda v, out, d: zero  # x^0 is 1 with derivative 0 wherever x is
-    elif isinstance(nd, Pow) or nd.name in SMOOTH:
-        if isinstance(nd, Func):
-            slope = SMOOTH[nd.name][1]
-        else:
-            k, below = nd.exponent, _mapped(pow, nd.exponent - 1)
-            slope = PerElement(lambda v: k * v ** (k - 1), lambda lst: k * below(lst))
-        rule = lambda v, out, d: d * slope(v)[:, None]
+        rule = lambda v, lst, out, d: zero  # x^0 is 1 with derivative 0 wherever x is
+    elif isinstance(nd, Pow):
+        k, below = nd.exponent, _mapped(pow, nd.exponent - 1)
+        slope = _checked(nd, names, PerElement(lambda v: k * v ** (k - 1), lambda lst: k * below(lst)))
+        rule = lambda v, lst, out, d: d * slope(lst)[:, None]
+    elif nd.name == "exp":
+        rule = lambda v, lst, out, d: d * out[:, None]
+    elif nd.name == "sech":
+        rule = lambda v, lst, out, d: d * (-out * _tanh(lst))[:, None]
+    elif nd.name in SMOOTH:
+        slope = _checked(nd, names, SMOOTH[nd.name][1])
+        rule = lambda v, lst, out, d: d * slope(lst)[:, None]
     elif nd.name == "log":
-        rule = lambda v, out, d: d / v[:, None]
+        rule = lambda v, lst, out, d: d / v[:, None]
+
+        def check(v):
+            if (v <= 0.0).any():
+                bad = v[v <= 0.0][0].item()
+                raise _domain_error(nd, names, f"log of non-positive value {bad!r}")
     elif nd.name == "sqrt":
-        rule = lambda v, out, d: d / (2.0 * out)[:, None]
+        rule = lambda v, lst, out, d: d / (2.0 * out)[:, None]
 
         def check(v):
             if (v <= 0.0).any():
@@ -575,7 +620,7 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
                 kind = "negative value" if bad < 0 else "zero (derivative singular)"
                 raise _domain_error(nd, names, f"sqrt of {kind} {bad!r}")
     else:
-        rule = lambda v, out, d: d * np.copysign(1.0, v)[:, None]
+        rule = lambda v, lst, out, d: d * np.copysign(1.0, v)[:, None]
 
         def check(v):
             if (np.abs(v) <= KINK_TOL).any():
@@ -586,8 +631,9 @@ def _dual_tree(nd: Node, names, zero: np.ndarray):
         v, d = fa(xs, ls)
         if check is not None:
             check(v)
-        out = value(v)
-        return out, rule(v, out, d)
+        lst = v.tolist()
+        out = value(lst) if own else None
+        return out, rule(v, lst, out, d)
     return chain
 
 
@@ -616,28 +662,34 @@ def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ..
 
 
 def compile_duals(asts: list[Node], n: int, m: int,
-                  names: tuple[tuple[str, ...], tuple[str, ...]]):
+                  names: tuple[tuple[str, ...], tuple[str, ...]], with_values: bool = True):
     """All components and both Jacobian blocks as one function duals(X, Lam).
 
     X (N, n) and Lam (N, m) are float arrays. Returns (values, d_values/d_x,
     d_values/d_lambda) with shapes (N, k), (N, k, n), (N, k, m). When
     several points fail, the error reported need not be the first failing
     point in row order: the walk goes node by node over all points.
+
+    With with_values=False no value is demanded at the roots: the walk
+    computes a value only where a derivative reads it, and returns None in
+    place of the values (see the module docstring for what that changes).
     """
     total = n + m
     seeds = np.eye(total)[:, None, :]  # seeds[i] is the (1, n+m) derivative of input i
-    trees = [_dual_tree(ast, names, np.zeros((1, total))) for ast in asts]
+    trees = [_dual_tree(ast, names, np.zeros((1, total)), with_values) for ast in asts]
 
-    def duals(X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def duals(X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         xs = [(X[:, i], seeds[i]) for i in range(n)]
         ls = [(Lam[:, j], seeds[n + j]) for j in range(m)]
-        vals = np.empty((len(X), len(trees)))
+        vals = np.empty((len(X), len(trees))) if with_values else None
         jac = np.empty((len(X), len(trees), total))
         # overflow and NaN propagate as in float arithmetic and are caught below
         with np.errstate(all="ignore"):
             for row, tree in enumerate(trees):
-                vals[:, row], jac[:, row] = tree(xs, ls)
-        if not (np.isfinite(vals).all() and np.isfinite(jac).all()):
+                v, jac[:, row] = tree(xs, ls)
+                if with_values:
+                    vals[:, row] = v
+        if not ((vals is None or np.isfinite(vals).all()) and np.isfinite(jac).all()):
             raise NonFinite("expression evaluation produced a non-finite value or derivative")
         return vals, jac[:, :, :n], jac[:, :, n:]
 

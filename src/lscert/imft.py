@@ -296,14 +296,15 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> flo
     return max_over(range(0, total, CHUNK_PAIRS), chunk_max)
 
 
-def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights) -> float:
+def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, balls) -> float:
     """L_x(r_x) for which = "x", L_y(r_x, r_y) for "y": override or sampled.
 
     Every L the package uses comes through here, so this is where both checks
     live: the radii must be finite and nonnegative (ValueError), and so must
     the bound (NonFinite), because a negative or NaN L would certify radius
     pairs that no true bound allows. L_x samples the x-ball at y0, L_y the
-    product of the x- and y-balls.
+    product of the x- and y-balls. `balls` memoises the lattices by
+    ("x", r_x) and ("y", r_y), so the calls that share it build each ball once.
     """
     for name, r in zip(("r_x", "r_y"), radii):
         if not (np.isfinite(r) and r >= 0):
@@ -314,12 +315,19 @@ def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights) -
         value = est.override_L_y(*radii)
     else:
         w = None if x_weights is None else np.asarray(x_weights, dtype=float)
-        pts_x = ball_points(np.asarray(x0, float), radii[0], est.samples_per_dim, norm_kind, weights=w)
+
+        def ball(key, center, weights=None):
+            if key not in balls:
+                balls[key] = ball_points(np.asarray(center, float), key[1], est.samples_per_dim,
+                                         norm_kind, weights=weights)
+            return balls[key]
+
+        pts_x = ball(("x", radii[0]), x0, w)
         if which == "x":
             pts_y = np.asarray(y0, float).reshape(1, -1)
             value = _sampled_L(f.dx_many, base.dx, pts_x, pts_y, norm_kind, w)
         else:
-            pts_y = ball_points(np.asarray(y0, float), radii[1], est.samples_per_dim, norm_kind)
+            pts_y = ball(("y", radii[1]), y0)
             value = _sampled_L(f.dy_many, base.dy, pts_x, pts_y, norm_kind)
         value = est.safety_factor * value
     value = float(value)
@@ -345,7 +353,7 @@ def estimate_L(
     check_norm_kind(norm_kind)
     if base is None:
         base = BaseBlocks.at(f, x0, y0)
-    context = (f, x0, y0, base, estimator, norm_kind, x_weights)
+    context = (f, x0, y0, base, estimator, norm_kind, x_weights, {})
     return _deviation_bound("x", (r_x,), *context), _deviation_bound("y", (r_x, r_y), *context)
 
 
@@ -362,7 +370,7 @@ def imft_quantities(
     if base is None:
         base = BaseBlocks.at(f, x0, y0)
     m_x, m_y = compute_M(f, x0, y0, norm_kind, x_weights, base)
-    context = (f, x0, y0, base, estimator, norm_kind, x_weights)
+    context = (f, x0, y0, base, estimator, norm_kind, x_weights, {})  # one ball memo
     cache_x: dict[float, float] = {}
     cache_y: dict[tuple[float, float], float] = {}
 

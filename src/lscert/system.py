@@ -215,12 +215,12 @@ def _tanh2() -> ParametricSystem:
     tanh, sech2 = SMOOTH["tanh"]
 
     def fun_many(X, Lam):
-        t = [tanh(Lam[:, 0] * X[:, i]) for i in (1, 0)]
+        t = [tanh((Lam[:, 0] * X[:, i]).tolist()) for i in (1, 0)]
         return np.stack([-X[:, 0] + t[0], -X[:, 1] + t[1]], axis=1)
 
     def jac_many(X, Lam):
         l = Lam[:, 0]
-        s = [sech2(l * X[:, i]) for i in range(2)]
+        s = [sech2((l * X[:, i]).tolist()) for i in range(2)]
         jx = np.empty((len(X), 2, 2))
         jx[:, 0, 0] = jx[:, 1, 1] = -1.0
         jx[:, 0, 1] = l * s[1]
@@ -280,7 +280,7 @@ def system_from_expressions(source: str, n: int, m: int,
     names = _expr.default_names(n, m)
     asts = _expr.parse_components(source, n if components is None else components, *names)
     values = _expr.compile_values(asts, names)
-    duals = _expr.compile_duals(asts, n, m, names)
+    duals = _expr.compile_duals(asts, n, m, names, with_values=False)
 
     def jac_many(X, Lam):
         return duals(X, Lam)[1:]

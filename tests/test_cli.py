@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from lscert import (SupremumEstimator, build_split_system, build_system, estimate_ls_L,
+                    evaluation_point, imft, load_config)
 from lscert.cli import main, main_imft_certify, main_ls_certify
 
 REPO = Path(__file__).resolve().parent.parent
@@ -465,3 +467,28 @@ def test_reduce_leaves_failed_newton_rows_empty(tmp_path, capsys):
     assert len(rows) == 41
     failed = [row for row in rows if row.endswith(",0.5,,,")]
     assert len(failed) == 14 and rows[0] == "-4,0.5,,,"
+
+
+def test_each_ball_is_built_once(tmp_path, monkeypatch):
+    built, ball_points = [], imft.ball_points
+
+    def counting(center, radius, *args, **kwargs):
+        built.append((center.tobytes(), float(radius)))
+        return ball_points(center, radius, *args, **kwargs)
+
+    monkeypatch.setattr(imft, "ball_points", counting)
+    config = CONFIGS / "ring4_certify_sampled.json"
+    out = tmp_path / "ring4.json"
+    assert main(["ls-certify", "--config", str(config), "--out", str(out)]) == 0
+    assert non_meta_text(json.loads(out.read_text(encoding="utf-8"))) == \
+        (GOLDEN / "ring4_sampled_nonmeta.json").read_text(encoding="utf-8")
+    assert built and len(built) == len(set(built))
+
+    # one estimate_L call builds the x-ball once for L_par and L_perp
+    built.clear()
+    cfg = load_config(config)
+    system = build_system(cfg.model)
+    ss = build_split_system(system, evaluation_point(system, cfg.base_point.x0,
+                                                     cfg.base_point.lambda0))
+    estimate_ls_L(ss, 1.0, 0.5, SupremumEstimator(samples_per_dim=5))
+    assert [radius for _, radius in built] == [1.0, 0.5]

@@ -375,3 +375,132 @@ def test_sin_and_cos_of_an_overflowed_argument_raise_nonfinite():
             with pytest.raises(NonFinite) as err:
                 evaluate(asts, [1e10], [])
             assert str(err.value) == message
+
+
+# --- the Jacobian-only walk of a DSL system against the per-point reference ------
+
+
+def _subtrees(node):
+    yield node
+    if isinstance(node, expr.Func):
+        children = node.args
+    elif isinstance(node, expr.Binary):
+        children = (node.left, node.right)
+    elif isinstance(node, (expr.Neg, expr.Pow)):
+        children = (node.arg if isinstance(node, expr.Neg) else node.base,)
+    else:
+        children = ()
+    for child in children:
+        yield from _subtrees(child)
+
+
+def _slope_fails_too(node, names, x, lam, message) -> bool:
+    """Whether the node that the reference's NonFinite names fails in its slope as well.
+
+    The reference takes each value before its slope. exp's slope is its
+    value, and sin and cos fail in value and slope alike (at an argument
+    that has overflowed to inf), so only a power can fail in its value
+    alone: where v^k overflows but the v^(k-1) of its slope k*v^(k-1) does
+    not.
+    The reference's last check, on values and derivatives together, names
+    no node.
+    """
+    for sub in _subtrees(node):
+        if message == f"overflow evaluating '{expr.to_source(sub, *names)}'":
+            if not isinstance(sub, expr.Pow):
+                return True
+            v = float(per_point_eval_values([sub.base], x, lam, names=names)[0])
+            try:
+                v ** (sub.exponent - 1)
+            except OverflowError:
+                return True
+            return False
+    return False
+
+
+def _assert_jacobian_walk_matches_reference(node, names, X, Lam):
+    """system_from_expressions(...).jacobians at each row and on the stack; the row outcomes.
+
+    Where the reference gives blocks, the walk gives the same bits; where it
+    raises a DomainError, or a NonFinite that the node's slope raises too,
+    the walk raises the same text. Where only a value the walk never takes
+    fails, the walk goes on: it gives finite blocks, or fails later.
+    """
+    system = system_from_expressions(expr.to_source(node, *names), X.shape[1], Lam.shape[1],
+                                     components=1)
+    rows = []
+    for x, lam in zip(X, Lam):
+        source = f"{expr.to_source(node, *names)!r} at x={x}, lam={lam}"
+        got = _outcome(system.jacobians, x[None], lam[None])
+        want = _outcome(per_point_eval_dual, [node], x, lam, names=names)
+        if not isinstance(want[0], type):
+            assert got == want[1:], source
+        elif want[0] is DomainError or _slope_fails_too(node, names, x, lam, want[1]):
+            assert got == want, source
+        elif want[1] == "expression evaluation produced a non-finite value or derivative":
+            # the last check: the walk checks the blocks alone
+            assert got == want or not isinstance(got[0], type), source
+        # else a power's value alone overflowed, and the walk goes on
+        rows.append(got)
+    stack = _outcome(system.jacobians, X, Lam)
+    failures = {row for row in rows if isinstance(row[0], type)}
+    if failures:
+        assert stack in failures, expr.to_source(node, *names)
+    else:
+        assert stack == tuple(b"".join(parts) for parts in zip(*rows)), expr.to_source(node, *names)
+    return rows
+
+
+def test_jacobian_walk_equals_the_per_point_reference_bitwise():
+    rng = np.random.default_rng(1)
+    kinds = set()
+    for node, names, x, lam in generate_expression_cases(500):
+        kinds |= _node_kinds(node)
+        _assert_jacobian_walk_matches_reference(node, names, *_stack_around(rng, x, lam, count=4))
+    names = expr.default_names(2, 1)
+    for name in expr.UNARY_FUNCTIONS:
+        node = expr.parse_components(f"{name}(0.7*x1*l1 - x2/3 + 2)", 1, *names)[0]
+        _assert_jacobian_walk_matches_reference(node, names, *_stack_around(
+            rng, np.array([0.3, -0.4]), np.array([0.8])))
+    assert kinds == {"Const", "StateVar", "ParamVar", "Neg", "Pow", "Pow0",
+                     *(f"Binary{op}" for op in "+-*/"), *expr.UNARY_FUNCTIONS,
+                     *expr.BINARY_FUNCTIONS}
+
+
+@pytest.mark.parametrize("source,column", _FALLBACK_CASES)
+def test_jacobian_walk_fails_at_its_first_failing_element(source, column):
+    names = expr.default_names(1, 0)
+    node = expr.parse(source, 1, 0)[0]
+    X, Lam = np.array(column)[:, None], np.empty((len(column), 0))
+    rows = _assert_jacobian_walk_matches_reference(node, names, X, Lam)
+    system = system_from_expressions(source, 1, 0)
+    failed = [row for row in rows if isinstance(row[0], type)]
+    ok = [i for i, row in enumerate(rows) if not isinstance(row[0], type)]
+    joined = tuple(b"".join(parts) for parts in zip(*(rows[i] for i in ok)))
+    assert _outcome(system.jacobians, X, Lam) == (failed[0] if failed else joined), source
+    assert _outcome(system.jacobians, X[ok], Lam[ok]) == joined, source
+
+
+def test_jacobians_skip_a_value_that_overflows_where_the_blocks_are_finite():
+    # x1^3 overflows at x1 = 1e103, while its slope 3*x1^2 = 3e206 does not;
+    # the Jacobian walk never takes the value, so only the residual raises
+    system = system_from_expressions("x2 - x1^3", 2, 1, components=1)
+    X, Lam = np.array([[1e103, 0.5]]), np.array([[1.0]])
+    jx, jl = system.jacobians(X, Lam)
+    assert jx.tobytes() == np.array([[[-(3 * 1e103 ** 2), 1.0]]]).tobytes()
+    assert jl.tobytes() == np.zeros((1, 1, 1)).tobytes()
+    with pytest.raises(NonFinite, match=r"^overflow evaluating 'x1\^3'$"):
+        system.residuals(X, Lam)
+    # the per-point reference takes the value first, and fails there
+    node = expr.parse_components("x2 - x1^3", 1, *expr.default_names(2, 1))
+    with pytest.raises(NonFinite, match=r"^overflow evaluating 'x1\^3'$"):
+        per_point_eval_dual(node, X[0], Lam[0])
+
+
+def test_sin_and_cos_slopes_of_an_overflowed_argument_raise_nonfinite():
+    # the Jacobian walk takes no value of sin or cos, and their slopes name the node
+    for name in ("sin", "cos"):
+        system = system_from_expressions(f"{name}(1e300*x1*x1)", 1, 0)
+        with pytest.raises(NonFinite) as err:
+            system.jacobians(np.array([[1e10]]), np.empty((1, 0)))
+        assert str(err.value) == f"overflow evaluating '{name}(1e+300*x1*x1)'"
