@@ -12,6 +12,9 @@ one radius pair certified), 2 when a certify run completed but nothing was
 certified, 1 on any error. Reports go to --out as JSON (stdout when --out is
 omitted); --csv adds a flat export next to it. A reduce or trace point whose
 Newton solve fails is left empty, with one note per lambda on stderr.
+
+Each command imports the modules it uses when it runs: ls_bounds for the
+kernel-split commands, reduction for reduce and trace only.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import ls_bounds, reduction, report
+from . import report
 from .config import (
     ConfigError,
     ImftSection,
@@ -35,6 +39,9 @@ from .config import (
 from .errors import ArityError, LscertError, ParseError, UnknownIdentifier
 from .imft import SplitFunction, certify_grid, imft_quantities
 from .system import evaluation_point
+
+if TYPE_CHECKING:
+    from . import ls_bounds, reduction
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,6 +77,7 @@ def _base_point(cfg: RunConfig):
 
 
 def _split_system_from(cfg: RunConfig) -> ls_bounds.SplitSystem:
+    from . import ls_bounds
     bp = _base_point(cfg)
     sys_ = build_system(cfg.model)
     if len(bp.x0) != sys_.n:
@@ -92,6 +100,7 @@ def _par_weights(cfg: RunConfig, ss: ls_bounds.SplitSystem) -> np.ndarray | None
 
 
 def _cmd_ls_certify(args) -> int:
+    from . import ls_bounds
     cfg = load_config(args.config)
     section = _require(cfg.certify, "certify")
     ss = _split_system_from(cfg)
@@ -215,6 +224,7 @@ def _cmd_imft_certify(args) -> int:
 
 
 def _print_series(rm: reduction.ReducedMap) -> None:
+    from . import reduction
     c = reduction.series_coefficients(rm)
     print("reduced map series at base point:")
     print(f"  g_alpha             = {c.g_alpha!r}")
@@ -229,6 +239,7 @@ def _frontier_for_warnings(cfg: RunConfig, ss: ls_bounds.SplitSystem):
     """Certified frontier for out-of-region warnings, when config allows it."""
     if cfg.certify is None:
         return None
+    from . import ls_bounds
     estimator = build_estimator(cfg.estimator, ("rpar", "rperp"))
     region, _ = ls_bounds.certify_ls_region(
         ss, cfg.certify.r_par_grid, cfg.certify.r_perp_grid,
@@ -237,6 +248,7 @@ def _frontier_for_warnings(cfg: RunConfig, ss: ls_bounds.SplitSystem):
 
 
 def _cmd_reduce(args) -> int:
+    from . import reduction
     cfg = load_config(args.config)
     section = _require(cfg.reduce, "reduce")
     ss = _split_system_from(cfg)
@@ -266,6 +278,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from . import reduction
     cfg = load_config(args.config)
     section = _require(cfg.trace, "trace")
     ss = _split_system_from(cfg)

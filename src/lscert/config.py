@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from . import expr as _expr
 from .errors import ConfigError, LscertError
-from .imft import DEFAULT_SAMPLES_PER_DIM, SupremumEstimator
 from .norms import NORM_KINDS
+from .sampling import DEFAULT_SAMPLES_PER_DIM
 from .subspace import DEFAULT_RANK_TOL
 from .system import (
     DEFAULT_EQUILIBRIUM_TOL,
@@ -29,6 +29,9 @@ from .system import (
     builtin_model,
     system_from_expressions,
 )
+
+if TYPE_CHECKING:  # the engine is imported where an estimator is built
+    from .imft import SupremumEstimator
 
 
 # --- leaf validators ---------------------------------------------------------
@@ -397,6 +400,7 @@ def build_estimator(est: EstimatorConfig, radius_names: tuple[str, str]) -> Supr
     if mode == "analytic" and override_x is None and override_y is None:
         raise ConfigError(key_x, "analytic mode has no override for this command "
                                  f"(expected {key_x} and/or {key_y})")
+    from .imft import SupremumEstimator
     return SupremumEstimator(
         mode=mode,
         samples_per_dim=est.samples_per_dim,

@@ -31,10 +31,8 @@ import numpy as np
 
 from .errors import LscertError, NonFinite, SingularDyf
 from .norms import check_norm_kind, induced_norm, inverse_norm, max_induced_norm, vector_norm
-from .sampling import ball_points, max_over
+from .sampling import DEFAULT_SAMPLES_PER_DIM, ball_points, max_over
 from .system import damped_newton_many, fd_jacobians
-
-DEFAULT_SAMPLES_PER_DIM = 17
 
 # lattice pairs per batched pass of a sampled L. Each DSL node holds an
 # (N, n + m) derivative array and max_induced_norm one (r, c, N) copy of the
@@ -303,8 +301,9 @@ def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, b
     live: the radii must be finite and nonnegative (ValueError), and so must
     the bound (NonFinite), because a negative or NaN L would certify radius
     pairs that no true bound allows. L_x samples the x-ball at y0, L_y the
-    product of the x- and y-balls. `balls` memoises the lattices by
-    ("x", r_x) and ("y", r_y), so the calls that share it build each ball once.
+    product of the x- and y-balls. `balls` memoises the lattices by centre,
+    radius and weights, so the calls that share it build each ball once, also
+    where an x-ball and a y-ball coincide.
     """
     for name, r in zip(("r_x", "r_y"), radii):
         if not (np.isfinite(r) and r >= 0):
@@ -316,18 +315,20 @@ def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, b
     else:
         w = None if x_weights is None else np.asarray(x_weights, dtype=float)
 
-        def ball(key, center, weights=None):
+        def ball(center, radius, weights=None):
+            center = np.asarray(center, float)
+            key = (center.tobytes(), radius, None if weights is None else weights.tobytes())
             if key not in balls:
-                balls[key] = ball_points(np.asarray(center, float), key[1], est.samples_per_dim,
-                                         norm_kind, weights=weights)
+                balls[key] = ball_points(center, radius, est.samples_per_dim, norm_kind,
+                                         weights=weights)
             return balls[key]
 
-        pts_x = ball(("x", radii[0]), x0, w)
+        pts_x = ball(x0, radii[0], w)
         if which == "x":
             pts_y = np.asarray(y0, float).reshape(1, -1)
             value = _sampled_L(f.dx_many, base.dx, pts_x, pts_y, norm_kind, w)
         else:
-            pts_y = ball(("y", radii[1]), y0)
+            pts_y = ball(y0, radii[1])
             value = _sampled_L(f.dy_many, base.dy, pts_x, pts_y, norm_kind)
         value = est.safety_factor * value
     value = float(value)

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import NonFinite
 from .norms import induced_norms
 
+DEFAULT_SAMPLES_PER_DIM = 17
+
 
 def _lattice_sizes(samples_per_dim: int) -> list[int]:
     sizes = [samples_per_dim]

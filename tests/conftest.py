@@ -412,7 +412,7 @@ def _eval(node: Node, xs, ls, dual: bool, names, total: int = 0) -> "DualVector 
                     f"abs argument within {KINK_TOL:g} of the kink in '{_offending(nd, names)}'; "
                     "derivative undefined there")
             return DualVector(abs(v), a.der * math.copysign(1.0, v)) if dual else abs(v)
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:  # ValueError: sin or cos of an overflowed inf
             raise NonFinite(f"overflow evaluating '{_offending(nd, names)}'") from exc
 
     return ev(node)

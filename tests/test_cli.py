@@ -492,3 +492,13 @@ def test_each_ball_is_built_once(tmp_path, monkeypatch):
                                                      cfg.base_point.lambda0))
     estimate_ls_L(ss, 1.0, 0.5, SupremumEstimator(samples_per_dim=5))
     assert [radius for _, radius in built] == [1.0, 0.5]
+
+    # the parabola's x- and y-balls are both centred at [0.0]: r_x 0.1, 0.2,
+    # 0.3 and the frontier's 0.25, with r_y 0.1 and 0.3 among them
+    built.clear()
+    out = tmp_path / "parabola.json"
+    assert main(["imft-certify", "--config", str(CONFIGS / "parabola_imft.json"),
+                 "--out", str(out)]) == 0
+    assert non_meta_text(json.loads(out.read_text(encoding="utf-8"))) == \
+        (GOLDEN / "parabola_imft_nonmeta.json").read_text(encoding="utf-8")
+    assert sorted(radius for _, radius in built) == [0.1, 0.2, 0.25, 0.3]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -280,6 +281,7 @@ def _assert_matches_per_point_reference(node, names, X, Lam):
         assert stack in failures, expr.to_source(node, *names)
     else:
         assert stack == tuple(b"".join(parts) for parts in zip(*rows)), expr.to_source(node, *names)
+    return rows
 
 
 def _node_kinds(node) -> set[str]:
@@ -299,11 +301,14 @@ def _stack_around(rng, x, lam, count=16):
     """The guarded point, then points around it with a quarter of coordinates at 0.0.
 
     The zeros and the wider spread reach domain edges, kinks and zero
-    denominators, where the reference raises.
+    denominators, where the reference raises. The last point is the guarded
+    one times 1e200, where a product of two coordinates overflows to inf and
+    sin and cos of it fail.
     """
     def rows(point):
         others = point + rng.uniform(-2.0, 2.0, size=(count - 1, point.size))
         others[rng.uniform(size=others.shape) < 0.25] = 0.0
+        others[-1] = point * 1e200
         return np.vstack([point, others])
 
     return rows(x), rows(lam)
@@ -328,8 +333,10 @@ def test_reference_comparison_covers_every_node_kind():
     names = expr.default_names(2, 1)
     for name in expr.UNARY_FUNCTIONS:
         node = expr.parse_components(f"{name}(0.7*x1*l1 - x2/3 + 2)", 1, *names)[0]
-        _assert_matches_per_point_reference(node, names, *_stack_around(
+        rows = _assert_matches_per_point_reference(node, names, *_stack_around(
             rng, np.array([0.3, -0.4]), np.array([0.8])))
+        if name in ("sin", "cos"):  # at the last point, x1*l1 is inf
+            assert rows[-1] == (NonFinite, f"overflow evaluating '{expr.to_source(node, *names)}'")
     every = {"Const", "StateVar", "ParamVar", "Neg", "Pow", "Pow0",
              *(f"Binary{op}" for op in "+-*/"), *expr.UNARY_FUNCTIONS, *expr.BINARY_FUNCTIONS}
     assert kinds == every
@@ -364,6 +371,65 @@ def test_mapped_calls_fall_back_per_element_where_one_raises(source, column):
         # elements that do not fail give the per-point bits
         assert _outcome(evaluate, X, Lam) == (failed[0] if failed else joined), source
         assert _outcome(evaluate, X[ok], Lam[ok]) == joined, source
+
+
+# cosh(v) overflows past |v| ~ 710 and cosh(v)^2 past ~ 355; exp(v) past ~ 709.
+# Dense: many elements raise, in both orders with ordinary ones.
+_DENSE_CHUNKS = (
+    [0.3, 356.0, -1.5, 711.0, 2.0, -800.0, 0.0],
+    [-900.0, 1.0, 400.0, -0.25, 720.0],
+    [356.0, -357.0, 1.0, 2.0],
+    [1.0, 2.0, 1000.0, -1000.0],
+    [2.0, 1e200, -3.0, -1e160],  # past the ** range too
+)
+
+
+def _sparse(spikes):
+    """100 ordinary arguments with the spikes first, in the middle and last."""
+    chunk = np.linspace(-3.0, 3.0, 100).tolist()
+    for position, spike in zip((0, 50, 99), spikes):
+        chunk[position] = spike
+    return chunk
+
+
+# sparse: at most 3 of 100 elements raise
+_SPARSE_CHUNKS = tuple(map(_sparse, ([400.0, -356.0, 720.0], [-1.0, 800.0, 1e200],
+                                      [-711.0, 0.5, 0.25])))
+
+
+@pytest.mark.parametrize("chunk", _DENSE_CHUNKS + _SPARSE_CHUNKS)
+def test_per_element_takes_only_sparse_raising_elements_through_one(chunk):
+    # held to a plain Python loop over `one`: the same bits, or the same
+    # error at the first failing element
+    def outcome(f, *args):
+        try:
+            return f(*args).tobytes()
+        except (OverflowError, ValueError, LscertError) as exc:
+            return type(exc), str(exc)
+
+    def plain(fn, lst):
+        return np.array([fn.one(v) for v in lst], dtype=float)
+
+    def raises(f, v):
+        return isinstance(outcome(lambda: np.fromiter(f(v), float, 1)), tuple)
+
+    functions = [fn for pair in expr.SMOOTH.values() for fn in pair if fn is not None]
+    functions.append(expr.PerElement(lambda v: 3 * v ** 2, expr._mapped(pow, 2), lambda raw: 3 * raw))
+    for fn in functions:
+        seen = []
+        counted = dataclasses.replace(fn, one=lambda v, fn=fn: seen.append(v) or fn.one(v))
+        assert outcome(counted, chunk) == outcome(plain, fn, chunk)
+        # the elements whose mapped call raises, up to the first that one fails too
+        want = []
+        for v in chunk:
+            if raises(lambda v: fn.each([v]), v):
+                want.append(v)
+                if raises(lambda v: [fn.one(v)], v):
+                    break
+        if chunk in _SPARSE_CHUNKS:  # only those go through one
+            assert seen == want
+        else:  # where one in twenty raise, the rest of the list goes through one
+            assert seen[:1] == want[:1]
 
 
 def test_sin_and_cos_of_an_overflowed_argument_raise_nonfinite():
