@@ -13,8 +13,8 @@ certified, 1 on any error. Reports go to --out as JSON (stdout when --out is
 omitted); --csv adds a flat export next to it. A reduce or trace point whose
 Newton solve fails is left empty, with one note per lambda on stderr.
 
-Each command imports the modules it uses when it runs: ls_bounds for the
-kernel-split commands, reduction for reduce and trace only.
+reduce and trace import the reduction module when they run, so the certify
+commands never load it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import report
+from . import ls_bounds, report
 from .config import (
     ConfigError,
     ImftSection,
@@ -41,7 +41,7 @@ from .imft import SplitFunction, certify_grid, imft_quantities
 from .system import evaluation_point
 
 if TYPE_CHECKING:
-    from . import ls_bounds, reduction
+    from . import reduction
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -77,7 +77,6 @@ def _base_point(cfg: RunConfig):
 
 
 def _split_system_from(cfg: RunConfig) -> ls_bounds.SplitSystem:
-    from . import ls_bounds
     bp = _base_point(cfg)
     sys_ = build_system(cfg.model)
     if len(bp.x0) != sys_.n:
@@ -100,7 +99,6 @@ def _par_weights(cfg: RunConfig, ss: ls_bounds.SplitSystem) -> np.ndarray | None
 
 
 def _cmd_ls_certify(args) -> int:
-    from . import ls_bounds
     cfg = load_config(args.config)
     section = _require(cfg.certify, "certify")
     ss = _split_system_from(cfg)
@@ -239,7 +237,6 @@ def _frontier_for_warnings(cfg: RunConfig, ss: ls_bounds.SplitSystem):
     """Certified frontier for out-of-region warnings, when config allows it."""
     if cfg.certify is None:
         return None
-    from . import ls_bounds
     estimator = build_estimator(cfg.estimator, ("rpar", "rperp"))
     region, _ = ls_bounds.certify_ls_region(
         ss, cfg.certify.r_par_grid, cfg.certify.r_perp_grid,

@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -374,71 +374,47 @@ def sech_power(v: float, k: int) -> float:
 class PerElement:
     """A float function taken at each element of a list, as per-point code takes it.
 
-    `one` is the per-element function on a Python float. `each` makes the
-    same math calls on the same floats, mapped from C over an iterable, and
-    `post`, where given, finishes their array with IEEE-exact arithmetic (a
-    reciprocal, a sign, an integer factor); so the results are one's bit for
-    bit wherever none of those calls raises. A list where one raises
-    OverflowError or ValueError is mapped again: the results before the
-    raising element are kept, that element goes through `one`, which applies
-    the limits, checks and error texts and raises for a failing element, and
-    the map resumes after it. Once more than one element in twenty of the
-    list has raised, the rest goes through `one`. So a list fails at its first
-    failing element. numpy's own tanh/cosh/exp/log/power ufuncs round
-    differently and are never used. A caller converts an array to a list
-    once and hands that list to every function it takes there.
+    `one` is the per-element function on a Python float. `mapped` makes the
+    same math calls on the same floats over the list, from C (map into
+    np.fromiter), so its results are one's bit for bit wherever none of
+    those calls raises. Where one raises OverflowError or ValueError, the
+    elements are replayed through `one`, which applies the limits, checks
+    and error texts and raises at the first failing element. numpy's own
+    tanh/cosh/exp/log/power ufuncs round differently and are never used.
+    A caller converts an array to a list once and hands that list to every
+    function it takes there.
     """
 
     one: Callable[[float], float]
-    each: Callable[[Iterable[float]], Iterator[float]]
-    post: Callable[[np.ndarray], np.ndarray] = np.asarray
+    mapped: Callable[[list], np.ndarray]
 
     def __call__(self, lst: list) -> np.ndarray:
         try:
-            return self.post(np.fromiter(self.each(lst), float, len(lst)))
+            return self.mapped(lst)
         except (OverflowError, ValueError):
-            pass
-        # a map goes on after a raising call, from the element after it
-        raw, at, own, rest, values = [], [], [], [], self.each(lst)
-        while len(raw) < len(lst):
-            if 20 * len(at) > len(lst):
-                # a failed mapped call and its catch cost about what mapping
-                # instead of looping through `one` saves on twenty ordinary
-                # elements, so where more raise, the loop is cheaper
-                rest = [self.one(v) for v in lst[len(raw):]]
-                break
-            try:
-                raw.extend(values)
-            except (OverflowError, ValueError):
-                at.append(len(raw))
-                own.append(self.one(lst[len(raw)]))
-                raw.append(1.0)  # finished as a placeholder, then replaced
-        out = self.post(np.array(raw))
-        out[at] = own
-        return np.concatenate((out, rest)) if rest else out
+            return np.array([self.one(v) for v in lst], dtype=float)
 
 
 def _mapped(f, *consts):
-    """f(v, *consts) over an iterable of floats, each call made from C."""
-    return lambda it: map(f, it, *map(repeat, consts))
+    """f(v, *consts) over a list of floats, each call made from C."""
+    return lambda lst: np.fromiter(map(f, lst, *map(repeat, consts)), float, len(lst))
 
 
-def _sech_powers(k: int) -> PerElement:
-    """sech_power(., k): the same cosh and ** calls, then the reciprocal."""
-    return PerElement(lambda v: sech_power(v, k),
-                      lambda it: map(pow, map(math.cosh, it), repeat(k)), lambda raw: 1.0 / raw)
+def _sech_powers(k: int):
+    """sech_power(., k) over a list: the same cosh and ** calls; raises where they overflow."""
+    return lambda lst: 1.0 / np.fromiter(map(pow, map(math.cosh, lst), repeat(k)), float, len(lst))
 
 
-_tanh, _sin = PerElement(math.tanh, _mapped(math.tanh)), PerElement(math.sin, _mapped(math.sin))
+_tanh, _sin, _sech = _mapped(math.tanh), _mapped(math.sin), _sech_powers(1)
 
 # smooth one-argument functions: value and slope per element, through math;
 # the slopes of sech and exp are taken from the node's own value instead
 SMOOTH = {
-    "tanh": (_tanh, _sech_powers(2)),
-    "sech": (_sech_powers(1), None),
-    "sin": (_sin, PerElement(math.cos, _mapped(math.cos))),
+    "tanh": (PerElement(math.tanh, _tanh), PerElement(lambda v: sech_power(v, 2), _sech_powers(2))),
+    "sech": (PerElement(lambda v: sech_power(v, 1), _sech), None),
+    "sin": (PerElement(math.sin, _sin), PerElement(math.cos, _mapped(math.cos))),
     "cos": (PerElement(math.cos, _mapped(math.cos)),
-            PerElement(lambda v: -math.sin(v), _sin.each, np.negative)),
+            PerElement(lambda v: -math.sin(v), lambda lst: -_sin(lst))),
     "exp": (PerElement(math.exp, _mapped(math.exp)), None),
 }
 
@@ -460,7 +436,7 @@ def _checked(nd: Pow | Func, names, fn: PerElement) -> PerElement:
             return fn.one(v)
         except (OverflowError, ValueError) as exc:
             raise NonFinite(f"overflow evaluating '{to_source(nd, *names)}'") from exc
-    return replace(fn, one=one)
+    return PerElement(one, fn.mapped)
 
 
 def _value_fn(nd: Pow | Func, names) -> PerElement:
@@ -618,9 +594,8 @@ def _dual_tree(nd: Node, names, zero: np.ndarray, demand: bool = True):
     if isinstance(nd, Pow) and nd.exponent == 0:
         rule = lambda v, lst, out, d: zero  # x^0 is 1 with derivative 0 wherever x is
     elif isinstance(nd, Pow):
-        k = nd.exponent
-        slope = _checked(nd, names, PerElement(lambda v: k * v ** (k - 1), _mapped(pow, k - 1),
-                                               lambda raw: k * raw))
+        k, below = nd.exponent, _mapped(pow, nd.exponent - 1)
+        slope = _checked(nd, names, PerElement(lambda v: k * v ** (k - 1), lambda lst: k * below(lst)))
         rule = lambda v, lst, out, d: d * slope(lst)[:, None]
     elif nd.name == "exp":
         rule = lambda v, lst, out, d: d * out[:, None]
