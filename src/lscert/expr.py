@@ -22,7 +22,13 @@ pass; it rejects abs/min/max within 1e-12 of their kinks because the
 derivative is not defined there. Each row of either walker is bit for bit
 what a per-point walk over Python floats gives: + - * / run vectorised,
 and powers and one-argument functions make the per-point walk's own `math`
-call on each element, mapped over the stack from C (PerElement).
+call on each element, mapped over the stack from C (PerElement). The dual
+walk makes a node's calls once per distinct bit pattern of its argument
+where at most half of the elements are distinct, as in a sampled-L lattice
+chunk, whose coordinates repeat, and gathers the results back (_distinct).
+That changes no bit and no error: the checks that name an element (log,
+sqrt, abs) run on the whole argument first, and a failing math call's
+NonFinite names only its node. The float walk maps every element.
 `eval_values`, `eval_dual` (one point, row 0 of a one-point stack) and
 `eval_dual_many` compile and evaluate in one call.
 
@@ -382,7 +388,8 @@ class PerElement:
     and error texts and raises at the first failing element. numpy's own
     tanh/cosh/exp/log/power ufuncs round differently and are never used.
     A caller converts an array to a list once and hands that list to every
-    function it takes there.
+    function it takes there. The dual walk may hand it a node's distinct
+    arguments only; the same call on the same bits gives the same bits.
     """
 
     one: Callable[[float], float]
@@ -585,34 +592,35 @@ def _dual_tree(nd: Node, names, zero: np.ndarray, demand: bool = True):
             return (np.where(pick_a, av, bv) if demand else None), np.where(pick_a[:, None], ad, bd)
         return select
     fa = _dual_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names, zero)
-    value, check = _value_fn(nd, names), None
+    value, check, divide = _value_fn(nd, names), None, False
     # the slopes of sqrt, sech and exp read the node's own value
     own = demand or (isinstance(nd, Func) and nd.name in ("sqrt", "sech", "exp"))
-    # rule(v, lst, out, d): the derivative from the argument's value v (also
-    # as the list lst), the node's own value out (None unless own) and the
-    # argument's derivative d
+    # slope(v, lst, out): per element, the factor that multiplies the
+    # argument's derivative (divides it where `divide`), from the argument's
+    # value v (also as the list lst) and the node's own value out (None
+    # unless own)
     if isinstance(nd, Pow) and nd.exponent == 0:
-        rule = lambda v, lst, out, d: zero  # x^0 is 1 with derivative 0 wherever x is
+        slope = None  # x^0 is 1 with derivative 0 wherever x is
     elif isinstance(nd, Pow):
         k, below = nd.exponent, _mapped(pow, nd.exponent - 1)
-        slope = _checked(nd, names, PerElement(lambda v: k * v ** (k - 1), lambda lst: k * below(lst)))
-        rule = lambda v, lst, out, d: d * slope(lst)[:, None]
+        power = _checked(nd, names, PerElement(lambda v: k * v ** (k - 1), lambda lst: k * below(lst)))
+        slope = lambda v, lst, out: power(lst)
     elif nd.name == "exp":
-        rule = lambda v, lst, out, d: d * out[:, None]
+        slope = lambda v, lst, out: out
     elif nd.name == "sech":
-        rule = lambda v, lst, out, d: d * (-out * _tanh(lst))[:, None]
+        slope = lambda v, lst, out: -out * _tanh(lst)
     elif nd.name in SMOOTH:
-        slope = _checked(nd, names, SMOOTH[nd.name][1])
-        rule = lambda v, lst, out, d: d * slope(lst)[:, None]
+        smooth = _checked(nd, names, SMOOTH[nd.name][1])
+        slope = lambda v, lst, out: smooth(lst)
     elif nd.name == "log":
-        rule = lambda v, lst, out, d: d / v[:, None]
+        slope, divide = (lambda v, lst, out: v), True
 
         def check(v):
             if (v <= 0.0).any():
                 bad = v[v <= 0.0][0].item()
                 raise _domain_error(nd, names, f"log of non-positive value {bad!r}")
     elif nd.name == "sqrt":
-        rule = lambda v, lst, out, d: d / (2.0 * out)[:, None]
+        slope, divide = (lambda v, lst, out: 2.0 * out), True
 
         def check(v):
             if (v <= 0.0).any():
@@ -620,21 +628,47 @@ def _dual_tree(nd: Node, names, zero: np.ndarray, demand: bool = True):
                 kind = "negative value" if bad < 0 else "zero (derivative singular)"
                 raise _domain_error(nd, names, f"sqrt of {kind} {bad!r}")
     else:
-        rule = lambda v, lst, out, d: d * np.copysign(1.0, v)[:, None]
+        slope = lambda v, lst, out: np.copysign(1.0, v)
 
         def check(v):
             if (np.abs(v) <= KINK_TOL).any():
                 raise _domain_error(nd, names, f"abs argument within {KINK_TOL:g} of the kink",
                                     "; derivative undefined there")
+    # log, abs and x^0 make a math call per element only for a demanded value
+    maps = own or not (slope is None or (isinstance(nd, Func) and nd.name in ("log", "abs")))
 
     def chain(xs, ls):
         v, d = fa(xs, ls)
         if check is not None:
             check(v)
-        lst = v.tolist()
+        keys, back = _distinct(v) if maps else (v, None)
+        lst = keys.tolist() if maps else None
         out = value(lst) if own else None
-        return out, rule(v, lst, out, d)
+        if slope is None:
+            return out if back is None else out[back], zero
+        s = slope(keys, lst, out)
+        if back is not None:
+            out, s = (None if out is None else out[back]), s[back]
+        return out, (d / s[:, None] if divide else d * s[:, None])
     return chain
+
+
+def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct bit patterns of v, and where each element of v is among them.
+
+    Returns (keys, back) with keys[back] equal to v bit for bit, or (v, None)
+    where more than half of v is distinct and the gather would cost more
+    than the math calls it saves. 0.0 and -0.0, and NaNs with different
+    payloads, are different patterns, so a math call on keys gives each
+    element of v the bits the call gives on v itself.
+    """
+    bits = v.view(np.int64)
+    ordered = np.sort(bits)
+    new = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(new)) > len(v):
+        return v, None
+    keys = np.concatenate((ordered[:1], ordered[1:][new]))
+    return keys.view(np.float64), np.searchsorted(keys, bits)
 
 
 def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ...]]):

@@ -2,10 +2,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lscert import (SupremumEstimator, build_split_system, build_system, estimate_ls_L,
-                    evaluation_point, imft, load_config)
+                    evaluation_point, expr, imft, load_config, system_from_expressions)
 from lscert.cli import main, main_imft_certify, main_ls_certify
 
 REPO = Path(__file__).resolve().parent.parent
@@ -502,3 +503,29 @@ def test_each_ball_is_built_once(tmp_path, monkeypatch):
     assert non_meta_text(json.loads(out.read_text(encoding="utf-8"))) == \
         (GOLDEN / "parabola_imft_nonmeta.json").read_text(encoding="utf-8")
     assert sorted(radius for _, radius in built) == [0.1, 0.2, 0.25, 0.3]
+
+
+def test_dsl_math_runs_once_per_distinct_argument(tmp_path, monkeypatch):
+    mapped, call = [], expr.PerElement.__call__
+
+    def counting(self, lst):
+        mapped.append(len(lst))
+        return call(self, lst)
+
+    monkeypatch.setattr(expr.PerElement, "__call__", counting)
+    out = tmp_path / "ring4.json"
+    assert main(["imft-certify", "--config", str(CONFIGS / "ring4_imft.json"),
+                 "--out", str(out)]) == 0
+    assert non_meta_text(json.loads(out.read_text(encoding="utf-8"))) == \
+        (GOLDEN / "ring4_imft_nonmeta.json").read_text(encoding="utf-8")
+    # the lattice chunks repeat each coordinate: each of the 16 chunk-wide tanh
+    # slopes maps 31 or 32 distinct arguments of its 505, and the base-point
+    # calls map 32 more (8,168 elements when all were mapped)
+    assert sum(mapped) == 536
+
+    # DSL tanh2 on 1,024 points that do not repeat: both tanh slopes map every element
+    mapped.clear()
+    system = system_from_expressions("-x1 + tanh(l1*x2); -x2 + tanh(l1*x1)", 2, 1)
+    rng = np.random.default_rng(0)
+    system.jacobians(rng.uniform(-1.0, 1.0, (1024, 2)), rng.uniform(0.5, 1.5, (1024, 1)))
+    assert mapped == [1024, 1024]

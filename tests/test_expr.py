@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -521,3 +522,51 @@ def test_sin_and_cos_slopes_of_an_overflowed_argument_raise_nonfinite():
         with pytest.raises(NonFinite) as err:
             system.jacobians(np.array([[1e10]]), np.empty((1, 0)))
         assert str(err.value) == f"overflow evaluating '{name}(1e+300*x1*x1)'"
+
+
+# --- math once per distinct argument -------------------------------------------
+
+
+# every combination of a few values of x1, x2 and l1, as the coordinates of
+# a sampled-L lattice chunk, so every node argument repeats. 0.0 and -0.0 are
+# distinct: tanh, sin and the slope of x^2 keep the sign of a zero.
+_FEW = np.array(list(itertools.product([0.0, -0.0, 0.5, -1.25], [-0.0, 2.0, 0.0], [0.75, -0.0])))
+_REPEATING_SYSTEM = ("tanh(l1*x2) - x1; sech(x1 + x2)*exp(l1*x1); "
+                     "sqrt(x1^2 + 1) + x2^3*l1 - x1^2; "
+                     "sin(x1*l1) + cos(x2) + log(x1^2 + 2) + abs(x1 - 3) + x2^0")
+# one column each: an argument that overflows, repeated; tanh and sech take
+# their limit 0 there, exp and x^3 fail with their own text
+_REPEATED_OVERFLOWS = (
+    ("tanh(x1)", [800.0, 0.5] * 4),
+    ("sech(x1)", [-711.0, 2.0, -0.0] * 3),
+    ("exp(x1)", [0.5, 800.0] * 4),
+    ("x1^3", [-0.0, 1e200, 0.0] * 3),
+)
+
+
+@pytest.mark.parametrize("source,n,m,k,XL", (
+    (_REPEATING_SYSTEM, 2, 1, 4, _FEW),
+    *((source, 1, 0, 1, np.array(column)[:, None]) for source, column in _REPEATED_OVERFLOWS),
+), ids=("system", *(source for source, _ in _REPEATED_OVERFLOWS)))
+def test_math_once_per_distinct_argument_gives_the_per_point_bits(monkeypatch, source, n, m, k, XL):
+    gathered, distinct = [], expr._distinct
+
+    def recording(v):
+        keys, back = distinct(v)
+        gathered.append(back is not None)
+        return keys, back
+
+    monkeypatch.setattr(expr, "_distinct", recording)
+    X, Lam = XL[:, :n], XL[:, n:]
+    names = expr.default_names(n, m)
+    asts = expr.parse_components(source, k, *names)
+    rows = [_outcome(per_point_eval_dual, asts, x, lam, names=names) for x, lam in zip(X, Lam)]
+    failed = [row for row in rows if isinstance(row[0], type)]
+    want = failed[0] if failed else tuple(b"".join(parts) for parts in zip(*rows))
+    blocks_only = expr.compile_duals(asts, n, m, names, with_values=False)
+    for evaluate, skip in ((expr.compile_duals(asts, n, m, names), 0),
+                           (lambda X, Lam: blocks_only(X, Lam)[1:], 1),
+                           (system_from_expressions(source, n, m, components=k).jacobians, 1)):
+        gathered.clear()
+        assert _outcome(evaluate, X, Lam) == (want if failed else want[skip:]), source
+        assert any(gathered), source  # some node ran its math on the distinct arguments only
