@@ -408,8 +408,15 @@ def _mapped(f, *consts):
 
 
 def _sech_powers(k: int):
-    """sech_power(., k) over a list: the same cosh and ** calls; raises where they overflow."""
-    return lambda lst: 1.0 / np.fromiter(map(pow, map(math.cosh, lst), repeat(k)), float, len(lst))
+    """sech_power(., k) over a list: the same cosh and libm pow calls; raises where they overflow.
+
+    float ** int calls pow(c, float(k)) as math.pow does, and both raise
+    OverflowError where it overflows; math.pow skips the int-to-float
+    coercion of each call. (x^k nodes keep the builtin pow: at 0 with a
+    negative exponent math.pow raises ValueError, not ZeroDivisionError.)
+    """
+    return lambda lst: 1.0 / np.fromiter(map(math.pow, map(math.cosh, lst), repeat(float(k))),
+                                         float, len(lst))
 
 
 _tanh, _sin, _sech = _mapped(math.tanh), _mapped(math.sin), _sech_powers(1)

@@ -30,13 +30,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import LscertError, NonFinite, SingularDyf
-from .norms import check_norm_kind, induced_norm, inverse_norm, max_induced_norm, vector_norm
+from .norms import (can_reach, check_norm_kind, induced_norm, induced_norms, inverse_norm,
+                    norm_survivors, vector_norm)
 from .sampling import DEFAULT_SAMPLES_PER_DIM, ball_points, max_over
 from .system import damped_newton_many, fd_jacobians
 
-# lattice pairs per batched pass of a sampled L. Each DSL node holds an
-# (N, n + m) derivative array and max_induced_norm one (r, c, N) copy of the
-# stack. Against 256 pairs, 1,024 cut op_s by 10-25 % on the three lattice
+# lattice pairs per batched pass of a sampled L, and the number of held
+# matrices that triggers an SVD pass. Each DSL node holds an (N, n + m)
+# derivative array and norm_survivors one (r, c, N) copy of the stack.
+# Against 256 pairs, 1,024 cut op_s by 10-25 % on the three lattice
 # benchmark workloads and kept worker peak RSS within 0.6 % (traced peak
 # about 0.2-0.3 MB higher); 4,096 pairs raised it by 1.0-1.5 MB on ring-4
 CHUNK_PAIRS = 1024
@@ -266,29 +268,53 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> flo
     """Max of ||(blocks(px, py) - base_block) diag(weights)|| over pts_x x pts_y.
 
     The pairs run in the order of itertools.product(pts_x, pts_y), CHUNK_PAIRS
-    at a time, each chunk one call of the batched `blocks` and one
-    max_induced_norm floored at the maximum so far, so a chunk computes the
-    SVD only of the matrices that can still raise it; the maximum is the
-    per-point one bit for bit. A chunk that raises is replayed one pair at a
-    time, so the error that surfaces is the one of the first failing pair.
+    at a time, each chunk one call of the batched `blocks`. The bounds of
+    norm_survivors carry one floor across the chunks, the best lower bound so
+    far, and each chunk's survivors, the matrices whose upper bound still
+    reaches it, are held rather than given an SVD at once. Once CHUNK_PAIRS
+    of them are held, and after the last chunk, the held matrices that the
+    floor has since ruled out are dropped and the rest go to one batched
+    induced_norms, whose maximum raises the floor. So the SVD runs only on
+    the matrices that the whole call's bounds cannot rule out, and the
+    maximum is the per-point one bit for bit (max_induced_norm gives the
+    reason). A chunk that raises is replayed one pair at a time, so the
+    error that surfaces is the one of the first failing pair, also while
+    earlier chunks' survivors are held.
     """
     per_x = len(pts_y)
     total = len(pts_x) * per_x
-    best = -np.inf
+    floor = best = -np.inf  # the best lower bound and the largest norm taken
+    held: list[tuple[np.ndarray, np.ndarray]] = []  # survivors and their upper bounds
 
     def deviations(xs, ys):
         d = blocks(xs, ys) - base_block
         return d if weights is None else d * weights
 
+    def raise_to(norms):
+        nonlocal floor, best
+        best = max(best, norms.max(initial=-np.inf))
+        floor = max(floor, best)
+
     def chunk_max(start):
-        nonlocal best
-        pairs = np.arange(start, min(start + CHUNK_PAIRS, total))
+        nonlocal floor
+        stop = min(start + CHUNK_PAIRS, total)
+        pairs = np.arange(start, stop)
         xs, ys = pts_x[pairs // per_x], pts_y[pairs % per_x]
         try:
-            best = max_induced_norm(deviations(xs, ys), norm_kind, best)
+            d = deviations(xs, ys)
+            floor, keep, upper = norm_survivors(d, norm_kind, floor)
         except Exception:
-            best = max(best, max(induced_norm(deviations(xs[i:i + 1], ys[i:i + 1])[0], norm_kind)
-                                 for i in range(len(pairs))))
+            raise_to(np.array([induced_norm(deviations(xs[i:i + 1], ys[i:i + 1])[0], norm_kind)
+                               for i in range(len(pairs))]))
+        else:
+            if upper is None:  # no bounds for this kind or shape
+                raise_to(induced_norms(d, norm_kind))
+            else:
+                held.append((d[keep], upper))
+        if held and (stop == total or sum(len(u) for _, u in held) >= CHUNK_PAIRS):
+            stack, uppers = (np.concatenate(parts) for parts in zip(*held))
+            held.clear()
+            raise_to(induced_norms(stack[can_reach(uppers, floor)], norm_kind))
         return best
 
     return max_over(range(0, total, CHUNK_PAIRS), chunk_max)

@@ -4,7 +4,14 @@ One norm kind is chosen per run and used consistently for every bound
 quantity; mixing kinds across the two certification inequalities would not
 compose soundly. induced_norms takes the norms of a stack of matrices, and
 max_induced_norm the largest of them, computing an SVD only for the
-matrices that cheap bounds cannot rule out.
+matrices that bounds cannot rule out: the cheap row, column, Frobenius and
+sqrt(||A||_1 ||A||_inf) bounds, and where those lie apart the Gram bound
+sqrt(||A^T A||_inf), which sees sign cancellation. norm_survivors gives the
+bounds and the matrices they keep, so a caller can carry one floor across
+many stacks and defer the SVDs (imft._sampled_L does). For k x k blocks
+whose largest entry lies in SAFE_SCALE the bounds round by at most about
+k^3 ulps, far inside PRUNE_MARGIN, so skipping leaves the maximum unchanged
+bit for bit.
 """
 
 from __future__ import annotations
@@ -92,6 +99,53 @@ def induced_norms(a: np.ndarray, kind: str = "spectral") -> np.ndarray:
     return np.linalg.norm(a, _MAT_ORD[kind], axis=(1, 2))
 
 
+def can_reach(upper: np.ndarray, best: float) -> np.ndarray:
+    """Which upper bounds, times (1 + PRUNE_MARGIN), reach best: the matrices to keep."""
+    return upper * (1.0 + PRUNE_MARGIN) >= best
+
+
+def norm_survivors(a: np.ndarray, kind: str = "spectral", floor: float = -np.inf):
+    """(best, keep, upper): which matrices of a stack (N, r, c) can hold the largest norm.
+
+    best is max(floor, largest lower bound), keep the indices of the
+    matrices whose upper bound reaches it (can_reach) and upper their upper
+    bounds, as max_induced_norm describes them. A matrix whose largest entry
+    lies outside SAFE_SCALE is kept with an upper bound of inf. Other kinds
+    and shapes are not bounded at all: best is the floor, keep slice(None)
+    and upper None.
+    """
+    a = np.asarray(a, dtype=float)
+    count, rows, cols = a.shape
+    if kind != "spectral" or min(rows, cols) < 2 or not count:
+        return floor, slice(None), None
+    if not np.all(np.isfinite(a)):
+        raise NonFinite("matrix contains non-finite entries")
+    # |entries| as (r, c, N): every reduction below runs along whole stacks,
+    # and the one copy is squared in place once the sums are taken
+    mag = np.abs(np.moveaxis(a, 0, -1), order="C")
+    top = mag.max(axis=(0, 1))
+    bounded = (top > SAFE_SCALE[0]) & (top < SAFE_SCALE[1])
+    # the bounds of unbounded matrices may overflow; they are not used
+    with np.errstate(over="ignore", under="ignore"):
+        one_inf = np.sqrt(mag.sum(axis=0).max(axis=0) * mag.sum(axis=1).max(axis=0))
+        squares = np.square(mag, out=mag)
+        row_sq, col_sq = squares.sum(axis=1), squares.sum(axis=0)
+        lower = np.sqrt(np.maximum(row_sq.max(axis=0), col_sq.max(axis=0)))
+        upper = np.where(bounded, np.minimum(np.sqrt(row_sq.sum(axis=0)), one_inf), np.inf)
+    best = max(floor, lower[bounded].max(initial=-np.inf))
+    keep = np.flatnonzero(can_reach(upper, best))
+    loose = keep[bounded[keep] & (upper[keep] > lower[keep] * (1.0 + PRUNE_MARGIN))]
+    if len(loose):
+        # the Gram bound of the smaller side; one that overflows is inf and
+        # fmin keeps the cheap bound
+        b = a[loose]
+        gram = b @ b.transpose(0, 2, 1) if rows < cols else b.transpose(0, 2, 1) @ b
+        with np.errstate(over="ignore", under="ignore"):
+            upper[loose] = np.fmin(upper[loose], np.sqrt(np.abs(gram).sum(axis=2).max(axis=1)))
+        keep = keep[can_reach(upper[keep], best)]
+    return best, keep, upper[keep]
+
+
 def max_induced_norm(a: np.ndarray, kind: str = "spectral", floor: float = 0.0) -> float:
     """max(floor, induced_norms(a, kind).max()) of a stack (N, r, c), bit for bit.
 
@@ -101,34 +155,33 @@ def max_induced_norm(a: np.ndarray, kind: str = "spectral", floor: float = 0.0) 
 
         largest row or column 2-norm <= ||A||_2 <= min(||A||_F, sqrt(||A||_1 ||A||_inf)),
 
-    and the SVD runs only on the matrices whose upper bound times
-    (1 + PRUNE_MARGIN) reaches the best lower bound, max(floor, largest
-    lower bound). A skipped matrix is below that by far more than any
-    rounding, so the maximum is the same value. Matrices whose largest entry
-    lies outside SAFE_SCALE (zero ones included) get no bounds and always
-    the SVD. Other kinds and shapes are not worth bounding: their norms are
-    sums and dot products, as in induced_norms.
+    and each one whose two bounds lie more than PRUNE_MARGIN apart, and that
+    the cheap upper bound does not rule out, gets the Gram bound
+
+        ||A||_2 <= sqrt(||A^T A||_inf),
+
+    since lambda_max(A^T A) is at most any induced norm of A^T A (A A^T where
+    A has fewer rows than columns). Unlike the cheap bounds it sees sign
+    cancellation: near-orthogonal mixed-sign matrices have a Frobenius norm
+    well above their 2-norm, and a Gram bound close to it. The SVD runs only
+    on the matrices whose upper bound times (1 + PRUNE_MARGIN) reaches the
+    best lower bound, max(floor, largest lower bound), so a skipped matrix
+    lies below a norm the stack attains by far more than any rounding and
+    the maximum is the same value. The cheap bounds round by a few ulps. A
+    k x k Gram bound rounds by about k^3 ulps of ||A||_2^2: each entry of
+    A^T A is a sum of products whose magnitudes add up to at most
+    ||A||_2^2, and a row adds k of them. Both hold only for matrices whose
+    largest entry lies in SAFE_SCALE: no square overflows, and since
+    ||A||_2^2 > 1e-300 a product that underflows is off by at most 2^-1075,
+    about 1e-24 of it. Every other matrix (zero ones included) gets no
+    bounds and always the SVD, and a Gram bound that overflows (a sum of
+    more than 1e8 products) leaves the cheap one.
+    Other kinds and shapes are not worth bounding: their norms are sums and
+    dot products, as in induced_norms. norm_survivors gives the bounds.
     """
     a = np.asarray(a, dtype=float)
-    count, rows, cols = a.shape
-    if kind == "spectral" and min(rows, cols) > 1 and count:
-        if not np.all(np.isfinite(a)):
-            raise NonFinite("matrix contains non-finite entries")
-        # |entries| as (r, c, N): every reduction below runs along whole
-        # stacks, and the one copy is squared in place once the sums are taken
-        mag = np.abs(np.moveaxis(a, 0, -1), order="C")
-        top = mag.max(axis=(0, 1))
-        bounded = (top > SAFE_SCALE[0]) & (top < SAFE_SCALE[1])
-        # the bounds of unbounded matrices may overflow; they are not used
-        with np.errstate(over="ignore", under="ignore"):
-            one_inf = np.sqrt(mag.sum(axis=0).max(axis=0) * mag.sum(axis=1).max(axis=0))
-            squares = np.square(mag, out=mag)
-            row_sq, col_sq = squares.sum(axis=1), squares.sum(axis=0)
-            lower = np.sqrt(np.maximum(row_sq.max(axis=0), col_sq.max(axis=0)))
-            upper = np.minimum(np.sqrt(row_sq.sum(axis=0)), one_inf)
-        best = max(floor, lower[bounded].max(initial=-np.inf))
-        a = a[~bounded | (upper * (1.0 + PRUNE_MARGIN) >= best)]
-    norms = induced_norms(a, kind)
+    _, keep, _ = norm_survivors(a, kind, floor)
+    norms = induced_norms(a[keep], kind)
     return max(floor, float(norms.max())) if len(norms) else floor
 
 

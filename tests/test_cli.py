@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lscert import (SupremumEstimator, build_split_system, build_system, estimate_ls_L,
-                    evaluation_point, expr, imft, load_config, system_from_expressions)
+                    evaluation_point, expr, imft, load_config, norms, system_from_expressions)
 from lscert.cli import main, main_imft_certify, main_ls_certify
 
 REPO = Path(__file__).resolve().parent.parent
@@ -529,3 +529,28 @@ def test_dsl_math_runs_once_per_distinct_argument(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     system.jacobians(rng.uniform(-1.0, 1.0, (1024, 2)), rng.uniform(0.5, 1.5, (1024, 1)))
     assert mapped == [1024, 1024]
+
+
+def test_svds_run_only_where_the_whole_calls_bounds_cannot_rule_a_matrix_out(tmp_path,
+                                                                              monkeypatch):
+    svd, induced_norms = [], norms.induced_norms
+
+    def counting(a, kind="spectral"):
+        if min(a.shape[1:]) >= 2:
+            svd.append(len(a))
+        return induced_norms(a, kind)
+
+    monkeypatch.setattr(norms, "induced_norms", counting)
+    monkeypatch.setattr(imft, "induced_norms", counting)
+    for command, config, golden, want in (
+            # 384 with per-chunk cheap bounds: the Gram bound and the floor
+            # carried across chunks rule out more than half of the rest
+            ("ls-certify", "ring4_certify_sampled.json", "ring4_sampled_nonmeta.json", 155),
+            # nearly all of these lie within 1e-8 of their call's maximum
+            ("imft-certify", "ring4_imft.json", "ring4_imft_nonmeta.json", 362)):
+        svd.clear()
+        out = tmp_path / golden
+        assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+        assert non_meta_text(json.loads(out.read_text(encoding="utf-8"))) == \
+            (GOLDEN / golden).read_text(encoding="utf-8")
+        assert sum(svd) == want, command

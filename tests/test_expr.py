@@ -234,6 +234,37 @@ def test_sech_powers_underflow_to_zero_instead_of_overflowing():
     assert values[0] == 0.0 and d_x[0, 0] == 0.0
 
 
+def test_mapped_sech_powers_give_sech_powers_bits():
+    # the mapped form calls math.pow(cosh(v), float(k)) where sech_power
+    # takes cosh(v) ** k: the same libm pow on the same floats. Past about
+    # 355 (k = 2) and 710 (k = 1) it raises, and PerElement replays the list
+    # through sech_power, whose limit is 0.0
+    rng = np.random.default_rng(44)
+    edges = np.concatenate([e + rng.uniform(-0.6, 0.6, 300) for e in (355.3, 710.5)])
+    values = np.concatenate([rng.standard_normal(2000) * 40.0, edges, -edges,
+                             [0.0, -0.0, 1e5, -1e300, np.inf, -np.inf, np.nan]]).tolist()
+    for k in (1, 2):
+        def overflows(v):
+            try:
+                math.cosh(v) ** k
+            except OverflowError:
+                return True
+            return False
+
+        mapped, one = expr._sech_powers(k), (lambda v: expr.sech_power(v, k))
+        fits = [v for v in values if not overflows(v)]
+        assert 0 < len(fits) < len(values)
+        assert mapped(fits).tobytes() == np.array([one(v) for v in fits]).tobytes()
+        for v in values:
+            if overflows(v):
+                with pytest.raises(OverflowError):
+                    mapped([v])
+            else:
+                assert mapped([v]).tobytes() == np.array([one(v)]).tobytes(), (k, v)
+        replayed = expr.PerElement(one, mapped)(values)
+        assert replayed.tobytes() == np.array([one(v) for v in values]).tobytes()
+
+
 def test_custom_variable_names_for_radius_overrides():
     asts = expr.parse_components("1 - min(0, 1 - rpar)", 1, (), ("rpar", "rperp"))
     names = ((), ("rpar", "rperp"))

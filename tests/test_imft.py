@@ -256,6 +256,7 @@ def test_ball_points_holds_each_point_once():
 # --- the chunked sampler against the per-point loop ---------------------------
 
 RING4 = "-x1 + tanh(l1*x2); -x2 + tanh(l1*x3); -x3 + tanh(l1*x4); -x4 + tanh(l1*x1)"
+RING6 = "; ".join(f"-x{i} + tanh(l1*x{i % 6 + 1})" for i in range(1, 7))
 
 
 def _ls_case(model, jacs, spd, radii, weights=None):
@@ -294,6 +295,11 @@ def _sampler_case(name):
         return _ls_case(tanh2, tanh2_jacs, 9, [(1.0, 0.5)], weights=np.array([1.0, 0.5]))
     if name == "ring4-ls":
         return _ls_case(ring4, expr_jacobians(RING4, 4, 1), 5, [(1.0, 0.5)])
+    if name == "ring6-ls":
+        # 5 x 5 y-blocks: most chunks hold a few survivors, and the Gram bound
+        # rules out matrices that the cheap bounds keep
+        ring6 = {"kind": "expr", "source": RING6, "n": 6, "m": 1}
+        return _ls_case(ring6, expr_jacobians(RING6, 6, 1), 3, [(1.0, 0.5), (0.5, 1.5)])
     if name == "ring4-imft":
         cfg = parse_config({
             "model": ring4, "base_point": {"x0": [0.5], "y0": [0.0] * 4},
@@ -311,7 +317,7 @@ def _sampler_case(name):
             _fd_blocks(fun, 2, 0))
 
 
-SAMPLER_CASES = ["tanh2", "tanh2-steep", "tanh2-weights", "ring4-ls", "ring4-imft",
+SAMPLER_CASES = ["tanh2", "tanh2-steep", "tanh2-weights", "ring4-ls", "ring6-ls", "ring4-imft",
                  "parabola-fd", "empty-y"]
 
 
@@ -347,12 +353,18 @@ def test_batched_norms_equal_per_matrix_norms_bitwise():
 def test_chunked_L_equals_the_per_point_loop_bitwise(name, norm_kind, monkeypatch):
     f, x0, y0, base, spd, radii, weights, (dx_ref, dy_ref) = _sampler_case(name)
     est = SupremumEstimator(samples_per_dim=spd)
+    batches = []
+    monkeypatch.setattr(imft, "induced_norms", lambda a, kind: batches.append(len(a))
+                        or induced_norms(a, kind))
     for r_x, r_y in radii:
         want = per_point_L(dx_ref, dy_ref, x0, y0, r_x, r_y, spd, norm_kind, weights, base)
         for chunk in (1, 7, 10**9):  # 10**9: every pair in one chunk
             monkeypatch.setattr(imft, "CHUNK_PAIRS", chunk)
+            batches.clear()
             got = estimate_L(f, x0, y0, r_x, r_y, est, norm_kind, weights, base)
             assert got == want, (r_x, r_y, chunk)
+            # a chunk's survivors join fewer than CHUNK_PAIRS held matrices
+            assert max(batches, default=0) < 2 * chunk, (r_x, r_y, chunk)
 
 
 def test_a_failing_chunk_surfaces_the_first_failing_pairs_error(monkeypatch):
@@ -370,3 +382,37 @@ def test_a_failing_chunk_surfaces_the_first_failing_pairs_error(monkeypatch):
     monkeypatch.setattr(imft, "CHUNK_PAIRS", 10**9)
     with pytest.raises(ValueError, match=re.escape(f"bad row {first}") + "$"):
         estimate_L(f, X0, Y0, 1.0, 0.1, SupremumEstimator(samples_per_dim=9))
+
+
+def test_a_chunk_that_raises_while_survivors_are_held_surfaces_the_first_failing_pair(monkeypatch):
+    # 2 x 2 y-blocks whose norm falls with |x|, one x per chunk: after the
+    # first chunk only the zero matrix at x = 0 survives, so the survivors
+    # are still held, without an SVD, when the chunk of the first failing
+    # pair raises; the batched block checks its rows last to first
+    def jac_y_many(X, Y):
+        for x in X[::-1]:
+            if x[0] > 0.5:
+                raise ValueError(f"bad row {float(x[0])}")
+        out = np.zeros((len(X), 2, 2))
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0] = X[:, 0], Y[:, 0], Y[:, 1]
+        return out
+
+    f = dataclasses.replace(parabola(), n_y=2, jac_y_many=jac_y_many)
+    base = imft.BaseBlocks(dx=np.zeros((2, 1)), dy=np.zeros((2, 2)))
+    pts_x = ball_points(X0, 1.0, 9, "spectral")
+    pts_y = ball_points(np.zeros(2), 0.1, 5, "spectral")
+    first = next(float(p[0]) for p in pts_x if p[0] > 0.5)
+    assert pts_x[0, 0] == -1.0
+    held, svds, survivors = [], [], imft.norm_survivors
+
+    def recording(*args):
+        best, keep, upper = survivors(*args)
+        held.append(len(upper))
+        return best, keep, upper
+
+    monkeypatch.setattr(imft, "norm_survivors", recording)
+    monkeypatch.setattr(imft, "induced_norms", lambda a, kind: svds.append(len(a)))
+    monkeypatch.setattr(imft, "CHUNK_PAIRS", len(pts_y))  # one x per chunk
+    with pytest.raises(ValueError, match=re.escape(f"bad row {first}") + "$"):
+        imft._sampled_L(f.dy_many, base.dy, pts_x, pts_y, "spectral")
+    assert held[0] > 0 and sum(held) < len(pts_y) and svds == []

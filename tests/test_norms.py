@@ -40,6 +40,11 @@ def _matrices(rng, style, count, rows, cols):
         a *= 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1, 1))
     elif style == "dominated":
         a[0] *= 5.0  # one large matrix and many that cannot reach it
+    elif style == "near_orthogonal":
+        # mixed-sign blocks close to orthogonal: the cheap upper bounds lie
+        # up to sqrt(k) above the 2-norm, the Gram bound within about 1e-3
+        q = np.linalg.qr(rng.standard_normal((count, max(rows, cols), max(rows, cols))))[0]
+        a = q[:, :rows, :cols] * rng.uniform(0.99, 1.01, size=(count, 1, 1)) + 1e-4 * a
     a[rng.uniform(size=count) < 0.15] = 0.0
     return a
 
@@ -49,7 +54,8 @@ def stacks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     count = draw(st.integers(1, 40))
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    style = draw(st.sampled_from(["normal", "ties", "rank_one", "spread", "dominated"]))
+    style = draw(st.sampled_from(["normal", "ties", "rank_one", "spread", "dominated",
+                                  "near_orthogonal"]))
     # 1e153: some squares overflow while others do not; 5e-324 leaves subnormals
     scale = draw(st.sampled_from([1.0, 1e170, 1e-170, 1e153, 1e-160, 5e-324]))
     return _matrices(rng, style, count, rows, cols) * scale
@@ -128,6 +134,27 @@ def test_only_the_matrices_that_can_hold_the_maximum_get_the_svd(monkeypatch):
     # below the floor nothing is left to compute
     assert max_induced_norm(stack, "spectral", 1e3) == 1e3
     assert seen == [1, 0]
+
+
+def test_the_gram_bound_rules_out_what_the_cheap_bounds_keep(monkeypatch):
+    # orthogonal 3 x 3 blocks: 2-norm 1, Frobenius norm sqrt(3); the one
+    # scaled by 1.05 holds the maximum, and only the Gram bound shows that
+    # the others cannot reach it
+    rng = np.random.default_rng(12)
+    stack = np.linalg.qr(rng.standard_normal((256, 3, 3)))[0]
+    stack[40] *= 1.05
+    assert np.sqrt(np.square(stack).sum(axis=(1, 2))).min() > 1.7
+    seen = []
+
+    def counted(a, kind="spectral"):
+        seen.append(len(a))
+        return induced_norms(a, kind)
+
+    monkeypatch.setattr(norms, "induced_norms", counted)
+    assert max_induced_norm(stack) == full_maximum(stack, "spectral", 0.0)
+    assert seen == [1]
+    best, keep, upper = norms.norm_survivors(stack, "spectral")
+    assert keep.tolist() == [40] and best <= upper[0] * (1.0 + norms.PRUNE_MARGIN)
 
 
 def test_empty_stacks_and_shapes_give_the_floor_or_zero():
