@@ -31,9 +31,10 @@ _EXPORTS = {
         "split_state"),
     # generic split certification
     "imft": (
-        "SplitFunction", "split_function", "SupremumEstimator", "ImftQuantities",
-        "compute_M", "estimate_L", "imft_quantities", "check_conditions", "certify_region",
-        "witness_check", "WitnessResult", "CertifiedRegion", "RegionEntry", "FrontierPoint"),
+        "SplitFunction", "split_function", "system_split", "index_split", "SupremumEstimator",
+        "ImftQuantities", "compute_M", "estimate_L", "imft_quantities", "check_conditions",
+        "certify_region", "witness_check", "WitnessResult", "CertifiedRegion", "RegionEntry",
+        "FrontierPoint"),
     # kernel-split certification
     "ls_bounds": (
         "SplitSystem", "build_split_system", "compute_ls_M", "estimate_ls_L",

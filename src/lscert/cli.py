@@ -36,8 +36,8 @@ from .config import (
     build_system,
     load_config,
 )
-from .errors import ArityError, LscertError, ParseError, UnknownIdentifier
-from .imft import SplitFunction, certify_grid, imft_quantities
+from .errors import ArityError, DimensionMismatch, LscertError, ParseError, UnknownIdentifier
+from .imft import SplitFunction, certify_grid, imft_quantities, index_split
 from .system import evaluation_point
 
 if TYPE_CHECKING:
@@ -88,13 +88,13 @@ def _split_system_from(cfg: RunConfig) -> ls_bounds.SplitSystem:
     return ls_bounds.build_split_system(sys_, point, cfg.rank_tol, cfg.equilibrium_tol)
 
 
-def _par_weights(cfg: RunConfig, ss: ls_bounds.SplitSystem) -> np.ndarray | None:
+def _weights(cfg: RunConfig, expected: int, what: str = "") -> np.ndarray | None:
+    """The parallel weights, checked to be one per x coordinate (`what` names the count)."""
     if cfg.parallel_weights is None:
         return None
-    expected = ss.q + ss.m
     if len(cfg.parallel_weights) != expected:
         raise ConfigError("parallel_weights",
-                          f"expected q + m = {expected} weight(s), got {len(cfg.parallel_weights)}")
+                          f"expected {what}{expected} weight(s), got {len(cfg.parallel_weights)}")
     return np.asarray(cfg.parallel_weights, dtype=float)
 
 
@@ -103,7 +103,7 @@ def _cmd_ls_certify(args) -> int:
     section = _require(cfg.certify, "certify")
     ss = _split_system_from(cfg)
     estimator = build_estimator(cfg.estimator, ("rpar", "rperp"))
-    weights = _par_weights(cfg, ss)
+    weights = _weights(cfg, ss.q + ss.m, "q + m = ")
     region, quantities = ls_bounds.certify_ls_region(
         ss, section.r_par_grid, section.r_perp_grid, estimator, cfg.norm, weights)
     meta = report.make_meta("ls-certify", cfg.raw, cfg.norm, estimator.mode, region.rigorous)
@@ -129,7 +129,7 @@ def _cmd_ls_certify(args) -> int:
 
 
 def _combined_split(model: ModelConfig, section: ImftSection, bp) -> SplitFunction:
-    """Build f(x, y) over the combined (state ++ parameter) vector.
+    """The index split of the model over the combined (state ++ parameter) vector.
 
     An expression model has one component per y coordinate; a builtin has
     its own n, which y_indices must match.
@@ -138,48 +138,17 @@ def _combined_split(model: ModelConfig, section: ImftSection, bp) -> SplitFuncti
         sys_ = build_system(model, components=len(section.y_indices))
     except (ParseError, ArityError, UnknownIdentifier) as exc:
         raise ConfigError("model.source", str(exc)) from exc
-    n, m, k = sys_.n, sys_.m, sys_.k
-    total = n + m
-    x_idx = np.asarray(section.x_indices, dtype=int)
-    y_idx = np.asarray(section.y_indices, dtype=int)
-    if sorted(list(section.x_indices) + list(section.y_indices)) != list(range(total)):
-        raise ConfigError("imft.x_indices",
-                          f"x_indices and y_indices must partition 0..{total - 1} "
-                          "of the combined (state ++ parameter) vector")
-    if k != len(section.y_indices):
-        raise ConfigError("imft.y_indices",
-                          f"model has {k} component(s); y_indices must have that length, "
-                          f"got {len(section.y_indices)}")
+    try:
+        f = index_split(sys_, section.x_indices, section.y_indices)
+    except DimensionMismatch as exc:
+        raise ConfigError("imft", str(exc)) from exc
     if len(bp.x0) != len(section.x_indices):
         raise ConfigError("base_point.x0",
                           f"expected {len(section.x_indices)} component(s), got {len(bp.x0)}")
     if len(bp.y0) != len(section.y_indices):
         raise ConfigError("base_point.y0",
                           f"expected {len(section.y_indices)} component(s), got {len(bp.y0)}")
-
-    def assemble(x, y):
-        u = np.empty(total)
-        u[x_idx] = x
-        u[y_idx] = y
-        return u
-
-    def value(x, y):
-        u = assemble(x, y)
-        return sys_.phi(u[:n], u[n:])
-
-    def full_jacs(X, Y):
-        u = np.empty((len(X), total))
-        u[:, x_idx] = X
-        u[:, y_idx] = Y
-        return np.concatenate(sys_.jacobians(u[:, :n], u[:, n:]), axis=2)
-
-    return SplitFunction(
-        n_x=len(x_idx),
-        n_y=len(y_idx),
-        fun=value,
-        jac_x_many=lambda X, Y: full_jacs(X, Y)[:, :, x_idx],
-        jac_y_many=lambda X, Y: full_jacs(X, Y)[:, :, y_idx],
-    )
+    return f
 
 
 def _cmd_imft_certify(args) -> int:
@@ -192,13 +161,7 @@ def _cmd_imft_certify(args) -> int:
     x0 = np.asarray(bp.x0, dtype=float)
     y0 = np.asarray(bp.y0, dtype=float)
     estimator = build_estimator(cfg.estimator, ("rx", "ry"))
-    x_weights = None
-    if cfg.parallel_weights is not None:
-        if len(cfg.parallel_weights) != f.n_x:
-            raise ConfigError("parallel_weights",
-                              f"expected {f.n_x} weight(s), got {len(cfg.parallel_weights)}")
-        x_weights = np.asarray(cfg.parallel_weights, dtype=float)
-    quantities = imft_quantities(f, x0, y0, estimator, cfg.norm, x_weights)
+    quantities = imft_quantities(f, x0, y0, estimator, cfg.norm, _weights(cfg, f.n_x))
     region = certify_grid(quantities, section.r_x_grid, section.r_y_grid)
     meta = report.make_meta("imft-certify", cfg.raw, cfg.norm, estimator.mode, region.rigorous)
     doc = report.certification_report(
@@ -240,7 +203,7 @@ def _frontier_for_warnings(cfg: RunConfig, ss: ls_bounds.SplitSystem):
     estimator = build_estimator(cfg.estimator, ("rpar", "rperp"))
     region, _ = ls_bounds.certify_ls_region(
         ss, cfg.certify.r_par_grid, cfg.certify.r_perp_grid,
-        estimator, cfg.norm, _par_weights(cfg, ss))
+        estimator, cfg.norm, _weights(cfg, ss.q + ss.m, "q + m = "))
     return region.frontier
 
 

@@ -83,13 +83,12 @@ def _as_int(v: Any, path: str, minimum: int | None = None) -> int:
     return v
 
 
-def _as_number_list(v: Any, path: str, min_len: int = 1,
-                    minimum: float | None = None) -> tuple[float, ...]:
+def _as_number_list(v: Any, path: str, min_len: int = 1, **bounds) -> tuple[float, ...]:
     if not isinstance(v, list):
         raise ConfigError(path, f"expected an array, got {type(v).__name__}")
     if len(v) < min_len:
         raise ConfigError(path, f"expected at least {min_len} element(s), got {len(v)}")
-    return tuple(_as_number(item, f"{path}[{i}]", minimum=minimum) for i, item in enumerate(v))
+    return tuple(_as_number(item, f"{path}[{i}]", **bounds) for i, item in enumerate(v))
 
 
 def _as_int_list(v: Any, path: str, minimum: int = 0) -> tuple[int, ...]:
@@ -334,7 +333,7 @@ def parse_config(data: dict) -> RunConfig:
         trace=_parse_trace(data["trace"]) if "trace" in data else None,
         newton=_parse_newton(data["newton"]) if "newton" in data else NewtonSection(),
         parallel_weights=_as_number_list(data["parallel_weights"], "parallel_weights",
-                                         minimum=0.0) if "parallel_weights" in data else None,
+                                         strict_min=0.0) if "parallel_weights" in data else None,
         raw=data,
     )
 

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LscertError, NonFinite, SingularDyf
+from .errors import DimensionMismatch, LscertError, NonFinite, SingularDyf
 from .norms import (can_reach, check_norm_kind, induced_norm, induced_norms, inverse_norm,
                     norm_survivors, vector_norm)
 from .sampling import DEFAULT_SAMPLES_PER_DIM, ball_points, max_over
@@ -48,20 +48,21 @@ CHUNK_PAIRS = 1024
 class SplitFunction:
     """f : R^{n_x} x R^{n_y} -> R^{n_y} with both Jacobian blocks.
 
-    jac_x_many/jac_y_many take point stacks X (N, n_x) and Y (N, n_y) and
-    return the blocks at every row, (N, n_y, n_x) and (N, n_y, n_y). dx and
-    dy are row 0 of a one-point call; split_function adapts per-point
-    callables.
+    value_many, jac_x_many and jac_y_many take point stacks X (N, n_x) and
+    Y (N, n_y) and return the value and the blocks at every row, (N, n_y),
+    (N, n_y, n_x) and (N, n_y, n_y). value, dx and dy are row 0 of a
+    one-point call. split_function adapts per-point callables, system_split
+    views a ParametricSystem.
     """
 
     n_x: int
     n_y: int
-    fun: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    value_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_x_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_y_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def value(self, x, y) -> np.ndarray:
-        return np.asarray(self.fun(np.asarray(x, float), np.asarray(y, float)), dtype=float).ravel()
+        return self.value_many(*self._one_point(x, y))[0]
 
     def dx(self, x, y) -> np.ndarray:
         return self.dx_many(*self._one_point(x, y))[0]
@@ -84,20 +85,71 @@ class SplitFunction:
 def split_function(fun, n_x: int, n_y: int, jac_x=None, jac_y=None) -> SplitFunction:
     """Wrap a callable and per-point Jacobian callables into a split function.
 
-    Each batched block stacks the per-point ones; a missing block comes from
-    one central-difference pass per point.
+    Each batched callable stacks the per-point ones; a missing block comes
+    from one central-difference pass per point.
     """
-    def stacked(jac, which, shape):
+    def stacked(point, shape):
         def many(X, Y):
             out = np.empty((len(X),) + shape)
             for i, (x, y) in enumerate(zip(X, Y)):
-                block = fd_jacobians(fun, n_x, n_y, x, y)[which] if jac is None else jac(x, y)
-                out[i] = np.asarray(block, dtype=float).reshape(shape)
+                out[i] = np.asarray(point(x, y), dtype=float).reshape(shape)
             return out
         return many
 
-    return SplitFunction(n_x=n_x, n_y=n_y, fun=fun, jac_x_many=stacked(jac_x, 0, (n_y, n_x)),
-                         jac_y_many=stacked(jac_y, 1, (n_y, n_y)))
+    def fd(which):
+        return lambda x, y: fd_jacobians(fun, n_x, n_y, x, y)[which]
+
+    return SplitFunction(n_x, n_y, stacked(fun, (n_y,)), stacked(jac_x or fd(0), (n_y, n_x)),
+                         stacked(jac_y or fd(1), (n_y, n_y)))
+
+
+def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
+                 project: np.ndarray | None = None) -> SplitFunction:
+    """The split view f(x, y) = P Phi(E(x, y)) of a ParametricSystem.
+
+    embed(X, Y) maps point stacks (N, n_x) and (N, n_y) to the states and
+    parameters sys is evaluated at; P is an optional left projection.
+    x_chain and y_chain build the blocks P [D_x Phi | D_lambda Phi] dE/dx and
+    dE/dy from part(0) = P D_x Phi and part(1) = P D_lambda Phi, each
+    projected only when asked for, so as (P J) V. A chain that selects
+    coordinates gathers them: a 0/1 matmul turns -0.0 into 0.0, inf into NaN.
+    """
+    def projected(stack):
+        return stack if project is None else project[None] @ stack
+
+    def value_many(X, Y):
+        return projected(sys.residuals(*embed(X, Y))[:, :, None])[..., 0]
+
+    def blocks(chain):
+        def many(X, Y):
+            jacs = sys.jacobians(*embed(X, Y))
+            return chain(lambda i: projected(jacs[i]))
+        return many
+
+    return SplitFunction(n_x, n_y, value_many, blocks(x_chain), blocks(y_chain))
+
+
+def index_split(sys, x_indices, y_indices) -> SplitFunction:
+    """The split view of sys with u[x_indices] = x and u[y_indices] = y, u = (state ++ lambda).
+
+    Raises DimensionMismatch unless the indices partition 0..n + m - 1 and sys
+    has one residual component per y coordinate.
+    """
+    n, x_idx, y_idx = sys.n, np.array(x_indices, dtype=int), np.array(y_indices, dtype=int)
+    if sorted([*x_idx, *y_idx]) != list(range(n + sys.m)) or sys.k != len(y_idx):
+        raise DimensionMismatch(f"x_indices {x_idx.tolist()} and y_indices {y_idx.tolist()} must "
+                                f"partition 0..{n + sys.m - 1} of (state ++ lambda), and "
+                                f"y_indices must hold one index per residual component ({sys.k})")
+
+    def embed(X, Y):
+        u = np.empty((len(X), n + sys.m))
+        u[:, x_idx], u[:, y_idx] = X, Y
+        return u[:, :n], u[:, n:]
+
+    def gather(idx):
+        return lambda part: np.concatenate([part(0), part(1)], axis=2)[:, :, idx]
+
+    return system_split(sys, len(x_idx), len(y_idx), embed, gather(x_idx), gather(y_idx))
 
 
 @dataclass(frozen=True)
@@ -276,7 +328,7 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> flo
     floor has since ruled out are dropped and the rest go to one batched
     induced_norms, whose maximum raises the floor. So the SVD runs only on
     the matrices that the whole call's bounds cannot rule out, and the
-    maximum is the per-point one bit for bit (max_induced_norm gives the
+    maximum is the per-point one bit for bit (norm_survivors gives the
     reason). A chunk that raises is replayed one pair at a time, so the
     error that surfaces is the one of the first failing pair, also while
     earlier chunks' survivors are held.
@@ -513,7 +565,8 @@ def witness_check(
     Solves f(x, y) = f(x0, y0) by Newton from y0 at fixed-seed random x in
     B(x0, r_x) and reports whether every solve converged with
     ||y - y0|| < r_y. The samples are drawn first and then solved in one
-    lockstep Newton; each converges or fails as it would alone.
+    lockstep Newton, one value_many call per residual evaluation; each
+    converges or fails as it would alone.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -528,7 +581,7 @@ def witness_check(
                 break
         xs[i] = x0 + r_x * u
     ys, errors = damped_newton_many(
-        lambda Y, rows: np.array([f.value(xs[i], y) for i, y in zip(rows, Y)]) - target,
+        lambda Y, rows: f.value_many(xs[rows], Y) - target,
         lambda Y, rows: f.dy_many(xs[rows], Y),
         np.broadcast_to(y0, (n_samples, f.n_y)))
     norms = [vector_norm(y - y0, norm_kind) for i, y in enumerate(ys) if i not in errors]

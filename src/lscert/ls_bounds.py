@@ -36,6 +36,7 @@ from .imft import (
     compute_M,
     estimate_L,
     imft_quantities,
+    system_split,
 )
 from .norms import induced_norm
 from .subspace import DEFAULT_RANK_TOL, SubspaceDecomposition, compute_decomposition
@@ -126,23 +127,17 @@ class SplitSystem:
         return self.jac_perp(alpha, beta, lam) - self.reduced_block
 
     def as_split_function(self) -> SplitFunction:
-        """Generic split-variable view with x := (alpha, lambda), y := beta."""
-        q, m = self.q, self.m
+        """Generic split-variable view with x := (alpha, lambda), y := beta.
 
-        def fun(p, beta):
-            return self.evaluator(p[:q], beta, p[q:])
-
-        w_t, v = self.decomp.W.T[None], self.decomp.V[None]
-
-        def jac_x_many(P, B):
-            jx, jl = self.sys.jacobians(self.states(P[:, :q], B), P[:, q:])
-            return np.concatenate([w_t @ jx @ v, w_t @ jl], axis=2)
-
-        def jac_y_many(P, B):
-            return self.jac_perp_many(P[:, :q], B, P[:, q:])
-
-        return SplitFunction(n_x=q + m, n_y=self.n_perp, fun=fun,
-                             jac_x_many=jac_x_many, jac_y_many=jac_y_many)
+        Phi at (V alpha + Vperp beta, lambda), projected by W^T: the blocks
+        are [(W^T J) V | W^T D_lambda Phi] and (W^T J) Vperp.
+        """
+        q, v, v_perp = self.q, self.decomp.V[None], self.decomp.Vperp[None]
+        return system_split(
+            self.sys, q + self.m, self.n_perp,
+            lambda P, B: (self.states(P[:, :q], B), P[:, q:]),
+            lambda part: np.concatenate([part(0) @ v, part(1)], axis=2),
+            lambda part: part(0) @ v_perp, project=self.decomp.W.T)
 
     @property
     def base_blocks(self) -> BaseBlocks:

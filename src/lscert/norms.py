@@ -2,16 +2,15 @@
 
 One norm kind is chosen per run and used consistently for every bound
 quantity; mixing kinds across the two certification inequalities would not
-compose soundly. induced_norms takes the norms of a stack of matrices, and
-max_induced_norm the largest of them, computing an SVD only for the
-matrices that bounds cannot rule out: the cheap row, column, Frobenius and
-sqrt(||A||_1 ||A||_inf) bounds, and where those lie apart the Gram bound
-sqrt(||A^T A||_inf), which sees sign cancellation. norm_survivors gives the
-bounds and the matrices they keep, so a caller can carry one floor across
-many stacks and defer the SVDs (imft._sampled_L does). For k x k blocks
-whose largest entry lies in SAFE_SCALE the bounds round by at most about
-k^3 ulps, far inside PRUNE_MARGIN, so skipping leaves the maximum unchanged
-bit for bit.
+compose soundly. induced_norms takes the norms of a stack of matrices.
+norm_survivors bounds them, so that a largest norm needs an SVD only for
+the matrices that the bounds cannot rule out: the cheap row, column,
+Frobenius and sqrt(||A||_1 ||A||_inf) bounds, and where those lie apart the
+Gram bound sqrt(||A^T A||_inf), which sees sign cancellation. A caller can
+carry one floor across many stacks and defer the SVDs (imft._sampled_L
+does). For k x k blocks whose largest entry lies in SAFE_SCALE the bounds
+round by at most about k^3 ulps, far inside PRUNE_MARGIN, so skipping
+leaves the maximum unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ _MAT_ORD = {"spectral": 2, "one": 1, "infinity": np.inf}
 COND_LIMIT = 1e14
 
 # a matrix whose largest entry lies in this range has no square or sum of
-# squares of its entries that under- or overflows: max_induced_norm bounds
+# squares of its entries that under- or overflows: norm_survivors bounds
 # only such matrices, and induced_norms rescales every other row or column
 SAFE_SCALE = (1e-150, 1e150)
 # relative gap a bound must clear to skip an SVD: far above the rounding of
@@ -107,12 +106,36 @@ def can_reach(upper: np.ndarray, best: float) -> np.ndarray:
 def norm_survivors(a: np.ndarray, kind: str = "spectral", floor: float = -np.inf):
     """(best, keep, upper): which matrices of a stack (N, r, c) can hold the largest norm.
 
-    best is max(floor, largest lower bound), keep the indices of the
-    matrices whose upper bound reaches it (can_reach) and upper their upper
-    bounds, as max_induced_norm describes them. A matrix whose largest entry
-    lies outside SAFE_SCALE is kept with an upper bound of inf. Other kinds
-    and shapes are not bounded at all: best is the floor, keep slice(None)
-    and upper None.
+    For spectral norms of matrices with at least two rows and two columns,
+    each matrix first gets the cheap bounds (Golub & Van Loan, Matrix
+    Computations, 2.3)
+
+        largest row or column 2-norm <= ||A||_2 <= min(||A||_F, sqrt(||A||_1 ||A||_inf)),
+
+    and each one whose two bounds lie more than PRUNE_MARGIN apart, and that
+    the cheap upper bound does not rule out, gets the Gram bound
+
+        ||A||_2 <= sqrt(||A^T A||_inf),
+
+    since lambda_max(A^T A) is at most any induced norm of A^T A (A A^T where
+    A has fewer rows than columns). Unlike the cheap bounds it sees sign
+    cancellation: near-orthogonal mixed-sign matrices have a Frobenius norm
+    well above their 2-norm, and a Gram bound close to it. best is
+    max(floor, largest lower bound), keep the indices of the matrices whose
+    upper bound reaches it (can_reach) and upper their upper bounds. So a
+    matrix left out lies below a norm the stack attains by far more than any
+    rounding, and the largest norm of the kept matrices, or the floor, is
+    the maximum over the stack bit for bit. The cheap bounds round by a few
+    ulps. A k x k Gram bound rounds by about k^3 ulps of ||A||_2^2: each
+    entry of A^T A is a sum of products whose magnitudes add up to at most
+    ||A||_2^2, and a row adds k of them. Both hold only for matrices whose
+    largest entry lies in SAFE_SCALE: no square overflows, and since
+    ||A||_2^2 > 1e-300 a product that underflows is off by at most 2^-1075,
+    about 1e-24 of it. Every other matrix (zero ones included) is kept with
+    an upper bound of inf, and a Gram bound that overflows (a sum of more
+    than 1e8 products) leaves the cheap one. Other kinds and shapes are not
+    worth bounding, since their norms are sums and dot products, as in
+    induced_norms: best is the floor, keep slice(None) and upper None.
     """
     a = np.asarray(a, dtype=float)
     count, rows, cols = a.shape
@@ -144,45 +167,6 @@ def norm_survivors(a: np.ndarray, kind: str = "spectral", floor: float = -np.inf
             upper[loose] = np.fmin(upper[loose], np.sqrt(np.abs(gram).sum(axis=2).max(axis=1)))
         keep = keep[can_reach(upper[keep], best)]
     return best, keep, upper[keep]
-
-
-def max_induced_norm(a: np.ndarray, kind: str = "spectral", floor: float = 0.0) -> float:
-    """max(floor, induced_norms(a, kind).max()) of a stack (N, r, c), bit for bit.
-
-    For spectral norms of matrices with at least two rows and two columns,
-    each matrix first gets the cheap bounds (Golub & Van Loan, Matrix
-    Computations, 2.3)
-
-        largest row or column 2-norm <= ||A||_2 <= min(||A||_F, sqrt(||A||_1 ||A||_inf)),
-
-    and each one whose two bounds lie more than PRUNE_MARGIN apart, and that
-    the cheap upper bound does not rule out, gets the Gram bound
-
-        ||A||_2 <= sqrt(||A^T A||_inf),
-
-    since lambda_max(A^T A) is at most any induced norm of A^T A (A A^T where
-    A has fewer rows than columns). Unlike the cheap bounds it sees sign
-    cancellation: near-orthogonal mixed-sign matrices have a Frobenius norm
-    well above their 2-norm, and a Gram bound close to it. The SVD runs only
-    on the matrices whose upper bound times (1 + PRUNE_MARGIN) reaches the
-    best lower bound, max(floor, largest lower bound), so a skipped matrix
-    lies below a norm the stack attains by far more than any rounding and
-    the maximum is the same value. The cheap bounds round by a few ulps. A
-    k x k Gram bound rounds by about k^3 ulps of ||A||_2^2: each entry of
-    A^T A is a sum of products whose magnitudes add up to at most
-    ||A||_2^2, and a row adds k of them. Both hold only for matrices whose
-    largest entry lies in SAFE_SCALE: no square overflows, and since
-    ||A||_2^2 > 1e-300 a product that underflows is off by at most 2^-1075,
-    about 1e-24 of it. Every other matrix (zero ones included) gets no
-    bounds and always the SVD, and a Gram bound that overflows (a sum of
-    more than 1e8 products) leaves the cheap one.
-    Other kinds and shapes are not worth bounding: their norms are sums and
-    dot products, as in induced_norms. norm_survivors gives the bounds.
-    """
-    a = np.asarray(a, dtype=float)
-    _, keep, _ = norm_survivors(a, kind, floor)
-    norms = induced_norms(a[keep], kind)
-    return max(floor, float(norms.max())) if len(norms) else floor
 
 
 def inverse_norm(a: np.ndarray, kind: str = "spectral", error: type[Exception] = SingularDyf) -> float:

@@ -6,6 +6,7 @@ import pytest
 
 import lscert
 from lscert import expr as expr_mod
+from lscert import norms as norms_mod
 from lscert.errors import DomainError, NewtonDiverged, NonFinite, SingularNewtonSystem
 from lscert.expr import (
     BINARY_FUNCTIONS,
@@ -293,6 +294,20 @@ def per_point_L(dx, dy, x0, y0, r_x, r_y, samples_per_dim, norm_kind="spectral",
     pts_x = ball_points(x0, r_x, samples_per_dim, norm_kind, weights=w)
     pts_y = ball_points(y0, r_y, samples_per_dim, norm_kind)
     return sup(dx, base.dx, pts_x, [y0], w), sup(dy, base.dy, pts_x, pts_y)
+
+
+def max_induced_norm(a, kind="spectral", floor=0.0):
+    """max(floor, induced_norms(a, kind).max()) of a stack (N, r, c), through the bounds.
+
+    The norms are taken only of the matrices norm_survivors keeps, as the
+    sampled L takes them; tests/test_norms.py holds this to the maximum of
+    every norm, bit for bit, and counts the norms taken through
+    lscert.norms.induced_norms.
+    """
+    a = np.asarray(a, dtype=float)
+    _, keep, _ = norms_mod.norm_survivors(a, kind, floor)
+    norms = norms_mod.induced_norms(a[keep], kind)
+    return max(floor, float(norms.max())) if len(norms) else floor
 
 
 # --- per-point reference for the compiled expression trees --------------------

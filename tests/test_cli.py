@@ -238,6 +238,31 @@ def test_negative_override_fails_instead_of_certifying(tmp_path, capsys, command
 # --- error handling ----------------------------------------------------------------
 
 
+# a weight of zero or below is refused by the config, before the ball sampler
+# can raise on it with a traceback
+@pytest.mark.parametrize("command, config, weights, message", [
+    ("ls-certify", "tanh2_certify_sampled.json", [0.0, 1.0],
+     "config error at parallel_weights[0]: must be > 0.0, got 0.0"),
+    ("imft-certify", "parabola_imft.json", [0.0],
+     "config error at parallel_weights[0]: must be > 0.0, got 0.0"),
+    ("imft-certify", "parabola_imft.json", [-0.5],
+     "config error at parallel_weights[0]: must be > 0.0, got -0.5"),
+    ("ls-certify", "tanh2_certify_sampled.json", [1.0],
+     "config error at parallel_weights: expected q + m = 2 weight(s), got 1"),
+    ("imft-certify", "parabola_imft.json", [1.0, 1.0],
+     "config error at parallel_weights: expected 1 weight(s), got 2"),
+])
+def test_weights_must_be_positive_and_one_per_x_coordinate(tmp_path, capsys, command, config,
+                                                          weights, message):
+    payload = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
+    payload["parallel_weights"] = weights
+    code = main([command, "--config", write_config(tmp_path, "weights.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("source, r_x, message", [
     # sampled in batches, exp overflows at x1 = 1.5 before log sees x1 = -1.5;
     # the pair-by-pair order reaches x1 = -1.5 first

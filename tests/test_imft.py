@@ -133,6 +133,50 @@ def test_witness_equals_the_per_sample_loop(name, norm_kind, seed):
         assert w.converged < w.total
 
 
+def test_witness_makes_one_value_call_per_newton_evaluation(monkeypatch):
+    f, x0, y0, r_x, r_y = _witness_case("ring4-imft")
+    value_rows, residual_rows = [], []
+    counted = dataclasses.replace(
+        f, value_many=lambda X, Y: value_rows.append(len(X)) or f.value_many(X, Y))
+    newton = imft.damped_newton_many
+
+    def counting_newton(residual, *args, **kwargs):
+        return newton(lambda Z, rows: residual_rows.append(len(rows)) or residual(Z, rows),
+                      *args, **kwargs)
+
+    monkeypatch.setattr(imft, "damped_newton_many", counting_newton)
+    w = witness_check(counted, x0, y0, r_x, r_y, n_samples=200)
+    assert w.converged == w.total == 200
+    # the target f(x0, y0), then one call per residual evaluation, over its rows
+    assert value_rows == [1] + residual_rows
+    assert residual_rows[0] == 200 and len(residual_rows) < 20
+
+
+@pytest.mark.parametrize("name", ["parabola-fd", "tanh2", "ring4-imft"])
+def test_per_point_forms_are_rows_of_the_batched_calls(name):
+    # split_function, the kernel split and the index split: value, dx and dy
+    # at a point are its row of a many-point call, bit for bit
+    f, x0, y0, _, _, ((r_x, r_y), *_), _, _ = _sampler_case(name)
+    rng = np.random.default_rng(909)
+    xs = x0 + rng.uniform(-r_x, r_x, size=(30, f.n_x))
+    ys = y0 + rng.uniform(-r_y, r_y, size=(30, f.n_y))
+    batched = f.value_many(xs, ys), f.dx_many(xs, ys), f.dy_many(xs, ys)
+    assert batched[0].shape == (30, f.n_y)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        for one, many in zip((f.value(x, y), f.dx(x, y), f.dy(x, y)), batched):
+            assert one.tobytes() == many[i].tobytes()
+
+
+@pytest.mark.parametrize("x_indices, y_indices", [([0], [0]), ([0], [1]), ([1, 2], [0, 3]),
+                                                 ([2], [0, 1])])
+def test_index_split_takes_only_a_partition_with_one_component_per_y(x_indices, y_indices):
+    # an index left out would be read from uninitialised memory
+    sys_ = lscert.system_from_expressions("x2 - x1^2 + l1", 2, 1, components=1)
+    with pytest.raises(lscert.DimensionMismatch, match="must partition"):
+        imft.index_split(sys_, x_indices, y_indices)
+    assert imft.index_split(sys_, [0, 2], [1]).n_x == 2
+
+
 def test_singular_dy_is_reported():
     f = split_function(lambda x, y: np.array([x[0] * y[0]]), 1, 1)
     with pytest.raises(SingularDyf):

@@ -12,9 +12,9 @@ from lscert.norms import (
     SAFE_SCALE,
     induced_norm,
     induced_norms,
-    max_induced_norm,
     vector_norm,
 )
+from conftest import max_induced_norm
 
 
 def full_maximum(stack, kind, floor):
