@@ -141,7 +141,9 @@ def _combined_split(model: ModelConfig, section: ImftSection, bp) -> SplitFuncti
     try:
         f = index_split(sys_, section.x_indices, section.y_indices)
     except DimensionMismatch as exc:
-        raise ConfigError("imft", str(exc)) from exc
+        # the component count is checked first, then the partition
+        key = "y_indices" if sys_.k != len(section.y_indices) else "x_indices"
+        raise ConfigError(f"imft.{key}", str(exc)) from exc
     if len(bp.x0) != len(section.x_indices):
         raise ConfigError("base_point.x0",
                           f"expected {len(section.x_indices)} component(s), got {len(bp.x0)}")

@@ -104,18 +104,19 @@ def split_function(fun, n_x: int, n_y: int, jac_x=None, jac_y=None) -> SplitFunc
 
 
 def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
-                 project: np.ndarray | None = None) -> SplitFunction:
+                 project=None) -> SplitFunction:
     """The split view f(x, y) = P Phi(E(x, y)) of a ParametricSystem.
 
     embed(X, Y) maps point stacks (N, n_x) and (N, n_y) to the states and
-    parameters sys is evaluated at; P is an optional left projection.
-    x_chain and y_chain build the blocks P [D_x Phi | D_lambda Phi] dE/dx and
-    dE/dy from part(0) = P D_x Phi and part(1) = P D_lambda Phi, each
-    projected only when asked for, so as (P J) V. A chain that selects
-    coordinates gathers them: a 0/1 matmul turns -0.0 into 0.0, inf into NaN.
+    parameters sys is evaluated at. project, if given, applies the left
+    projection P to each (k, c) block of a stack (N, k, c). x_chain and
+    y_chain build the blocks P [D_x Phi | D_lambda Phi] dE/dx and dE/dy from
+    part(0) = P D_x Phi and part(1) = P D_lambda Phi, each projected only
+    when asked for, so as (P J) V. A chain that selects coordinates gathers
+    them: a 0/1 matmul turns -0.0 into 0.0, inf into NaN.
     """
     def projected(stack):
-        return stack if project is None else project[None] @ stack
+        return stack if project is None else project(stack)
 
     def value_many(X, Y):
         return projected(sys.residuals(*embed(X, Y))[:, :, None])[..., 0]
@@ -132,14 +133,16 @@ def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
 def index_split(sys, x_indices, y_indices) -> SplitFunction:
     """The split view of sys with u[x_indices] = x and u[y_indices] = y, u = (state ++ lambda).
 
-    Raises DimensionMismatch unless the indices partition 0..n + m - 1 and sys
-    has one residual component per y coordinate.
+    Raises DimensionMismatch unless sys has one residual component per y
+    coordinate, and then unless the indices partition 0..n + m - 1.
     """
     n, x_idx, y_idx = sys.n, np.array(x_indices, dtype=int), np.array(y_indices, dtype=int)
-    if sorted([*x_idx, *y_idx]) != list(range(n + sys.m)) or sys.k != len(y_idx):
-        raise DimensionMismatch(f"x_indices {x_idx.tolist()} and y_indices {y_idx.tolist()} must "
-                                f"partition 0..{n + sys.m - 1} of (state ++ lambda), and "
-                                f"y_indices must hold one index per residual component ({sys.k})")
+    if sys.k != len(y_idx):
+        raise DimensionMismatch(f"model has {sys.k} component(s); y_indices must have that "
+                                f"length, got {len(y_idx)}")
+    if sorted([*x_idx, *y_idx]) != list(range(n + sys.m)):
+        raise DimensionMismatch(f"x_indices and y_indices must partition 0..{n + sys.m - 1} "
+                                "of the combined (state ++ parameter) vector")
 
     def embed(X, Y):
         u = np.empty((len(X), n + sys.m))
@@ -566,7 +569,8 @@ def witness_check(
     B(x0, r_x) and reports whether every solve converged with
     ||y - y0|| < r_y. The samples are drawn first and then solved in one
     lockstep Newton, one value_many call per residual evaluation; each
-    converges or fails as it would alone.
+    converges or fails as it would alone. A residual evaluation that raises
+    is replayed sample by sample, so the error is the first failing sample's.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -580,9 +584,16 @@ def witness_check(
             if vector_norm(u, norm_kind) <= 1.0:
                 break
         xs[i] = x0 + r_x * u
+
+    def residual(Y, rows):
+        try:
+            return f.value_many(xs[rows], Y) - target
+        except Exception:
+            # one sample at a time, so the first failing sample's error surfaces
+            return np.array([f.value(xs[i], y) for i, y in zip(rows, Y)]) - target
+
     ys, errors = damped_newton_many(
-        lambda Y, rows: f.value_many(xs[rows], Y) - target,
-        lambda Y, rows: f.dy_many(xs[rows], Y),
+        residual, lambda Y, rows: f.dy_many(xs[rows], Y),
         np.broadcast_to(y0, (n_samples, f.n_y)))
     norms = [vector_norm(y - y0, norm_kind) for i, y in enumerate(ys) if i not in errors]
     max_norm = max(norms, default=0.0)

@@ -56,7 +56,6 @@ class SplitSystem:
     base: EvaluationPoint
     alpha0: np.ndarray  # kernel coordinates of x0, shape (q,)
     beta0: np.ndarray   # complement coordinates of x0, shape (n-q,)
-    jac_base: np.ndarray          # J = D_x Phi(x0, lambda0)
     reduced_block: np.ndarray     # W^T J Vperp, shape (n-q, n-q)
     dlambda_base: np.ndarray      # W^T D_lambda Phi(x0, lambda0), shape (n-q, m)
 
@@ -77,14 +76,11 @@ class SplitSystem:
         """Base point of the surviving (alpha, lambda) variables."""
         return np.concatenate([self.alpha0, self.base.lambda0])
 
-    def state(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return self.decomp.V @ alpha + self.decomp.Vperp @ beta
-
-    # The *_many forms take point stacks alpha (N, q), beta (N, n-q) and
+    # The stack forms take point stacks alpha (N, q), beta (N, n-q) and
     # lam (N, m). They use stacked matmul at the per-point shapes and
     # association, which keeps each row bitwise equal to the 2-D products at
-    # one point; einsum or one flattened GEMM would round differently. The
-    # per-point forms are their row 0, and beta may be a scalar when
+    # one point; einsum or one flattened GEMM would round differently.
+    # evaluator is row 0 of lifted_many, and beta may be a scalar when
     # n - q = 1.
 
     def states(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -94,11 +90,8 @@ class SplitSystem:
 
     def evaluator(self, alpha, beta, lam) -> np.ndarray:
         """Range part of the residual, W^T Phi(V alpha + Vperp beta, lambda)."""
-        return self.evaluator_many(*self._one_point(alpha, beta, lam))[0]
-
-    def evaluator_many(self, alpha, beta, lam) -> np.ndarray:
-        """evaluator at each row, shape (N, n-q)."""
-        return self.lifted_many(alpha, beta, lam)[2]
+        one_point = (np.asarray(v, dtype=float).reshape(1, -1) for v in (alpha, beta, lam))
+        return self.lifted_many(*one_point)[2][0]
 
     def lifted_many(self, alpha, beta, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The states x (N, n), full residuals Phi (N, k) and range parts W^T Phi (N, n-q).
@@ -108,36 +101,30 @@ class SplitSystem:
         """
         x = self.states(alpha, beta)
         full = self.sys.residuals(x, lam)
-        return x, full, (self.decomp.W.T[None] @ full[:, :, None])[..., 0]
+        return x, full, self.range_part(full[:, :, None])[..., 0]
 
-    def jac_perp(self, alpha, beta, lam) -> np.ndarray:
-        """d(W^T Phi)/d(beta), shape (n-q, n-q)."""
-        return self.jac_perp_many(*self._one_point(alpha, beta, lam))[0]
+    def range_part(self, stack: np.ndarray) -> np.ndarray:
+        """W^T applied to each (k, c) block of a stack (N, k, c): the split view's projection."""
+        return self.decomp.W.T[None] @ stack
 
     def jac_perp_many(self, alpha, beta, lam) -> np.ndarray:
-        """jac_perp at each row, shape (N, n-q, n-q)."""
-        jx = self.sys.jacobians(self.states(alpha, beta), lam)[0]
-        return self.decomp.W.T[None] @ jx @ self.decomp.Vperp[None]
-
-    def _one_point(self, alpha, beta, lam):
-        return tuple(np.asarray(v, dtype=float).reshape(1, -1) for v in (alpha, beta, lam))
-
-    def xi2(self, alpha, beta, lam) -> np.ndarray:
-        """Deviation of the beta block from W^T J Vperp."""
-        return self.jac_perp(alpha, beta, lam) - self.reduced_block
+        """d(W^T Phi)/d(beta) at each row, shape (N, n-q, n-q): the split view's dy."""
+        return self.as_split_function().dy_many(np.hstack([alpha, lam]), beta)
 
     def as_split_function(self) -> SplitFunction:
         """Generic split-variable view with x := (alpha, lambda), y := beta.
 
         Phi at (V alpha + Vperp beta, lambda), projected by W^T: the blocks
-        are [(W^T J) V | W^T D_lambda Phi] and (W^T J) Vperp.
+        are [(W^T J) V | W^T D_lambda Phi] and (W^T J) Vperp. It is not cached
+        on self: the view holds self, and that cycle would keep each system's
+        arrays until a cyclic collection (peak RSS about 0.3 MB higher).
         """
         q, v, v_perp = self.q, self.decomp.V[None], self.decomp.Vperp[None]
         return system_split(
             self.sys, q + self.m, self.n_perp,
             lambda P, B: (self.states(P[:, :q], B), P[:, q:]),
             lambda part: np.concatenate([part(0) @ v, part(1)], axis=2),
-            lambda part: part(0) @ v_perp, project=self.decomp.W.T)
+            lambda part: part(0) @ v_perp, project=self.range_part)
 
     @property
     def base_blocks(self) -> BaseBlocks:
@@ -181,7 +168,6 @@ def build_split_system(
         base=base,
         alpha0=alpha0,
         beta0=beta0,
-        jac_base=jac,
         reduced_block=decomp.W.T @ jac @ decomp.Vperp,
         dlambda_base=decomp.W.T @ sys.dphi_dlambda(base.x0, base.lambda0),
     )

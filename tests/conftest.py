@@ -244,20 +244,25 @@ def expr_jacobians(source, n, m):
             lambda x, lam: per_point_eval_dual(asts, x, lam, n, names)[2])
 
 
+def point_state(ss, alpha, beta):
+    """The state V alpha + Vperp beta of a SplitSystem at one point, as 2-D products."""
+    return ss.decomp.V @ alpha + ss.decomp.Vperp @ beta
+
+
 def split_view_blocks(ss, jac_x, jac_lambda):
     """Per-point (dx, dy) of ss.as_split_function() as 2-D products.
 
     jac_x and jac_lambda are per-point Jacobian blocks of ss.sys; the state is
-    ss.state(alpha, beta), the 2-D V alpha + Vperp beta.
+    point_state(ss, alpha, beta).
     """
     w_t, v, v_perp, q = ss.decomp.W.T, ss.decomp.V, ss.decomp.Vperp, ss.q
 
     def dx(p, beta):
-        x, lam = ss.state(p[:q], np.atleast_1d(beta)), p[q:]
+        x, lam = point_state(ss, p[:q], np.atleast_1d(beta)), p[q:]
         return np.hstack([w_t @ jac_x(x, lam) @ v, w_t @ jac_lambda(x, lam)])
 
     def dy(p, beta):
-        x, lam = ss.state(p[:q], np.atleast_1d(beta)), p[q:]
+        x, lam = point_state(ss, p[:q], np.atleast_1d(beta)), p[q:]
         return w_t @ jac_x(x, lam) @ v_perp
 
     return dx, dy

@@ -263,6 +263,20 @@ def test_weights_must_be_positive_and_one_per_x_coordinate(tmp_path, capsys, com
     assert captured.out == ""
 
 
+def test_imft_builtin_component_count_must_match_y_indices(tmp_path, capsys):
+    # the indices partition 0..2, but tanh2 has two residual components
+    cfg = write_config(tmp_path, "count.json", {
+        "model": {"kind": "builtin", "name": "tanh2"},
+        "base_point": {"x0": [0.0, 0.0], "y0": [1.0]},
+        "imft": {"x_indices": [0, 1], "y_indices": [2], "r_x_grid": [0.1], "r_y_grid": [0.1]},
+    })
+    code = main(["imft-certify", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("error: config error at imft.y_indices: model has 2 component(s); "
+                            "y_indices must have that length, got 1\n")
+
+
 @pytest.mark.parametrize("source, r_x, message", [
     # sampled in batches, exp overflows at x1 = 1.5 before log sees x1 = -1.5;
     # the pair-by-pair order reaches x1 = -1.5 first

@@ -133,6 +133,22 @@ def test_witness_equals_the_per_sample_loop(name, norm_kind, seed):
         assert w.converged < w.total
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_witness_raises_the_error_of_the_first_failing_sample(seed):
+    # log(l1) and log(l2) fail at samples with l1 <= 0 or l2 <= 0; a batched
+    # walk meets the log(l1) node first, at every sample, while at seed 0 the
+    # first failing sample fails at log(l2) only
+    sys_ = lscert.system_from_expressions("x1 - log(l1); x2 - log(l2)", 2, 2)
+    f = imft.index_split(sys_, [2, 3], [0, 1])
+    x0 = np.array([0.4, 0.3])
+    with pytest.raises(lscert.DomainError) as batched:
+        witness_check(f, x0, np.log(x0), 0.5, 1.0, n_samples=40, seed=seed)
+    with pytest.raises(lscert.DomainError) as per_sample:
+        per_point_witness(f, x0, np.log(x0), 0.5, 1.0, 40, "spectral", seed)
+    assert str(batched.value) == str(per_sample.value)
+    assert ("'log(l2)'" in str(batched.value)) == (seed == 0)
+
+
 def test_witness_makes_one_value_call_per_newton_evaluation(monkeypatch):
     f, x0, y0, r_x, r_y = _witness_case("ring4-imft")
     value_rows, residual_rows = [], []
@@ -167,12 +183,16 @@ def test_per_point_forms_are_rows_of_the_batched_calls(name):
             assert one.tobytes() == many[i].tobytes()
 
 
-@pytest.mark.parametrize("x_indices, y_indices", [([0], [0]), ([0], [1]), ([1, 2], [0, 3]),
-                                                 ([2], [0, 1])])
-def test_index_split_takes_only_a_partition_with_one_component_per_y(x_indices, y_indices):
+@pytest.mark.parametrize("x_indices, y_indices, message", [
+    ([0], [0], "must partition 0..2"), ([0], [1], "must partition 0..2"),
+    ([1, 2, 3], [0], "must partition 0..2"),
+    ([2], [0, 1], r"model has 1 component\(s\); y_indices must have that length, got 2"),
+])
+def test_index_split_takes_only_a_partition_with_one_component_per_y(x_indices, y_indices,
+                                                                     message):
     # an index left out would be read from uninitialised memory
     sys_ = lscert.system_from_expressions("x2 - x1^2 + l1", 2, 1, components=1)
-    with pytest.raises(lscert.DimensionMismatch, match="must partition"):
+    with pytest.raises(lscert.DimensionMismatch, match=message):
         imft.index_split(sys_, x_indices, y_indices)
     assert imft.index_split(sys_, [0, 2], [1]).n_x == 2
 

@@ -54,11 +54,13 @@ def test_parallel_deviation_is_floating_noise(tanh2_split):
 
 
 def test_xi2_matches_closed_form_pointwise(tanh2_split):
+    # xi_2 is the split view's beta block less the base block W^T J Vperp
+    f, base = tanh2_split.as_split_function(), tanh2_split.reduced_block
     rng = np.random.default_rng(3)
     for _ in range(50):
         alpha, beta = rng.uniform(-1.5, 1.5, size=2)
         lam = rng.uniform(0.25, 1.75)
-        got = abs(tanh2_split.xi2([alpha], [beta], [lam])[0, 0])
+        got = abs(f.dy([alpha, lam], beta) - base)[0, 0]
         assert got == pytest.approx(xi2_closed_form(alpha, beta, lam), abs=1e-14)
 
 
@@ -102,7 +104,7 @@ def test_specialised_quantities_match_generic_view(tanh2_split):
 
 
 def test_split_view_accepts_a_scalar_beta(tanh2_split):
-    # n - q = 1 here, so beta may be a scalar, as it may for jac_perp
+    # n - q = 1 here, so beta may be a scalar, as it may for evaluator
     f = tanh2_split.as_split_function()
     p = np.array([0.3, 1.2])
     np.testing.assert_array_equal(f.value(p, 0.25), f.value(p, [0.25]))

@@ -23,7 +23,8 @@ from lscert import (
 from lscert.errors import DomainError
 from lscert.ls_bounds import FrontierPoint
 from lscert.system import _newton_steps, damped_newton_many, row_norms
-from conftest import expr_jacobians, per_point_damped_newton, per_point_reduced, split_view_blocks
+from conftest import (expr_jacobians, per_point_damped_newton, per_point_reduced, point_state,
+                      split_view_blocks)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -148,7 +149,7 @@ def test_a_solved_row_was_last_evaluated_at_its_returned_iterate():
     def residual(B, rows):
         last.update((int(r), b.copy()) for r, b in zip(rows, B))
         evaluations[rows] += 1
-        return ss.evaluator_many(alpha[rows], B, lam[rows])
+        return ss.lifted_many(alpha[rows], B, lam[rows])[2]
 
     def jacobian(B, rows):
         steps[rows] += 1
@@ -431,12 +432,12 @@ def test_stacked_newton_steps_equal_single_solves_at_three_complement_dimensions
     alpha = rng.uniform(-0.8, 0.8, size=(60, 1))
     beta = rng.uniform(-0.3, 0.3, size=(60, 3))
     lam = rng.uniform(0.6, 1.6, size=(60, 1))
-    r = ss.evaluator_many(alpha, beta, lam)
+    r = ss.lifted_many(alpha, beta, lam)[2]
     steps, singular = _newton_steps(ss.jac_perp_many(alpha, beta, lam), r, row_norms(r))
     assert not singular
     _, dy = split_view_blocks(ss, *expr_jacobians(RING4_CUBIC, 4, 1))
     for i in range(len(alpha)):
-        r_i = ss.decomp.W.T @ ss.sys.phi(ss.state(alpha[i], beta[i]), lam[i])
+        r_i = ss.decomp.W.T @ ss.sys.phi(point_state(ss, alpha[i], beta[i]), lam[i])
         want = np.linalg.solve(dy(np.concatenate([alpha[i], lam[i]]), beta[i]), -r_i)
         assert r[i].tobytes() == r_i.tobytes() and steps[i].tobytes() == want.tobytes()
     # and whole range solves, which take Newton steps here
