@@ -49,7 +49,7 @@ def main() -> None:
     if args.out:
         from lscert import report
         meta = report.make_meta("certify_tanh2.py", {}, "spectral", "analytic",
-                                region_a.rigorous)
+                                region_a.rigorous, q_a.base_residual)
         doc = report.certification_report(
             meta,
             report.decomposition_dict(ss.decomp),

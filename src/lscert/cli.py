@@ -106,7 +106,8 @@ def _cmd_ls_certify(args) -> int:
     weights = _weights(cfg, ss.q + ss.m, "q + m = ")
     region, quantities = ls_bounds.certify_ls_region(
         ss, section.r_par_grid, section.r_perp_grid, estimator, cfg.norm, weights)
-    meta = report.make_meta("ls-certify", cfg.raw, cfg.norm, estimator.mode, region.rigorous)
+    meta = report.make_meta("ls-certify", cfg.raw, cfg.norm, estimator.mode, region.rigorous,
+                            quantities.base_residual)
     doc = report.certification_report(
         meta,
         report.decomposition_dict(ss.decomp),

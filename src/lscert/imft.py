@@ -8,11 +8,14 @@ B(y0, r_y) whenever both strict inequalities hold:
     M_y * L_y              <  1                          (contraction condition)
 
 where M_x, M_y are base-point operator norms and L_x, L_y are suprema of
-Jacobian deviations over the stated balls. Sampled L estimates are maxima
-over finite subsets and therefore lower bounds on the true suprema; analytic
-overrides restore rigour when a closed form is available. Every L value,
-sampled or overridden, passes one check: finite and nonnegative, or the run
-fails with NonFinite.
+Jacobian deviations over the stated balls. Where the map solves f = 0
+instead of f = f(x0, y0), the domain margin also absorbs the base residual
+||f(x0, y0)||. Sampled L estimates are maxima over finite subsets and
+therefore lower bounds on the true suprema; analytic overrides restore
+rigour when a closed form is available. Every L value, sampled or
+overridden, passes one check: finite and nonnegative, or the run fails with
+NonFinite. The frontier's bisection midpoint is read only for its verdict,
+so its sampled L_y stops as soon as a lower bound of it refutes the pair.
 
 This is the only certification engine. The kernel-split certificate of the
 ls_bounds module is this one with x := (alpha, lambda), y := beta and the
@@ -23,6 +26,7 @@ answer to the kernel-split spellings (M_par, L_perp, r_par, r_par_max, ...).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -30,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, LscertError, NonFinite, SingularDyf
-from .norms import (can_reach, check_norm_kind, induced_norm, induced_norms, inverse_norm,
-                    norm_survivors, vector_norm)
+from .norms import (PRUNE_MARGIN, can_reach, check_norm_kind, induced_norm, induced_norms,
+                    inverse_norm, norm_survivors, vector_norm)
 from .sampling import DEFAULT_SAMPLES_PER_DIM, ball_points, max_over
 from .system import damped_newton_many, fd_jacobians
 
@@ -217,15 +221,22 @@ def _aliased(**aliases: str):
           L_par_rigorous="L_x_rigorous", L_perp_rigorous="L_y_rigorous")
 @dataclass(frozen=True)
 class ImftQuantities:
-    """Base-point norms plus deviation-bound evaluators for one run."""
+    """Base-point norms plus deviation-bound evaluators for one run.
+
+    L_y(r_x, r_y, refutes=None) may stop sampling early and return a lower
+    bound of the full value once refutes(lower bound) is true; the full value
+    is the one cached. base_residual is ||f(x0, y0)|| where the implicit map
+    solves f = 0, and 0.0 where it solves f = f(x0, y0).
+    """
 
     M_x: float
     M_y: float
     L_x: Callable[[float], float]
-    L_y: Callable[[float, float], float]
+    L_y: Callable[..., float]
     norm_kind: str
     L_x_rigorous: bool
     L_y_rigorous: bool
+    base_residual: float = 0.0
 
     @property
     def rigorous(self) -> bool:
@@ -319,7 +330,7 @@ def compute_M(
     return m_x, m_y
 
 
-def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> float:
+def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=None) -> float:
     """Max of ||(blocks(px, py) - base_block) diag(weights)|| over pts_x x pts_y.
 
     The pairs run in the order of itertools.product(pts_x, pts_y), CHUNK_PAIRS
@@ -335,6 +346,13 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> flo
     reason). A chunk that raises is replayed one pair at a time, so the
     error that surfaces is the one of the first failing pair, also while
     earlier chunks' survivors are held.
+
+    stop, if given, is asked about a lower bound of the maximum,
+    max(floor, 0) (1 - PRUNE_MARGIN), where the factor covers the few ulps a
+    bound rounds by: before the first chunk, and after each chunk's bounds
+    have raised the floor, before any held SVD is taken. Once it answers
+    true, the held matrices are dropped, no later pair is evaluated, and
+    that lower bound is returned.
     """
     per_x = len(pts_y)
     total = len(pts_x) * per_x
@@ -350,10 +368,18 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> flo
         best = max(best, norms.max(initial=-np.inf))
         floor = max(floor, best)
 
+    def lower() -> float:
+        return max(floor, 0.0) * (1.0 - PRUNE_MARGIN)
+
+    def refuted() -> bool:
+        return stop is not None and stop(lower())
+
+    stopped = refuted()  # a pair refuted at 0 evaluates no lattice pair
+
     def chunk_max(start):
-        nonlocal floor
-        stop = min(start + CHUNK_PAIRS, total)
-        pairs = np.arange(start, stop)
+        nonlocal floor, stopped
+        stop_at = min(start + CHUNK_PAIRS, total)
+        pairs = np.arange(start, stop_at)
         xs, ys = pts_x[pairs // per_x], pts_y[pairs % per_x]
         try:
             d = deviations(xs, ys)
@@ -366,16 +392,21 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None) -> flo
                 raise_to(induced_norms(d, norm_kind))
             else:
                 held.append((d[keep], upper))
-        if held and (stop == total or sum(len(u) for _, u in held) >= CHUNK_PAIRS):
+        stopped = refuted()
+        if held and not stopped and (stop_at == total
+                                     or sum(len(u) for _, u in held) >= CHUNK_PAIRS):
             stack, uppers = (np.concatenate(parts) for parts in zip(*held))
             held.clear()
             raise_to(induced_norms(stack[can_reach(uppers, floor)], norm_kind))
-        return best
+        return max(best, 0.0)  # best is -inf until a norm is taken; a stopped call may take none
 
-    return max_over(range(0, total, CHUNK_PAIRS), chunk_max)
+    starts = itertools.takewhile(lambda _: not stopped, range(0, total, CHUNK_PAIRS))
+    value = max_over(starts, chunk_max)
+    return lower() if stopped else value
 
 
-def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, balls) -> float:
+def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, balls,
+                     refutes=None) -> float:
     """L_x(r_x) for which = "x", L_y(r_x, r_y) for "y": override or sampled.
 
     Every L the package uses comes through here, so this is where both checks
@@ -384,7 +415,8 @@ def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, b
     pairs that no true bound allows. L_x samples the x-ball at y0, L_y the
     product of the x- and y-balls. `balls` memoises the lattices by centre,
     radius and weights, so the calls that share it build each ball once, also
-    where an x-ball and a y-ball coincide.
+    where an x-ball and a y-ball coincide. A sampled L_y stops once
+    refutes(safety_factor * lower bound) is true and returns that product.
     """
     for name, r in zip(("r_x", "r_y"), radii):
         if not (np.isfinite(r) and r >= 0):
@@ -410,7 +442,8 @@ def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, b
             value = _sampled_L(f.dx_many, base.dx, pts_x, pts_y, norm_kind, w)
         else:
             pts_y = ball(y0, radii[1])
-            value = _sampled_L(f.dy_many, base.dy, pts_x, pts_y, norm_kind)
+            stop = None if refutes is None else lambda lower: refutes(est.safety_factor * lower)
+            value = _sampled_L(f.dy_many, base.dy, pts_x, pts_y, norm_kind, stop=stop)
         value = est.safety_factor * value
     value = float(value)
     if not (np.isfinite(value) and value >= 0.0):
@@ -447,8 +480,9 @@ def imft_quantities(
     norm_kind: str = "spectral",
     x_weights: np.ndarray | None = None,
     base: BaseBlocks | None = None,
+    base_residual: float = 0.0,
 ) -> ImftQuantities:
-    """Bundle M values with cached L evaluators for repeated grid queries."""
+    """Bundle M values with cached L evaluators for repeated grid queries (see ImftQuantities)."""
     if base is None:
         base = BaseBlocks.at(f, x0, y0)
     m_x, m_y = compute_M(f, x0, y0, norm_kind, x_weights, base)
@@ -461,30 +495,31 @@ def imft_quantities(
             cache_x[r] = _deviation_bound("x", (r,), *context)
         return cache_x[r]
 
-    def l_y(rx: float, ry: float) -> float:
+    def l_y(rx: float, ry: float, refutes=None) -> float:
         key = (rx, ry)
-        if key not in cache_y:
-            cache_y[key] = _deviation_bound("y", key, *context)
-        return cache_y[key]
+        if key in cache_y:
+            return cache_y[key]
+        value = _deviation_bound("y", key, *context, refutes=refutes)
+        if refutes is None or not refutes(value):  # a refuting value may be a partial one
+            cache_y[key] = value
+        return value
 
     return ImftQuantities(
         M_x=m_x, M_y=m_y, L_x=l_x, L_y=l_y, norm_kind=norm_kind,
         L_x_rigorous=estimator.uses_override_x(),
         L_y_rigorous=estimator.uses_override_y(),
+        base_residual=base_residual,
     )
 
 
-def check_conditions(q: ImftQuantities, r_x: float, r_y: float) -> ConditionCheck:
-    """Evaluate both certification inequalities at one radius pair.
+def _verdict(q: ImftQuantities, r_x: float, r_y: float, l_x: float, l_y: float) -> ConditionCheck:
+    """Both margins at one radius pair, from the given L values.
 
-    Inequalities are strict with zero tolerance: a margin of exactly zero is
-    a failure. M_y = 0 only occurs for the empty y-block, where the domain
-    budget r_y / M_y is +inf by convention.
+    Both fall as l_y grows, in floating point too (every step rounds
+    monotonically), so a pair that a lower bound of L_y refutes, L_y refutes.
     """
-    l_x = q.L_x(r_x)
-    l_y = q.L_y(r_x, r_y)
     budget = np.inf if q.M_y == 0.0 else r_y / q.M_y
-    margin_domain = budget - q.M_x * r_x - (l_x * r_x + l_y * r_y)
+    margin_domain = budget - q.M_x * r_x - (l_x * r_x + l_y * r_y) - q.base_residual
     margin_contraction = 1.0 - q.M_y * l_y
     return ConditionCheck(
         certified=bool(margin_domain > 0.0 and margin_contraction > 0.0),
@@ -493,26 +528,51 @@ def check_conditions(q: ImftQuantities, r_x: float, r_y: float) -> ConditionChec
     )
 
 
+def check_conditions(q: ImftQuantities, r_x: float, r_y: float) -> ConditionCheck:
+    """Evaluate both certification inequalities at one radius pair.
+
+    Inequalities are strict with zero tolerance: a margin of exactly zero is
+    a failure. M_y = 0 only occurs for the empty y-block, where the domain
+    budget r_y / M_y is +inf by convention. The domain margin also subtracts
+    q.base_residual.
+    """
+    return _verdict(q, r_x, r_y, q.L_x(r_x), q.L_y(r_x, r_y))
+
+
 def _refine_frontier(
     q: ImftQuantities, r_y: float, last_pass: float | None, first_fail: float | None
 ) -> float | None:
-    # one bisection level between the last certified radius and the first failure
+    """One bisection level between the last certified radius and the first failure.
+
+    Only the midpoint's verdict is read, so its L_y is asked to stop as soon
+    as a lower bound of it refutes the pair (a pair refuted at L_y = 0
+    evaluates no lattice pair). The verdict is the one check_conditions
+    gives, bit for bit, and the partial L_y is not cached.
+    """
     if last_pass is None:
         return None
     if first_fail is None:
         return last_pass
     mid = 0.5 * (last_pass + first_fail)
-    return mid if check_conditions(q, mid, r_y).certified else last_pass
+    l_x = q.L_x(mid)
+
+    def refutes(l_y: float) -> bool:
+        return not _verdict(q, mid, r_y, l_x, l_y).certified
+
+    return last_pass if refutes(q.L_y(mid, r_y, refutes)) else mid
 
 
 def certify_grid(q: ImftQuantities, r_x_grid, r_y_grid) -> CertifiedRegion:
     """Verdicts over the radius grid plus the certified frontier.
 
-    The frontier records, per r_y, the largest certified r_x, refined by one
-    bisection step between the neighbouring pass/fail grid radii.
+    The grid's sorted distinct radii are walked, as the report tabulates
+    them. The frontier records, per r_y, the largest certified r_x, refined
+    by one bisection step between the neighbouring pass/fail grid radii;
+    every grid pair's L is taken in full, the midpoint's only as far as its
+    verdict needs (_refine_frontier).
     """
-    r_x_grid = sorted(float(r) for r in r_x_grid)
-    r_y_grid = sorted(float(r) for r in r_y_grid)
+    r_x_grid = sorted({float(r) for r in r_x_grid})
+    r_y_grid = sorted({float(r) for r in r_y_grid})
     entries: list[RegionEntry] = []
     frontier: list[FrontierPoint] = []
     for r_y in r_y_grid:

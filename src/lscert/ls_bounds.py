@@ -13,8 +13,12 @@ in place of the recomputed ones:
 * the beta block is the reduced block W^T J Vperp; when it is numerically
   singular the error is SingularReducedJacobian.
 
-The entry points below keep the kernel-split names (r_par, r_perp, M_par,
-L_perp, ...), which the shared result types accept as aliases.
+The reduced map solves W^T Phi = 0 rather than W^T Phi = W^T Phi(x0,
+lambda0), so the domain margin also subtracts the base residual
+||W^T Phi(x0, lambda0)||, which build_split_system lets be up to
+equilibrium_tol. The entry points below keep the kernel-split names (r_par,
+r_perp, M_par, L_perp, ...), which the shared result types accept as
+aliases.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .imft import (
     imft_quantities,
     system_split,
 )
-from .norms import induced_norm
+from .norms import check_norm_kind, induced_norm, vector_norm
 from .subspace import DEFAULT_RANK_TOL, SubspaceDecomposition, compute_decomposition
 from .system import DEFAULT_EQUILIBRIUM_TOL, EvaluationPoint, ParametricSystem
 
@@ -215,9 +219,11 @@ def ls_quantities(
     norm_kind: str = "spectral",
     par_weights: np.ndarray | None = None,
 ) -> ImftQuantities:
-    """Bundle the specialised norms with cached deviation evaluators."""
-    return imft_quantities(ss.as_split_function(), ss.par_center, ss.beta0, estimator,
-                           norm_kind, par_weights, ss.base_blocks)
+    """Bundle the specialised norms, the base residual and cached deviation evaluators."""
+    f = ss.as_split_function()
+    residual = vector_norm(f.value(ss.par_center, ss.beta0), check_norm_kind(norm_kind))
+    return imft_quantities(f, ss.par_center, ss.beta0, estimator, norm_kind, par_weights,
+                           ss.base_blocks, residual)
 
 
 def certify_ls_region(

@@ -41,7 +41,8 @@ def _jsonable(obj):
 
 
 def make_meta(command: str, config_echo: dict, norm_kind: str, estimator_mode: str,
-              rigorous: bool) -> dict:
+              rigorous: bool, base_residual: float = 0.0) -> dict:
+    """The meta section; base_residual is the term the domain margin subtracts."""
     from . import __version__
     return {
         "tool": "lscert",
@@ -51,6 +52,7 @@ def make_meta(command: str, config_echo: dict, norm_kind: str, estimator_mode: s
         "norm": norm_kind,
         "estimator_mode": estimator_mode,
         "rigorous": bool(rigorous),
+        "base_residual": float(base_residual),
         "boundary_note": BOUNDARY_NOTE,
         "config": _jsonable(config_echo),
     }

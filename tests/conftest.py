@@ -23,7 +23,7 @@ from lscert.expr import (
     sech_power,
     to_source,
 )
-from lscert.imft import BaseBlocks
+from lscert.imft import BaseBlocks, CertifiedRegion, FrontierPoint, RegionEntry, check_conditions
 from lscert.norms import induced_norm
 from lscert.sampling import ball_points
 
@@ -299,6 +299,35 @@ def per_point_L(dx, dy, x0, y0, r_x, r_y, samples_per_dim, norm_kind="spectral",
     pts_x = ball_points(x0, r_x, samples_per_dim, norm_kind, weights=w)
     pts_y = ball_points(y0, r_y, samples_per_dim, norm_kind)
     return sup(dx, base.dx, pts_x, [y0], w), sup(dy, base.dy, pts_x, pts_y)
+
+
+def full_scan_region(q, r_x_grid, r_y_grid):
+    """certify_grid's region with every L taken in full, the frontier midpoint's too.
+
+    The reference the early-stopping frontier of lscert.imft is held to with
+    ==: the sorted distinct radii, each pair's check_conditions, and per r_y
+    the last certified radius of the first certified run, refined by one
+    bisection step toward the failure that ends the run.
+    """
+    r_xs = sorted({float(r) for r in r_x_grid})
+    entries, frontier = [], []
+    for r_y in sorted({float(r) for r in r_y_grid}):
+        checks = [check_conditions(q, r_x, r_y) for r_x in r_xs]
+        entries += [RegionEntry(r_x, r_y, c.certified, c.margin_domain, c.margin_contraction)
+                    for r_x, c in zip(r_xs, checks)]
+        passed = [c.certified for c in checks]
+        r_max = None
+        if any(passed):
+            last = passed.index(True)
+            while last + 1 < len(passed) and passed[last + 1]:
+                last += 1
+            r_max = r_xs[last]
+            if last + 1 < len(passed):
+                mid = 0.5 * (r_max + r_xs[last + 1])
+                if check_conditions(q, mid, r_y).certified:
+                    r_max = mid
+        frontier.append(FrontierPoint(r_y, r_max))
+    return CertifiedRegion(tuple(entries), tuple(frontier), q.rigorous)
 
 
 def max_induced_norm(a, kind="spectral", floor=0.0):

@@ -40,6 +40,7 @@ def test_ls_certify_stdout_report(capsys):
     assert doc["meta"]["command"] == "ls-certify"
     assert doc["meta"]["estimator_mode"] == "analytic"
     assert doc["meta"]["rigorous"] is True
+    assert doc["meta"]["base_residual"] == 0.0
     assert doc["quantities"]["M_par"] == 0.0
     assert doc["quantities"]["M_perp"] == pytest.approx(0.5, abs=1e-12)
     for row in doc["region"]:
@@ -149,6 +150,56 @@ def test_nothing_certified_exits_two(tmp_path, capsys):
     doc = json.loads(captured.out)
     assert all(not row["certified"] for row in doc["region"])
     assert doc["frontier"][0]["r_par_max"] is None
+
+
+@pytest.mark.parametrize("lambda0, tol, r_par, r_perp", [
+    (1e-6, 1e-5, 1e-8, 1e-7), (1e-11, None, 1e-13, 1e-12)],
+    ids=["loose-tolerance", "default-tolerance"])
+def test_a_base_residual_the_ball_cannot_absorb_is_refused(tmp_path, capsys, lambda0, tol,
+                                                           r_par, r_perp):
+    # the reduced map solves W^T Phi = 0, whose one solution beta = lambda0 of
+    # x2 = l1 lies outside B(0, r_perp); the base point passes as an
+    # equilibrium within tol, and both overrides are 0
+    payload = {
+        "model": {"kind": "expr", "source": "x1^2 - l1; x2 - l1", "n": 2, "m": 1},
+        "base_point": {"x0": [0.0, 0.0], "lambda0": [lambda0]},
+        "estimator": {"mode": "analytic", "L_par": "0*rpar", "L_perp": "0*rperp"},
+        "certify": {"r_par_grid": [r_par], "r_perp_grid": [r_perp]},
+    }
+    if tol is not None:
+        payload["equilibrium_tol"] = tol
+    out = tmp_path / "residual.json"
+    assert main(["ls-certify", "--config", write_config(tmp_path, "residual_cfg.json", payload),
+                 "--out", str(out)]) == 2
+    assert "certified 0 of 1 radius pairs; rigorous = true" in capsys.readouterr().out
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["meta"]["rigorous"] is True
+    assert doc["meta"]["base_residual"] == lambda0
+    # the domain margin as a reader recomputes it from the report
+    quantities, (row,), (front,) = doc["quantities"], doc["region"], doc["frontier"]
+    (bounds,) = quantities["deviation_bounds"]
+    margin = r_perp / quantities["M_perp"] - quantities["M_par"] * r_par \
+        - (bounds["L_par"] * r_par + bounds["L_perp"] * r_perp) - doc["meta"]["base_residual"]
+    assert row["margin_domain"] == margin < 0.0
+    assert not row["certified"] and front["r_par_max"] is None
+
+
+def test_duplicate_grid_radii_are_certified_once(tmp_path, capsys):
+    cfg = write_config(tmp_path, "duplicates.json", {
+        "model": {"kind": "builtin", "name": "tanh2"},
+        "base_point": {"x0": [0.0, 0.0], "lambda0": [1.0]},
+        "estimator": {"mode": "analytic", "L_par": "0", "L_perp": "1 - min(0, 1 - rpar)"},
+        "certify": {"r_par_grid": [1.0, 0.5, 1.0], "r_perp_grid": [0.5, 0.5]},
+    })
+    out = tmp_path / "duplicates_report.json"
+    assert main(["ls-certify", "--config", cfg, "--out", str(out)]) == 0
+    assert "certified 2 of 2 radius pairs" in capsys.readouterr().out
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    pairs = [(row["r_par"], row["r_perp"]) for row in doc["region"]]
+    assert pairs == [(0.5, 0.5), (1.0, 0.5)]
+    assert pairs == [(row["r_par"], row["r_perp"])
+                     for row in doc["quantities"]["deviation_bounds"]]
+    assert doc["frontier"] == [{"r_perp": 0.5, "r_par_max": 1.0}]
 
 
 def test_region_csv_export(tmp_path, capsys):
@@ -583,9 +634,12 @@ def test_svds_run_only_where_the_whole_calls_bounds_cannot_rule_a_matrix_out(tmp
     monkeypatch.setattr(imft, "induced_norms", counting)
     for command, config, golden, want in (
             # 384 with per-chunk cheap bounds: the Gram bound and the floor
-            # carried across chunks rule out more than half of the rest
-            ("ls-certify", "ring4_certify_sampled.json", "ring4_sampled_nonmeta.json", 155),
-            # nearly all of these lie within 1e-8 of their call's maximum
+            # carried across chunks rule out more than half of the rest (155);
+            # the refused frontier midpoint r_par = 1.5 stops after its one
+            # chunk's bounds and skips its deferred batch of 35
+            ("ls-certify", "ring4_certify_sampled.json", "ring4_sampled_nonmeta.json", 120),
+            # nearly all of these lie within 1e-8 of their call's maximum; the
+            # midpoint r_x = 0.45 is certified, so its L_y is taken in full
             ("imft-certify", "ring4_imft.json", "ring4_imft_nonmeta.json", 362)):
         svd.clear()
         out = tmp_path / golden

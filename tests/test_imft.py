@@ -22,12 +22,13 @@ from lscert import (
 from lscert import imft
 from lscert.cli import _combined_split
 from lscert.config import parse_config
-from lscert.imft import certify_grid
+from lscert.imft import FrontierPoint, certify_grid
 from lscert.norms import NORM_KINDS, induced_norm, induced_norms
 from lscert.sampling import ball_points, max_over
 from lscert.system import fd_jacobians
 from conftest import (
     expr_jacobians,
+    full_scan_region,
     per_point_L,
     per_point_witness,
     split_view_blocks,
@@ -480,3 +481,117 @@ def test_a_chunk_that_raises_while_survivors_are_held_surfaces_the_first_failing
     with pytest.raises(ValueError, match=re.escape(f"bad row {first}") + "$"):
         imft._sampled_L(f.dy_many, base.dy, pts_x, pts_y, "spectral")
     assert held[0] > 0 and sum(held) < len(pts_y) and svds == []
+
+
+# --- the frontier midpoint is sampled only as far as its verdict needs --------
+
+# the imft-ring4-dsl benchmark grid at seed 0, spd 7: r_x 0.1 and 0.4 are
+# certified, so the frontier midpoint is 0.5 * (0.4 + 0.8), and its L_y is
+# refuted after the first of its three lattice chunks
+RING4_GRID = ([0.1, 0.4, 0.8, 1.6], [0.3])
+RING4_MID = 0.5 * (0.4 + 0.8)
+
+
+def _grid_case(name):
+    """(fresh quantities, r_x range, r_y range) of a certify_grid case."""
+    est = SupremumEstimator(samples_per_dim=5)
+    if name == "parabola":
+        return (lambda: imft_quantities(parabola(), X0, Y0, est)), (0.0, 0.5), (0.0, 0.5)
+    if name == "ring4-ls":
+        sys_ = lscert.build_system(parse_config({"model": {"kind": "expr", "source": RING4,
+                                                           "n": 4, "m": 1}}).model)
+        ss = lscert.build_split_system(sys_, lscert.evaluation_point(sys_, np.zeros(4), [1.0]))
+        return (lambda: lscert.ls_quantities(ss, est)), (0.0, 2.5), (0.1, 1.0)
+    f, x0, y0, *_ = _sampler_case(name)
+    return (lambda: imft_quantities(f, x0, y0, est)), (0.0, 2.0), (0.1, 0.6)
+
+
+@settings(max_examples=12, deadline=None)
+@given(chunk=st.sampled_from([7, 64, 1024]), data=st.data())
+@pytest.mark.parametrize("name", ["parabola", "ring4-ls", "ring4-imft"])
+def test_certify_grid_equals_the_full_scan_reference(name, chunk, data):
+    make, (x_lo, x_hi), (y_lo, y_hi) = _grid_case(name)
+    r_x_grid = data.draw(st.lists(st.floats(x_lo, x_hi, allow_subnormal=False),
+                                  min_size=1, max_size=5))
+    r_y_grid = data.draw(st.lists(st.floats(y_lo, y_hi, allow_subnormal=False),
+                                  min_size=1, max_size=2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imft, "CHUNK_PAIRS", chunk)
+        got = certify_grid(make(), r_x_grid, r_y_grid)
+    assert got == full_scan_region(make(), r_x_grid, r_y_grid)
+
+
+def _ring4_imft(jac_y_many=None):
+    """(f, x0, y0, spd-7 quantities) of the ring-4 index split, jac_y_many replaced if given."""
+    f, x0, y0, *_ = _sampler_case("ring4-imft")
+    if jac_y_many is not None:
+        f = dataclasses.replace(f, jac_y_many=jac_y_many(f.jac_y_many))
+    return f, x0, y0, imft_quantities(f, x0, y0, SupremumEstimator(samples_per_dim=7))
+
+
+def _counting(rows):
+    """A wrapper of a batched block that appends each call's row count to rows."""
+    return lambda jac: lambda X, Y: rows.append(len(X)) or jac(X, Y)
+
+
+def _rows_per_L_y(q, rows):
+    """q with an L_y that records, per radius pair, how many rows its call added to rows."""
+    per_pair = {}
+
+    def l_y(r_x, r_y, refutes=None):
+        before = sum(rows)
+        value = q.L_y(r_x, r_y, refutes)
+        per_pair[(r_x, r_y)] = sum(rows) - before
+        return value
+
+    return dataclasses.replace(q, L_y=l_y), per_pair
+
+
+def test_a_refused_midpoint_evaluates_fewer_rows_than_its_lattice_holds():
+    rows = []
+    f, x0, y0, q = _ring4_imft(_counting(rows))
+    counted, per_pair = _rows_per_L_y(q, rows)
+    region = certify_grid(counted, *RING4_GRID)
+    assert region.frontier == (FrontierPoint(r_y=0.3, r_x_max=0.4),)
+    n_y = len(ball_points(y0, 0.3, 7))
+    for r_x in RING4_GRID[0]:
+        assert per_pair[(r_x, 0.3)] == len(ball_points(x0, r_x, 7)) * n_y
+    lattice = len(ball_points(x0, RING4_MID, 7)) * n_y
+    assert per_pair[(RING4_MID, 0.3)] == imft.CHUNK_PAIRS < lattice
+    # the partial value is not cached: asked again, L_y takes every row
+    full = counted.L_y(RING4_MID, 0.3)
+    assert per_pair[(RING4_MID, 0.3)] == lattice
+    assert full == estimate_L(f, x0, y0, RING4_MID, 0.3, SupremumEstimator(samples_per_dim=7))[1]
+
+
+def test_a_pair_refused_at_zero_L_y_evaluates_no_lattice_pair():
+    # the parabola's L_y is 0 and its domain margin r_y - 2 r_x^2 refuses the
+    # midpoint 0.25 of the bracket (0.2, 0.3) at r_y = 0.1 whatever L_y is
+    rows, f = [], parabola()
+    f = dataclasses.replace(f, jac_y_many=_counting(rows)(f.jac_y_many))
+    counted, per_pair = _rows_per_L_y(imft_quantities(f, X0, Y0, SupremumEstimator()), rows)
+    region = certify_grid(counted, [0.2, 0.3], [0.1])
+    assert region.frontier == (FrontierPoint(r_y=0.1, r_x_max=0.2),)
+    assert per_pair[(0.25, 0.1)] == 0 < per_pair[(0.2, 0.1)]
+
+
+def test_a_pair_that_raises_past_the_refuting_chunk_no_longer_aborts_the_run():
+    # the last x of the midpoint's ball lies in no grid ball, and its pairs
+    # come in the last chunk, after the first chunk has refuted the pair
+    f, x0, y0, _ = _ring4_imft()
+    bad = ball_points(x0, RING4_MID, 7)[-1]
+    assert not any((ball_points(x0, r, 7) == bad).all(axis=1).any() for r in RING4_GRID[0])
+
+    def raising(jac):
+        def jac_y_many(X, Y):
+            if (X == bad).all(axis=1).any():
+                raise ValueError("bad row")
+            return jac(X, Y)
+        return jac_y_many
+
+    *_, q = _ring4_imft(raising)
+    region = certify_grid(q, *RING4_GRID)
+    assert region == full_scan_region(_ring4_imft()[3], *RING4_GRID)
+    # a full scan of the midpoint, as certify_grid took before it stopped early, raises
+    with pytest.raises(ValueError, match="bad row"):
+        q.L_y(RING4_MID, 0.3)
