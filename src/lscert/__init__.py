@@ -45,7 +45,7 @@ _EXPORTS = {
         "trace_branches", "in_certified_region", "region_note"),
     "config": ("RunConfig", "load_config", "parse_config", "build_system", "build_estimator"),
 }
-_SUBMODULES = (*_EXPORTS, "cli", "expr", "norms", "report", "sampling")
+_SUBMODULES = (*_EXPORTS, "cli", "expr", "interval", "norms", "report", "sampling")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = ["__version__", *_HOME]

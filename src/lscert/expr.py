@@ -30,7 +30,10 @@ That changes no bit and no error: the checks that name an element (log,
 sqrt, abs) run on the whole argument first, and a failing math call's
 NonFinite names only its node. The float walk maps every element.
 `eval_values`, `eval_dual` (one point, row 0 of a one-point stack) and
-`eval_dual_many` compile and evaluate in one call.
+`eval_dual_many` compile and evaluate in one call. A third tree, the
+interval walk of the interval module, follows the dual walk over boxes
+instead of points; a DSL system compiles it on first use
+(`system_from_expressions`), so building a model does not load it.
 
 The dual walk is demand-driven. `compile_duals` demands the values at the
 roots; the Jacobian of a DSL system (`system_from_expressions`) demands

@@ -16,6 +16,9 @@ rigour when a closed form is available. Every L value, sampled or
 overridden, passes one check: finite and nonnegative, or the run fails with
 NonFinite. The frontier's bisection midpoint is read only for its verdict,
 so its sampled L_y stops as soon as a lower bound of it refutes the pair.
+Where the split view encloses its y-block over boxes (dy_box, DSL systems),
+a sampled L_y skips the x-points whose enclosure proves they cannot hold
+the maximum; every value stays the one of the full lattice, bit for bit.
 
 This is the only certification engine. The kernel-split certificate of the
 ls_bounds module is this one with x := (alpha, lambda), y := beta and the
@@ -26,7 +29,6 @@ answer to the kernel-split spellings (M_par, L_perp, r_par, r_par_max, ...).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
@@ -34,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, LscertError, NonFinite, SingularDyf
-from .norms import (PRUNE_MARGIN, can_reach, check_norm_kind, induced_norm, induced_norms,
-                    inverse_norm, norm_survivors, vector_norm)
+from .norms import (PRUNE_MARGIN, SAFE_SCALE, box_norm_bounds, can_reach, check_norm_kind,
+                    induced_norm, induced_norms, inverse_norm, norm_survivors, vector_norm)
 from .sampling import DEFAULT_SAMPLES_PER_DIM, ball_points, max_over
 from .system import damped_newton_many, fd_jacobians
 
@@ -57,6 +59,13 @@ class SplitFunction:
     (N, n_y, n_x) and (N, n_y, n_y). value, dx and dy are row 0 of a
     one-point call. split_function adapts per-point callables, system_split
     views a ParametricSystem.
+
+    dy_box, where given, encloses the dy block: dy_box(X, y_lo, y_hi) takes
+    points X (N, n_x) and the ends of one y-box, and returns (lo, hi), each
+    (N, n_y, n_y), such that dy_many at (X[i], y) lies between lo[i] and
+    hi[i] for every y in the box; it is -inf and inf throughout lo[i] and
+    hi[i] where jac_y_many may raise at such a point. Only the views of DSL
+    systems have one.
     """
 
     n_x: int
@@ -64,6 +73,7 @@ class SplitFunction:
     value_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_x_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_y_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    dy_box: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def value(self, x, y) -> np.ndarray:
         return self.value_many(*self._one_point(x, y))[0]
@@ -108,7 +118,7 @@ def split_function(fun, n_x: int, n_y: int, jac_x=None, jac_y=None) -> SplitFunc
 
 
 def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
-                 project=None) -> SplitFunction:
+                 project=None, embed_box=None, y_chain_box=None) -> SplitFunction:
     """The split view f(x, y) = P Phi(E(x, y)) of a ParametricSystem.
 
     embed(X, Y) maps point stacks (N, n_x) and (N, n_y) to the states and
@@ -118,6 +128,12 @@ def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
     part(0) = P D_x Phi and part(1) = P D_lambda Phi, each projected only
     when asked for, so as (P J) V. A chain that selects coordinates gathers
     them: a 0/1 matmul turns -0.0 into 0.0, inf into NaN.
+
+    Where sys has a jac_box, embed_box and y_chain_box give the view its
+    dy_box: embed_box(X, y_lo, y_hi) returns the ends of the state and
+    parameter boxes that hold E(X[i], y) for every y of the box, and
+    y_chain_box(part) the (lo, hi) enclosure of dE/dy's block from part(0)
+    and part(1), the (lo, hi) enclosures of D_x Phi and D_lambda Phi.
     """
     def projected(stack):
         return stack if project is None else project(stack)
@@ -131,7 +147,13 @@ def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
             return chain(lambda i: projected(jacs[i]))
         return many
 
-    return SplitFunction(n_x, n_y, value_many, blocks(x_chain), blocks(y_chain))
+    dy_box = None
+    if sys.jac_box is not None and embed_box is not None:
+        def dy_box(X, y_lo, y_hi):
+            parts = sys.jac_box(*embed_box(X, y_lo, y_hi))
+            return y_chain_box(parts.__getitem__)
+
+    return SplitFunction(n_x, n_y, value_many, blocks(x_chain), blocks(y_chain), dy_box)
 
 
 def index_split(sys, x_indices, y_indices) -> SplitFunction:
@@ -156,7 +178,17 @@ def index_split(sys, x_indices, y_indices) -> SplitFunction:
     def gather(idx):
         return lambda part: np.concatenate([part(0), part(1)], axis=2)[:, :, idx]
 
-    return system_split(sys, len(x_idx), len(y_idx), embed, gather(x_idx), gather(y_idx))
+    # the scatter and the gather only move coordinates, so each end of a box
+    # goes through them as a point does
+    def embed_box(X, y_lo, y_hi):
+        (x_lo, l_lo), (x_hi, l_hi) = embed(X, y_lo[None]), embed(X, y_hi[None])
+        return x_lo, x_hi, l_lo, l_hi
+
+    def y_chain_box(part):
+        return tuple(gather(y_idx)(lambda i: part(i)[end]) for end in (0, 1))
+
+    return system_split(sys, len(x_idx), len(y_idx), embed, gather(x_idx), gather(y_idx),
+                        embed_box=embed_box, y_chain_box=y_chain_box)
 
 
 @dataclass(frozen=True)
@@ -330,22 +362,39 @@ def compute_M(
     return m_x, m_y
 
 
-def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=None) -> float:
+def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=None,
+               box=None) -> float:
     """Max of ||(blocks(px, py) - base_block) diag(weights)|| over pts_x x pts_y.
 
-    The pairs run in the order of itertools.product(pts_x, pts_y), CHUNK_PAIRS
-    at a time, each chunk one call of the batched `blocks`. The bounds of
-    norm_survivors carry one floor across the chunks, the best lower bound so
-    far, and each chunk's survivors, the matrices whose upper bound still
-    reaches it, are held rather than given an SVD at once. Once CHUNK_PAIRS
-    of them are held, and after the last chunk, the held matrices that the
-    floor has since ruled out are dropped and the rest go to one batched
-    induced_norms, whose maximum raises the floor. So the SVD runs only on
-    the matrices that the whole call's bounds cannot rule out, and the
-    maximum is the per-point one bit for bit (norm_survivors gives the
-    reason). A chunk that raises is replayed one pair at a time, so the
-    error that surfaces is the one of the first failing pair, also while
-    earlier chunks' survivors are held.
+    The pairs are taken CHUNK_PAIRS at a time, each chunk one call of the
+    batched `blocks`. The bounds of norm_survivors carry one floor across the
+    chunks, the best lower bound so far, and each chunk's survivors, the
+    matrices whose upper bound still reaches it, are held rather than given
+    an SVD at once. Once CHUNK_PAIRS of them are held, and after the last
+    chunk, the held matrices that the floor has since ruled out are dropped
+    and the rest go to one batched induced_norms, whose maximum raises the
+    floor. So the SVD runs only on the matrices that the whole call's bounds
+    cannot rule out, and the maximum is the per-point one bit for bit
+    (norm_survivors gives the reason).
+
+    Without a box the pairs run in the order of itertools.product(pts_x,
+    pts_y). box, if given (and pts_x has two points or more), is the dy_box
+    of an unweighted call (L_y): one call encloses the block at every x-point
+    over the bounding box of pts_y, and box_norm_bounds bounds each x-point's
+    deviation norm. The x-point with the largest finite bound is taken
+    first, in chunks of its own; its
+    box holds no point where blocks raises, so the floor rises before any
+    other x-point is reached. The other pairs follow in lattice order, and
+    before each chunk the x-points whose bound, times (1 + PRUNE_MARGIN),
+    no longer reaches the floor are dropped (can_reach, the test
+    norm_survivors applies to one matrix; only once the floor is past
+    SAFE_SCALE[0], where a norm is accurate in relative terms). So every
+    skipped pair's norm lies below a norm the call attains, and the maximum
+    is the same bit for bit. A box that may hold a raising point has an
+    infinite bound and is never skipped, and only those can raise, so a
+    chunk that raises is replayed one pair at a time and the error that
+    surfaces is the one of the first failing pair in lattice order, also
+    while earlier chunks' survivors are held.
 
     stop, if given, is asked about a lower bound of the maximum,
     max(floor, 0) (1 - PRUNE_MARGIN), where the factor covers the few ulps a
@@ -355,7 +404,8 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
     that lower bound is returned.
     """
     per_x = len(pts_y)
-    total = len(pts_x) * per_x
+    order = np.arange(len(pts_x) * per_x)  # the pairs still to take, in the order they are taken
+    alone = 0  # the first `alone` of them are the first x-point's, taken in chunks of their own
     floor = best = -np.inf  # the best lower bound and the largest norm taken
     held: list[tuple[np.ndarray, np.ndarray]] = []  # survivors and their upper bounds
 
@@ -375,11 +425,20 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
         return stop is not None and stop(lower())
 
     stopped = refuted()  # a pair refuted at 0 evaluates no lattice pair
+    bound = None
+    if box is not None and len(pts_x) > 1 and not stopped:
+        lo, hi = box(pts_x, pts_y.min(axis=0), pts_y.max(axis=0))
+        with np.errstate(all="ignore"):  # a non-finite end gives an inf bound
+            bound = box_norm_bounds(np.nextafter(lo - base_block, -np.inf),
+                                    np.nextafter(hi - base_block, np.inf), norm_kind)
+        if np.isfinite(bound).any():
+            first = order // per_x == np.argmax(np.where(np.isfinite(bound), bound, -np.inf))
+            order, alone = np.concatenate((order[first], order[~first])), per_x
 
-    def chunk_max(start):
-        nonlocal floor, stopped
-        stop_at = min(start + CHUNK_PAIRS, total)
-        pairs = np.arange(start, stop_at)
+    def chunk_max(_):
+        nonlocal order, alone, floor, stopped
+        size = min(alone, CHUNK_PAIRS) if alone else CHUNK_PAIRS
+        pairs, order, alone = order[:size], order[size:], max(alone - size, 0)
         xs, ys = pts_x[pairs // per_x], pts_y[pairs % per_x]
         try:
             d = deviations(xs, ys)
@@ -393,15 +452,17 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
             else:
                 held.append((d[keep], upper))
         stopped = refuted()
-        if held and not stopped and (stop_at == total
+        if bound is not None and floor > SAFE_SCALE[0]:
+            reach = can_reach(bound[order // per_x], floor)
+            order, alone = order[reach], np.count_nonzero(reach[:alone])
+        if held and not stopped and (not len(order)
                                      or sum(len(u) for _, u in held) >= CHUNK_PAIRS):
             stack, uppers = (np.concatenate(parts) for parts in zip(*held))
             held.clear()
             raise_to(induced_norms(stack[can_reach(uppers, floor)], norm_kind))
         return max(best, 0.0)  # best is -inf until a norm is taken; a stopped call may take none
 
-    starts = itertools.takewhile(lambda _: not stopped, range(0, total, CHUNK_PAIRS))
-    value = max_over(starts, chunk_max)
+    value = max_over(iter(lambda: bool(len(order)) and not stopped, False), chunk_max)
     return lower() if stopped else value
 
 
@@ -443,7 +504,7 @@ def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, b
         else:
             pts_y = ball(y0, radii[1])
             stop = None if refutes is None else lambda lower: refutes(est.safety_factor * lower)
-            value = _sampled_L(f.dy_many, base.dy, pts_x, pts_y, norm_kind, stop=stop)
+            value = _sampled_L(f.dy_many, base.dy, pts_x, pts_y, norm_kind, stop=stop, box=f.dy_box)
         value = est.safety_factor * value
     value = float(value)
     if not (np.isfinite(value) and value >= 0.0):

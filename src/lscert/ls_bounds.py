@@ -42,6 +42,7 @@ from .imft import (
     imft_quantities,
     system_split,
 )
+from .interval import matvec_box, sandwich_box
 from .norms import check_norm_kind, induced_norm, vector_norm
 from .subspace import DEFAULT_RANK_TOL, SubspaceDecomposition, compute_decomposition
 from .system import DEFAULT_EQUILIBRIUM_TOL, EvaluationPoint, ParametricSystem
@@ -122,13 +123,25 @@ class SplitSystem:
         are [(W^T J) V | W^T D_lambda Phi] and (W^T J) Vperp. It is not cached
         on self: the view holds self, and that cycle would keep each system's
         arrays until a cyclic collection (peak RSS about 0.3 MB higher).
+        Where the system has a jac_box, the dy block's enclosure carries a
+        beta box through the affine states and through W^T J Vperp in
+        midpoint-radius form (interval.matvec_box, interval.sandwich_box).
         """
         q, v, v_perp = self.q, self.decomp.V[None], self.decomp.Vperp[None]
+        basis = np.hstack([self.decomp.V, self.decomp.Vperp])
+
+        def embed_box(P, b_lo, b_hi):
+            alpha, lam = P[:, :q], P[:, q:]
+            ends = (np.hstack([alpha, np.broadcast_to(b, (len(P), self.n_perp))])
+                    for b in (b_lo, b_hi))
+            return (*matvec_box(basis, *ends), lam, lam)
+
         return system_split(
             self.sys, q + self.m, self.n_perp,
             lambda P, B: (self.states(P[:, :q], B), P[:, q:]),
             lambda part: np.concatenate([part(0) @ v, part(1)], axis=2),
-            lambda part: part(0) @ v_perp, project=self.range_part)
+            lambda part: part(0) @ v_perp, project=self.range_part, embed_box=embed_box,
+            y_chain_box=lambda part: sandwich_box(self.decomp.W.T, *part(0), self.decomp.Vperp))
 
     @property
     def base_blocks(self) -> BaseBlocks:

@@ -169,6 +169,31 @@ def norm_survivors(a: np.ndarray, kind: str = "spectral", floor: float = -np.inf
     return best, keep, upper[keep]
 
 
+def box_norm_bounds(lo: np.ndarray, hi: np.ndarray, kind: str = "spectral") -> np.ndarray:
+    """Upper bounds on ||A|| over each box of matrices lo <= A <= hi, stacks (N, r, c).
+
+    Every A of a box has |A| <= M entrywise, M = max(|lo|, |hi|), so
+    ||A||_1 <= ||M||_1 and ||A||_inf <= ||M||_inf, and ||A||_2 is at most
+    min(||M||_F, sqrt(||M||_1 ||M||_inf)). Each bound is a float sum of at
+    most r c nonnegative terms and a square root, and is rounded up past that
+    rounding; a box with a non-finite end gets inf.
+    """
+    mag = np.maximum(np.abs(lo), np.abs(hi))
+    count, rows, cols = mag.shape
+    if rows * cols == 0:
+        return np.zeros(count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_sums, col_sums = mag.sum(axis=2).max(axis=1), mag.sum(axis=1).max(axis=1)
+        if kind == "one":
+            bound = col_sums
+        elif kind == "infinity":
+            bound = row_sums
+        else:
+            bound = np.minimum(np.sqrt(np.square(mag).sum(axis=(1, 2))), np.sqrt(row_sums * col_sums))
+        bound = np.nextafter(bound * (1.0 + (rows * cols + 4) * np.finfo(float).eps), np.inf)
+    return np.where(np.isfinite(bound), bound, np.inf)
+
+
 def inverse_norm(a: np.ndarray, kind: str = "spectral", error: type[Exception] = SingularDyf) -> float:
     """Norm of the matrix inverse, guarding against near-singularity.
 

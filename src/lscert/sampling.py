@@ -61,37 +61,50 @@ def ball_points(
     if w.shape != (dim,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be positive finite, one per coordinate")
 
-    chunks: list[np.ndarray] = []
+    # every lattice level in one stack: the axes of level k are the columns of
+    # one linspace with vector ends, broadcast into the tensor product in the
+    # row-major order of meshgrid(indexing="ij")
+    low, high = center - radius * w, center + radius * w
+    levels = []
     for k in _lattice_sizes(samples_per_dim):
-        axes = [np.linspace(center[i] - radius * w[i], center[i] + radius * w[i], k) for i in range(dim)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        scaled = (grid - center) / w
-        if norm_kind == "spectral":
-            dist = np.sqrt(np.sum(scaled**2, axis=1))
-        elif norm_kind == "one":
-            dist = np.sum(np.abs(scaled), axis=1)
-        else:
-            dist = np.max(np.abs(scaled), axis=1)
-        chunks.append(grid[dist <= radius * (1.0 + 1e-12)])
-
-    boundary = []
-    for i in range(dim):
-        step = np.zeros(dim)
-        step[i] = radius * w[i]
-        boundary.append(center + step)
-        boundary.append(center - step)
-    chunks.append(np.array(boundary))
-    # the directions e_i - e_j, i != j in row-major order, scaled to unit
-    # norm by one batched call: row k's norm is vector_norm of direction k
-    eye = np.eye(dim)
-    i, j = np.nonzero(eye == 0.0)
-    u = eye[i] - eye[j]
-    u /= induced_norms(u[:, :, None], norm_kind)[:, None]
-    chunks.append(center + radius * (w * u))
-    points = np.concatenate(chunks, axis=0)
-    rows = points.view(np.dtype((np.void, points.itemsize * dim)))[:, 0]
-    _, first = np.unique(rows, return_index=True)
-    return points[np.sort(first)]
+        axes = np.linspace(low, high, k)
+        if np.any((high - low) / (k - 1) == 0.0):
+            # linspace takes another route for every column once one step
+            # underflows to 0; one call per axis keeps each axis's own
+            axes = np.stack([np.linspace(low[i], high[i], k) for i in range(dim)], axis=1)
+        level = np.empty((k,) * dim + (dim,))
+        for i in range(dim):
+            level[..., i] = axes[:, i].reshape((k,) + (1,) * (dim - 1 - i))
+        levels.append(level.reshape(-1, dim))
+    grid = np.concatenate(levels)
+    scaled = (grid - center) / w
+    if norm_kind == "spectral":
+        dist = np.sqrt(np.sum(scaled**2, axis=1))
+    elif norm_kind == "one":
+        dist = np.sum(np.abs(scaled), axis=1)
+    else:
+        dist = np.max(np.abs(scaled), axis=1)
+    # the axis boundary points c + r w_i e_i, c - r w_i e_i for each i in turn
+    steps = np.diag(radius * w)
+    boundary = np.stack((center + steps, center - steps), axis=1).reshape(-1, dim)
+    chunks = [grid[dist <= radius * (1.0 + 1e-12)], boundary]
+    if dim > 1:
+        # the directions e_i - e_j, i != j in row-major order, scaled to unit
+        # norm by one batched call: row k's norm is vector_norm of direction k
+        eye = np.eye(dim)
+        i, j = np.nonzero(eye == 0.0)
+        u = eye[i] - eye[j]
+        u /= induced_norms(u[:, :, None], norm_kind)[:, None]
+        chunks.append(center + radius * (w * u))
+    points = np.concatenate(chunks)
+    # keep the first of each run of rows equal bit for bit: a stable sort of
+    # the rows' bit patterns puts equal rows together in their first-seen order
+    bits = points.view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    ordered = bits[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return points[np.sort(order[first])]
 
 
 def max_over(points: Iterable[np.ndarray], value: Callable[[np.ndarray], float]) -> float:

@@ -46,7 +46,10 @@ class ParametricSystem:
     every row, (N, k). `jac_many` is the one Jacobian callable: it takes the
     same stacks and returns both blocks at every row, (N, k, n) and
     (N, k, m). The per-point residual and blocks are row 0 of a one-point
-    call (see from_callable for per-point callables).
+    call (see from_callable for per-point callables). `jac_box`, which only
+    DSL systems have, encloses both blocks over boxes: it takes the ends of N
+    state and parameter boxes, (N, n), (N, n), (N, m) and (N, m), and returns
+    ((lo, hi), (lo, hi)) of the two blocks, as interval.compile_boxes does.
     """
 
     n: int
@@ -55,6 +58,7 @@ class ParametricSystem:
     jac_many: BatchJac
     name: str = "custom"
     components: int | None = None
+    jac_box: Callable | None = None
 
     @property
     def k(self) -> int:
@@ -273,7 +277,9 @@ def system_from_expressions(source: str, n: int, m: int,
                             components: int | None = None) -> ParametricSystem:
     """Build a system whose residual and Jacobians come from the DSL.
 
-    The source has n components unless `components` says otherwise.
+    The source has n components unless `components` says otherwise. The
+    Jacobian enclosure over boxes (jac_box) is compiled on its first call,
+    so building a model does not load the interval module.
     """
     from . import expr as _expr
 
@@ -281,12 +287,19 @@ def system_from_expressions(source: str, n: int, m: int,
     asts = _expr.parse_components(source, n if components is None else components, *names)
     values = _expr.compile_values(asts, names)
     duals = _expr.compile_duals(asts, n, m, names, with_values=False)
+    boxes = []
 
     def jac_many(X, Lam):
         return duals(X, Lam)[1:]
 
+    def jac_box(*ends):
+        if not boxes:
+            from .interval import compile_boxes
+            boxes.append(compile_boxes(asts, n, m))
+        return boxes[0](*ends)
+
     return ParametricSystem(n=n, m=m, fun_many=values, jac_many=jac_many, name="expr",
-                            components=components)
+                            components=components, jac_box=jac_box)
 
 
 def is_bifurcation_candidate(

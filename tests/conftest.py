@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import lscert
 from lscert import expr as expr_mod
@@ -26,6 +28,14 @@ from lscert.expr import (
 from lscert.imft import BaseBlocks, CertifiedRegion, FrontierPoint, RegionEntry, check_conditions
 from lscert.norms import induced_norm
 from lscert.sampling import ball_points
+
+
+# hypothesis profiles for the tests that take their example count from the
+# profile (the others set their own): "tier1", loaded here, keeps the tier-1
+# run short; "ci" (pytest --hypothesis-profile=ci) runs many more examples
+settings.register_profile("tier1", max_examples=12, deadline=None)
+settings.register_profile("ci", max_examples=150, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
@@ -268,6 +278,65 @@ def split_view_blocks(ss, jac_x, jac_lambda):
     return dx, dy
 
 
+# --- reference ball lattice ---------------------------------------------------
+
+
+def reference_ball_points(center, radius, samples_per_dim, norm_kind="spectral", weights=None):
+    """sampling.ball_points as it was written before it was batched, kept as it was.
+
+    One linspace per axis and meshgrid per lattice level, a norm filter per
+    level, the boundary points one at a time, and a keep-first dedupe by
+    np.unique of the rows' bytes. The batched form is held to it with
+    tobytes().
+    """
+    center = np.asarray(center, dtype=float)
+    if center.ndim != 1:
+        raise ValueError("center must be a 1-D array")
+    if radius < 0 or not np.isfinite(radius):
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    if samples_per_dim < 2:
+        raise ValueError("samples_per_dim must be at least 2")
+    dim = center.size
+    if dim == 0 or radius == 0.0:
+        return center.reshape(1, dim)
+    w = np.ones(dim) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (dim,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be positive finite, one per coordinate")
+
+    sizes = [samples_per_dim]
+    while sizes[-1] > 2:
+        sizes.append((sizes[-1] + 1) // 2)
+    chunks = []
+    for k in sizes:
+        axes = [np.linspace(center[i] - radius * w[i], center[i] + radius * w[i], k) for i in range(dim)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        scaled = (grid - center) / w
+        if norm_kind == "spectral":
+            dist = np.sqrt(np.sum(scaled**2, axis=1))
+        elif norm_kind == "one":
+            dist = np.sum(np.abs(scaled), axis=1)
+        else:
+            dist = np.max(np.abs(scaled), axis=1)
+        chunks.append(grid[dist <= radius * (1.0 + 1e-12)])
+
+    boundary = []
+    for i in range(dim):
+        step = np.zeros(dim)
+        step[i] = radius * w[i]
+        boundary.append(center + step)
+        boundary.append(center - step)
+    chunks.append(np.array(boundary))
+    eye = np.eye(dim)
+    i, j = np.nonzero(eye == 0.0)
+    u = eye[i] - eye[j]
+    u /= norms_mod.induced_norms(u[:, :, None], norm_kind)[:, None]
+    chunks.append(center + radius * (w * u))
+    points = np.concatenate(chunks, axis=0)
+    rows = points.view(np.dtype((np.void, points.itemsize * dim)))[:, 0]
+    _, first = np.unique(rows, return_index=True)
+    return points[np.sort(first)]
+
+
 # --- per-point reference for the sampled deviation suprema --------------------
 
 
@@ -301,14 +370,26 @@ def per_point_L(dx, dy, x0, y0, r_x, r_y, samples_per_dim, norm_kind="spectral",
     return sup(dx, base.dx, pts_x, [y0], w), sup(dy, base.dy, pts_x, pts_y)
 
 
-def full_scan_region(q, r_x_grid, r_y_grid):
-    """certify_grid's region with every L taken in full, the frontier midpoint's too.
+def full_scan_region(q, r_x_grid, r_y_grid, per_point):
+    """certify_grid's region with every L taken by the per-point loop, the frontier midpoint's too.
 
-    The reference the early-stopping frontier of lscert.imft is held to with
-    ==: the sorted distinct radii, each pair's check_conditions, and per r_y
-    the last certified radius of the first certified run, refined by one
-    bisection step toward the failure that ends the run.
+    The reference the pruned sampler and the early-stopping frontier of
+    lscert.imft are held to with ==. per_point(r_x, r_y) gives (L_x, L_y)
+    as per_point_L takes them; q gives only the M values, the norm kind and
+    the base residual. The region is the sorted distinct radii, each pair's
+    check_conditions, and per r_y the last certified radius of the first
+    certified run, refined by one bisection step toward the failure that
+    ends the run.
     """
+    taken = {}
+
+    def pair(r_x, r_y):
+        if (r_x, r_y) not in taken:
+            taken[(r_x, r_y)] = per_point(r_x, r_y)
+        return taken[(r_x, r_y)]
+
+    q = dataclasses.replace(q, L_x=lambda r_x: pair(r_x, 0.0)[0],
+                            L_y=lambda r_x, r_y, refutes=None: pair(r_x, r_y)[1])
     r_xs = sorted({float(r) for r in r_x_grid})
     entries, frontier = [], []
     for r_y in sorted({float(r) for r in r_y_grid}):

@@ -608,10 +608,12 @@ def test_dsl_math_runs_once_per_distinct_argument(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     assert non_meta_text(json.loads(out.read_text(encoding="utf-8"))) == \
         (GOLDEN / "ring4_imft_nonmeta.json").read_text(encoding="utf-8")
-    # the lattice chunks repeat each coordinate: each of the 16 chunk-wide tanh
-    # slopes maps 31 or 32 distinct arguments of its 505, and the base-point
-    # calls map 32 more (8,168 elements when all were mapped)
-    assert sum(mapped) == 536
+    # the box bounds leave one or two x-points per L_y call, each in a chunk
+    # of its own: each of the 6 chunks' four tanh slopes maps that x times
+    # the 7 distinct coordinates of the y-ball (168), the L_x calls map 1
+    # argument, or 2 (0.0 and -0.0) where the x-ball crosses 0, per slope
+    # (20), and the base-point calls 8 more
+    assert sum(mapped) == 200
 
     # DSL tanh2 on 1,024 points that do not repeat: both tanh slopes map every element
     mapped.clear()
@@ -635,12 +637,16 @@ def test_svds_run_only_where_the_whole_calls_bounds_cannot_rule_a_matrix_out(tmp
     for command, config, golden, want in (
             # 384 with per-chunk cheap bounds: the Gram bound and the floor
             # carried across chunks rule out more than half of the rest (155);
-            # the refused frontier midpoint r_par = 1.5 stops after its one
-            # chunk's bounds and skips its deferred batch of 35
-            ("ls-certify", "ring4_certify_sampled.json", "ring4_sampled_nonmeta.json", 120),
+            # the refused frontier midpoint r_par = 1.5 stops after its first
+            # x-point's bounds and skips its deferred batch of 35. At r_par 1
+            # and 2 the box bounds rule out the centre x-point, whose zero
+            # deviation at the base point norm_survivors cannot bound
+            ("ls-certify", "ring4_certify_sampled.json", "ring4_sampled_nonmeta.json", 118),
             # nearly all of these lie within 1e-8 of their call's maximum; the
-            # midpoint r_x = 0.45 is certified, so its L_y is taken in full
-            ("imft-certify", "ring4_imft.json", "ring4_imft_nonmeta.json", 362)):
+            # midpoint r_x = 0.45 is certified, so its L_y is taken in full;
+            # in three of the calls the box bounds rule out the x-point of the
+            # zero deviation
+            ("imft-certify", "ring4_imft.json", "ring4_imft_nonmeta.json", 359)):
         svd.clear()
         out = tmp_path / golden
         assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0

@@ -492,25 +492,28 @@ RING4_GRID = ([0.1, 0.4, 0.8, 1.6], [0.3])
 RING4_MID = 0.5 * (0.4 + 0.8)
 
 
-def _grid_case(name):
-    """(fresh quantities, r_x range, r_y range) of a certify_grid case."""
-    est = SupremumEstimator(samples_per_dim=5)
+def _grid_case(name, norm_kind="spectral", weighted=False, spd=3):
+    """(fresh quantities, per-point (L_x, L_y), r_x range, r_y range) of a certify_grid case."""
     if name == "parabola":
-        return (lambda: imft_quantities(parabola(), X0, Y0, est)), (0.0, 0.5), (0.0, 0.5)
-    if name == "ring4-ls":
-        sys_ = lscert.build_system(parse_config({"model": {"kind": "expr", "source": RING4,
-                                                           "n": 4, "m": 1}}).model)
-        ss = lscert.build_split_system(sys_, lscert.evaluation_point(sys_, np.zeros(4), [1.0]))
-        return (lambda: lscert.ls_quantities(ss, est)), (0.0, 2.5), (0.1, 1.0)
-    f, x0, y0, *_ = _sampler_case(name)
-    return (lambda: imft_quantities(f, x0, y0, est)), (0.0, 2.0), (0.1, 0.6)
+        f, x0, y0, base = parabola(), X0, Y0, None
+        refs = (lambda x, y: np.array([[-2.0 * x[0]]]), lambda x, y: np.array([[1.0]]))
+        ranges = (0.0, 0.5), (0.0, 0.5)
+    else:
+        f, x0, y0, base, *_, refs = _sampler_case(name)
+        ranges = ((0.0, 2.5), (0.1, 1.0)) if name == "ring4-ls" else ((0.0, 2.0), (0.1, 0.6))
+    w = 0.5 + 0.25 * np.arange(f.n_x) if weighted else None
+    est = SupremumEstimator(samples_per_dim=spd)
+    return ((lambda: imft_quantities(f, x0, y0, est, norm_kind, w, base)),
+            (lambda r_x, r_y: per_point_L(*refs, x0, y0, r_x, r_y, spd, norm_kind, w, base)),
+            *ranges)
 
 
-@settings(max_examples=12, deadline=None)
-@given(chunk=st.sampled_from([7, 64, 1024]), data=st.data())
+@settings(deadline=None)  # examples: the hypothesis profile's
+@given(chunk=st.sampled_from([7, 64, 1024]), norm_kind=st.sampled_from(NORM_KINDS),
+       weighted=st.booleans(), data=st.data())
 @pytest.mark.parametrize("name", ["parabola", "ring4-ls", "ring4-imft"])
-def test_certify_grid_equals_the_full_scan_reference(name, chunk, data):
-    make, (x_lo, x_hi), (y_lo, y_hi) = _grid_case(name)
+def test_certify_grid_equals_the_full_scan_reference(name, chunk, norm_kind, weighted, data):
+    make, per_point, (x_lo, x_hi), (y_lo, y_hi) = _grid_case(name, norm_kind, weighted)
     r_x_grid = data.draw(st.lists(st.floats(x_lo, x_hi, allow_subnormal=False),
                                   min_size=1, max_size=5))
     r_y_grid = data.draw(st.lists(st.floats(y_lo, y_hi, allow_subnormal=False),
@@ -518,14 +521,37 @@ def test_certify_grid_equals_the_full_scan_reference(name, chunk, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(imft, "CHUNK_PAIRS", chunk)
         got = certify_grid(make(), r_x_grid, r_y_grid)
-    assert got == full_scan_region(make(), r_x_grid, r_y_grid)
+    assert got == full_scan_region(make(), r_x_grid, r_y_grid, per_point)
 
 
-def _ring4_imft(jac_y_many=None):
-    """(f, x0, y0, spd-7 quantities) of the ring-4 index split, jac_y_many replaced if given."""
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("norm_kind", NORM_KINDS)
+@pytest.mark.parametrize("name", ["ring4-ls", "ring4-imft"])
+def test_pruned_L_equals_the_per_point_loop(name, norm_kind, weighted):
+    # the DSL views have a dy enclosure: the sampled L_y skips the x-points
+    # whose box bound cannot reach the floor, and stays the per-point maximum
+    f, x0, y0, base, spd, ((r_x, r_y), *_), _, refs = _sampler_case(name)
+    rows = []
+    f = dataclasses.replace(f, jac_y_many=_counting(rows)(f.jac_y_many))
+    w = 0.5 + 0.25 * np.arange(f.n_x) if weighted else None
+    want = per_point_L(*refs, x0, y0, r_x, r_y, spd, norm_kind, w, base)
+    assert estimate_L(f, x0, y0, r_x, r_y, SupremumEstimator(samples_per_dim=spd), norm_kind, w,
+                      base) == want
+    lattice = len(ball_points(x0, r_x, spd, norm_kind, w)) * len(ball_points(y0, r_y, spd, norm_kind))
+    assert sum(rows) < lattice
+
+
+def _ring4_imft(jac_y_many=None, box=True):
+    """(f, x0, y0, spd-7 quantities) of the ring-4 index split, jac_y_many replaced if given.
+
+    box=False drops the view's dy enclosure: a replaced block that raises
+    where the DSL does not is no longer what the enclosure encloses.
+    """
     f, x0, y0, *_ = _sampler_case("ring4-imft")
     if jac_y_many is not None:
         f = dataclasses.replace(f, jac_y_many=jac_y_many(f.jac_y_many))
+    if not box:
+        f = dataclasses.replace(f, dy_box=None)
     return f, x0, y0, imft_quantities(f, x0, y0, SupremumEstimator(samples_per_dim=7))
 
 
@@ -553,14 +579,19 @@ def test_a_refused_midpoint_evaluates_fewer_rows_than_its_lattice_holds():
     counted, per_pair = _rows_per_L_y(q, rows)
     region = certify_grid(counted, *RING4_GRID)
     assert region.frontier == (FrontierPoint(r_y=0.3, r_x_max=0.4),)
+    # each x-ball has 7 points and the y-ball n_y = 437: the grid pairs take
+    # the y-ball at the one or two x-points whose box bounds reach the floor
     n_y = len(ball_points(y0, 0.3, 7))
-    for r_x in RING4_GRID[0]:
-        assert per_pair[(r_x, 0.3)] == len(ball_points(x0, r_x, 7)) * n_y
+    for r_x, taken in zip(RING4_GRID[0], (1, 1, 2, 2)):
+        assert len(ball_points(x0, r_x, 7)) == 7
+        assert per_pair[(r_x, 0.3)] == taken * n_y
+    # the midpoint is refuted by the x-point taken first, alone
     lattice = len(ball_points(x0, RING4_MID, 7)) * n_y
-    assert per_pair[(RING4_MID, 0.3)] == imft.CHUNK_PAIRS < lattice
-    # the partial value is not cached: asked again, L_y takes every row
+    assert per_pair[(RING4_MID, 0.3)] == n_y < imft.CHUNK_PAIRS < lattice
+    # the partial value is not cached: asked again, L_y is taken in full, and
+    # its full value needs a second x-point
     full = counted.L_y(RING4_MID, 0.3)
-    assert per_pair[(RING4_MID, 0.3)] == lattice
+    assert per_pair[(RING4_MID, 0.3)] == 2 * n_y < lattice
     assert full == estimate_L(f, x0, y0, RING4_MID, 0.3, SupremumEstimator(samples_per_dim=7))[1]
 
 
@@ -589,9 +620,9 @@ def test_a_pair_that_raises_past_the_refuting_chunk_no_longer_aborts_the_run():
             return jac(X, Y)
         return jac_y_many
 
-    *_, q = _ring4_imft(raising)
+    *_, q = _ring4_imft(raising, box=False)
     region = certify_grid(q, *RING4_GRID)
-    assert region == full_scan_region(_ring4_imft()[3], *RING4_GRID)
+    assert region == certify_grid(_ring4_imft(box=False)[3], *RING4_GRID)
     # a full scan of the midpoint, as certify_grid took before it stopped early, raises
     with pytest.raises(ValueError, match="bad row"):
         q.L_y(RING4_MID, 0.3)
