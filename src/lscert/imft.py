@@ -65,7 +65,9 @@ class SplitFunction:
     (N, n_y, n_y), such that dy_many at (X[i], y) lies between lo[i] and
     hi[i] for every y in the box; it is -inf and inf throughout lo[i] and
     hi[i] where jac_y_many may raise at such a point. Only the views of DSL
-    systems have one.
+    systems have one. It encloses jac_y_many as built: a copy whose
+    jac_y_many returns other values or raises elsewhere
+    (dataclasses.replace) must replace dy_box too, or set it to None.
     """
 
     n_x: int
@@ -118,7 +120,7 @@ def split_function(fun, n_x: int, n_y: int, jac_x=None, jac_y=None) -> SplitFunc
 
 
 def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
-                 project=None, embed_box=None, y_chain_box=None) -> SplitFunction:
+                 project=None, *, embed_box, y_chain_box) -> SplitFunction:
     """The split view f(x, y) = P Phi(E(x, y)) of a ParametricSystem.
 
     embed(X, Y) maps point stacks (N, n_x) and (N, n_y) to the states and
@@ -148,7 +150,7 @@ def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
         return many
 
     dy_box = None
-    if sys.jac_box is not None and embed_box is not None:
+    if sys.jac_box is not None:
         def dy_box(X, y_lo, y_hi):
             parts = sys.jac_box(*embed_box(X, y_lo, y_hi))
             return y_chain_box(parts.__getitem__)
@@ -382,19 +384,22 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
     of an unweighted call (L_y): one call encloses the block at every x-point
     over the bounding box of pts_y, and box_norm_bounds bounds each x-point's
     deviation norm. The x-point with the largest finite bound is taken
-    first, in chunks of its own; its
-    box holds no point where blocks raises, so the floor rises before any
-    other x-point is reached. The other pairs follow in lattice order, and
-    before each chunk the x-points whose bound, times (1 + PRUNE_MARGIN),
-    no longer reaches the floor are dropped (can_reach, the test
-    norm_survivors applies to one matrix; only once the floor is past
-    SAFE_SCALE[0], where a norm is accurate in relative terms). So every
+    first, in chunks of its own; its box holds no point where blocks raises,
+    so the floor rises before any other x-point is reached. The other pairs
+    follow in lattice order, and before each chunk the x-points whose
+    bound, times (1 + PRUNE_MARGIN), no longer reaches the floor are dropped
+    (can_reach, the test norm_survivors applies to one matrix; only once the
+    floor is past SAFE_SCALE[0], where a norm is accurate in relative
+    terms). So every
     skipped pair's norm lies below a norm the call attains, and the maximum
     is the same bit for bit. A box that may hold a raising point has an
     infinite bound and is never skipped, and only those can raise, so a
     chunk that raises is replayed one pair at a time and the error that
     surfaces is the one of the first failing pair in lattice order, also
-    while earlier chunks' survivors are held.
+    while earlier chunks' survivors are held. A call given stop reaches a
+    raising pair or not depending on where its chunks end, so such a call
+    with an infinite bound anywhere takes the pairs in lattice order
+    without skipping any, as a call without a box does.
 
     stop, if given, is asked about a lower bound of the maximum,
     max(floor, 0) (1 - PRUNE_MARGIN), where the factor covers the few ulps a
@@ -431,7 +436,9 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
         with np.errstate(all="ignore"):  # a non-finite end gives an inf bound
             bound = box_norm_bounds(np.nextafter(lo - base_block, -np.inf),
                                     np.nextafter(hi - base_block, np.inf), norm_kind)
-        if np.isfinite(bound).any():
+        if stop is not None and not np.isfinite(bound).all():
+            bound = None
+        elif np.isfinite(bound).any():
             first = order // per_x == np.argmax(np.where(np.isfinite(bound), bound, -np.inf))
             order, alone = np.concatenate((order[first], order[~first])), per_x
 

@@ -248,10 +248,15 @@ def tanh2_jac_lambda(x, lam):
 
 def expr_jacobians(source, n, m):
     """Per-point (jac_x, jac_lambda) of a DSL system through per_point_eval_dual."""
+    both = expr_jacobian_pair(source, n, m)
+    return (lambda x, lam: both(x, lam)[0], lambda x, lam: both(x, lam)[1])
+
+
+def expr_jacobian_pair(source, n, m):
+    """Per-point (x, lam) -> (jac_x, jac_lambda) of a DSL system, one per_point_eval_dual pass."""
     names = default_names(n, m)
     asts = expr_mod.parse_components(source, n, *names)
-    return (lambda x, lam: per_point_eval_dual(asts, x, lam, n, names)[1],
-            lambda x, lam: per_point_eval_dual(asts, x, lam, n, names)[2])
+    return lambda x, lam: per_point_eval_dual(asts, x, lam, n, names)[1:]
 
 
 def point_state(ss, alpha, beta):

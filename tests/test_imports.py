@@ -46,11 +46,6 @@ def test_config_and_model_build_load_no_engine_module():
     assert not {"imft", "ls_bounds", "reduction", "report", "cli", "interval"} & set(loaded)
 
 
-def test_config_import_loads_no_interval_module():
-    loaded = loaded_after("import lscert.config")
-    assert "config" in loaded and "interval" not in loaded
-
-
 def test_every_public_name_and_submodule_resolves():
     # each public name is the object every submodule holds under that name
     code = f"""

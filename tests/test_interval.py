@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lscert import LscertError, SupremumEstimator, estimate_L, index_split, system_from_expressions
+from lscert import (LscertError, SupremumEstimator, estimate_L, imft_quantities, index_split,
+                    system_from_expressions)
 from lscert.expr import (Binary, Func, Neg, Pow, StateVar, compile_duals, default_names,
                          parse_components)
+from lscert.imft import certify_grid
 from lscert.interval import compile_boxes
 from lscert.norms import NORM_KINDS, box_norm_bounds, induced_norms
 from lscert.sampling import ball_points
@@ -164,3 +166,25 @@ def test_a_raising_model_keeps_the_error_of_the_unpruned_sampler(source, text):
         except LscertError:
             raises.append(True)
     assert (unbounded >= np.array(raises)).all() and any(raises)
+
+
+def test_a_stopped_midpoint_with_a_raising_box_keeps_the_error_of_the_unpruned_sampler():
+    # the frontier midpoint r_x = 0.5 of the grid (0.25, 0.75) at r_y = 0.2:
+    # its first x-point, -0.5, meets the kink at y = -0.1, and its last,
+    # 0.5, has the largest finite bound and alone refutes the pair. Taken
+    # first, it would stop the call before the kink is reached; the grid
+    # balls hold no lattice pair on the kink
+    sys_ = system_from_expressions("x2 + 3*x1*x2 + 0.01*abs(x1 + x2 + 0.6)", 2, 0, components=1)
+    f = index_split(sys_, [0], [1])
+    assert ball_points(np.zeros(1), 0.5, 5)[[0, -1], 0].tolist() == [-0.5, 0.5]
+    est = SupremumEstimator(samples_per_dim=5)
+
+    def region(view):
+        return certify_grid(imft_quantities(view, np.zeros(1), np.zeros(1), est), [0.25, 0.75],
+                            [0.2])
+
+    with pytest.raises(LscertError) as unpruned:
+        region(dataclasses.replace(f, dy_box=None))
+    assert "abs argument within 1e-12 of the kink" in str(unpruned.value)
+    with pytest.raises(type(unpruned.value), match=re.escape(str(unpruned.value)) + "$"):
+        region(f)
