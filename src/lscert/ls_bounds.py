@@ -42,7 +42,6 @@ from .imft import (
     imft_quantities,
     system_split,
 )
-from .interval import matvec_box, sandwich_box
 from .norms import check_norm_kind, induced_norm, vector_norm
 from .subspace import DEFAULT_RANK_TOL, SubspaceDecomposition, compute_decomposition
 from .system import DEFAULT_EQUILIBRIUM_TOL, EvaluationPoint, ParametricSystem
@@ -130,18 +129,25 @@ class SplitSystem:
         q, v, v_perp = self.q, self.decomp.V[None], self.decomp.Vperp[None]
         basis = np.hstack([self.decomp.V, self.decomp.Vperp])
 
+        # the interval module loads with the first enclosure, which only a
+        # DSL system's view is asked for
         def embed_box(P, b_lo, b_hi):
+            from .interval import matvec_box
             alpha, lam = P[:, :q], P[:, q:]
             ends = (np.hstack([alpha, np.broadcast_to(b, (len(P), self.n_perp))])
                     for b in (b_lo, b_hi))
             return (*matvec_box(basis, *ends), lam, lam)
+
+        def y_chain_box(part):
+            from .interval import sandwich_box
+            return sandwich_box(self.decomp.W.T, *part(0), self.decomp.Vperp)
 
         return system_split(
             self.sys, q + self.m, self.n_perp,
             lambda P, B: (self.states(P[:, :q], B), P[:, q:]),
             lambda part: np.concatenate([part(0) @ v, part(1)], axis=2),
             lambda part: part(0) @ v_perp, project=self.range_part, embed_box=embed_box,
-            y_chain_box=lambda part: sandwich_box(self.decomp.W.T, *part(0), self.decomp.Vperp))
+            y_chain_box=y_chain_box)
 
     @property
     def base_blocks(self) -> BaseBlocks:
