@@ -390,9 +390,8 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
     bound, times (1 + PRUNE_MARGIN), no longer reaches the floor are dropped
     (can_reach, the test norm_survivors applies to one matrix; only once the
     floor is past SAFE_SCALE[0], where a norm is accurate in relative
-    terms). So every
-    skipped pair's norm lies below a norm the call attains, and the maximum
-    is the same bit for bit. A box that may hold a raising point has an
+    terms). So every skipped pair's norm lies below a norm the call attains,
+    and the maximum is the same bit for bit. A box that may hold a raising point has an
     infinite bound and is never skipped, and only those can raise, so a
     chunk that raises is replayed one pair at a time and the error that
     surfaces is the one of the first failing pair in lattice order, also
