@@ -20,6 +20,7 @@ commands never load it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -200,14 +201,15 @@ def _print_series(rm: reduction.ReducedMap) -> None:
 
 
 def _frontier_for_warnings(cfg: RunConfig, ss: ls_bounds.SplitSystem):
-    """Certified frontier for out-of-region warnings, when config allows it."""
+    """Certified frontier and parallel weights for out-of-region warnings, when
+    config allows it (a None frontier otherwise)."""
     if cfg.certify is None:
-        return None
+        return None, None
     estimator = build_estimator(cfg.estimator, ("rpar", "rperp"))
+    weights = _weights(cfg, ss.q + ss.m, "q + m = ")
     region, _ = ls_bounds.certify_ls_region(
-        ss, cfg.certify.r_par_grid, cfg.certify.r_perp_grid,
-        estimator, cfg.norm, _weights(cfg, ss.q + ss.m, "q + m = "))
-    return region.frontier
+        ss, cfg.certify.r_par_grid, cfg.certify.r_perp_grid, estimator, cfg.norm, weights)
+    return region.frontier, weights
 
 
 def _cmd_reduce(args) -> int:
@@ -218,7 +220,7 @@ def _cmd_reduce(args) -> int:
     nt = cfg.newton
     rm = reduction.ReducedMap(ss, nt.tol, nt.max_iters, nt.max_backtracks)
     _print_series(rm)
-    frontier = _frontier_for_warnings(cfg, ss)
+    frontier, weights = _frontier_for_warnings(cfg, ss)
     alphas = np.linspace(section.alpha_min, section.alpha_max, section.alpha_samples)
     lams = np.repeat(np.asarray(section.lambda_values, dtype=float), len(alphas))
     batch = rm.evaluate_many(np.tile(alphas, len(section.lambda_values))[:, None], lams[:, None])
@@ -229,7 +231,7 @@ def _cmd_reduce(args) -> int:
             failed.setdefault(i // len(alphas), []).append((float(alpha), batch.errors[i]))
         elif frontier is not None:
             warning = reduction.region_note(
-                ss, frontier, point.alpha, point.lam, point.beta, cfg.norm)
+                ss, frontier, point.alpha, point.lam, point.beta, cfg.norm, weights)
         rows.append((alpha, lam, point, warning))
     for li, failures in failed.items():
         print(f"note: {reduction.failure_note(section.lambda_values[li], failures)}",
@@ -272,7 +274,9 @@ def _add_common(sub: argparse.ArgumentParser, with_csv: bool) -> None:
         sub.add_argument("--csv", default=None, help="also write the region table as CSV")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="lscert",
         description="certified reduction of parameterised equilibrium systems")

@@ -503,11 +503,16 @@ def region_note(
     lam,
     beta,
     norm_kind: str = "spectral",
+    weights: np.ndarray | None = None,
 ) -> str | None:
-    """Warning string when (alpha, lambda, beta) leaves the certified region."""
+    """Warning string when (alpha, lambda, beta) leaves the certified region.
+
+    r_par is measured as the certified ball is, ||(par - c)/w|| with the
+    run's parallel weights w (default all ones).
+    """
     par = np.concatenate([np.atleast_1d(np.asarray(alpha, float)),
-                          np.atleast_1d(np.asarray(lam, float))])
-    r_par_pt = vector_norm(par - ss.par_center, norm_kind)
+                          np.atleast_1d(np.asarray(lam, float))]) - ss.par_center
+    r_par_pt = vector_norm(par if weights is None else par / weights, norm_kind)
     r_perp_pt = vector_norm(np.atleast_1d(np.asarray(beta, float)) - ss.beta0, norm_kind)
     if in_certified_region(frontier, r_par_pt, r_perp_pt):
         return None

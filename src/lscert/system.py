@@ -5,13 +5,14 @@ callable; the per-point forms are their row 0. from_callable adapts
 per-point callables and fills missing Jacobians by central finite
 differences. damped_newton_many is the package's one Newton iteration, run
 in lockstep over a stack of problems. Built-in models cover the cases used
-throughout the tests and the CLI. Maps are assumed at least twice
-continuously differentiable on the working region.
+throughout the tests and the CLI; all but `linear` are DSL source, built as
+expression models are. Maps are assumed at least twice continuously
+differentiable on the working region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,6 @@ from .errors import (
     SingularNewtonSystem,
     UnknownModel,
 )
-from .expr import SMOOTH
 from .subspace import DEFAULT_RANK_TOL, compute_decomposition
 
 DEFAULT_EQUILIBRIUM_TOL = 1e-10
@@ -212,35 +212,14 @@ def from_callable(
 # --- built-in models ---------------------------------------------------------
 
 
-def _tanh2() -> ParametricSystem:
-    # coupled pair x1 = tanh(l x2), x2 = tanh(l x1); symmetric kernel at l = +-1.
-    # tanh and its slope sech^2 run through math per element, as the DSL's
-    # do: numpy's tanh and cosh round differently
-    tanh, sech2 = SMOOTH["tanh"]
-
-    def fun_many(X, Lam):
-        t = [tanh((Lam[:, 0] * X[:, i]).tolist()) for i in (1, 0)]
-        return np.stack([-X[:, 0] + t[0], -X[:, 1] + t[1]], axis=1)
-
-    def jac_many(X, Lam):
-        l = Lam[:, 0]
-        s = [sech2((l * X[:, i]).tolist()) for i in range(2)]
-        jx = np.empty((len(X), 2, 2))
-        jx[:, 0, 0] = jx[:, 1, 1] = -1.0
-        jx[:, 0, 1] = l * s[1]
-        jx[:, 1, 0] = l * s[0]
-        jl = np.stack([X[:, 1] * s[1], X[:, 0] * s[0]], axis=1)[:, :, None]
-        return jx, jl
-
-    return ParametricSystem(n=2, m=1, fun_many=fun_many, jac_many=jac_many, name="tanh2")
-
-
-def _pitchfork_normal_form() -> ParametricSystem:
-    return from_callable(
-        lambda x, lam: np.array([lam[0] * x[0] - x[0] ** 3]), 1, 1,
-        jac_x=lambda x, lam: np.array([[lam[0] - 3.0 * x[0] ** 2]]),
-        jac_lambda=lambda x, lam: np.array([[x[0]]]),
-        name="pitchfork_normal_form")
+# DSL source, n and m of each built-in model but linear, which stays a
+# callable because its tests hold it to the BLAS-rounded A @ x + b @ lam.
+# tanh2 is the coupled pair x1 = tanh(l x2), x2 = tanh(l x1), with a
+# symmetric kernel at l = +-1
+_SOURCES = {
+    "tanh2": ("-x1 + tanh(l1*x2); -x2 + tanh(l1*x1)", 2, 1),
+    "pitchfork_normal_form": ("l1*x1 - x1^3", 1, 1),
+}
 
 
 def _linear(params: dict) -> ParametricSystem:
@@ -258,18 +237,15 @@ def _linear(params: dict) -> ParametricSystem:
                          jac_x=lambda x, lam: a, jac_lambda=lambda x, lam: b, name="linear")
 
 
-_BUILTINS = ("tanh2", "pitchfork_normal_form", "linear")
+_BUILTINS = (*_SOURCES, "linear")
 
 
 def builtin_model(name: str, params: dict | None = None) -> ParametricSystem:
     """Construct a registered model. Raises UnknownModel for other names."""
-    params = params or {}
-    if name == "tanh2":
-        return _tanh2()
-    if name == "pitchfork_normal_form":
-        return _pitchfork_normal_form()
+    if name in _SOURCES:
+        return replace(system_from_expressions(*_SOURCES[name]), name=name)
     if name == "linear":
-        return _linear(params)
+        return _linear(params or {})
     raise UnknownModel(f"unknown built-in model {name!r}; available: {', '.join(_BUILTINS)}")
 
 

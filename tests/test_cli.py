@@ -109,9 +109,9 @@ def test_trace_and_reduce_csvs_are_deterministic_and_match_golden(tmp_path, caps
 
 
 def test_builtin_and_expression_models_agree_bitwise(tmp_path):
-    # the expression evaluator mirrors the builtin arithmetic operation for
-    # operation, so even sampled deviation estimates match bit for bit; the
-    # r_perp = 400 case drives tanh arguments past where cosh^2 overflows
+    # the builtin tanh2 is this DSL source, so even sampled deviation
+    # estimates match bit for bit; the r_perp = 400 case drives tanh
+    # arguments past where cosh^2 overflows
     cases = (
         (9, {"r_par_grid": [0.5, 1.0, 1.5], "r_perp_grid": [0.5, 2.0]}),
         (5, {"r_par_grid": [1.0], "r_perp_grid": [400.0]}),
@@ -454,6 +454,29 @@ def test_reduce_warns_outside_certified_region(tmp_path, capsys):
     # alpha = +-1.5 exceeds the certified frontier, alpha = 0 does not
     warned = ["outside the certified region" in row for row in rows]
     assert warned == [True, False, True]
+
+
+def test_reduce_warnings_measure_r_par_in_the_weighted_ball(tmp_path, capsys):
+    # the certified ball is ||(par - c)/w|| <= r_par: with a 0.05 weight on
+    # lambda, lambda = 1.3 lies at weighted distance 6 or more from the base,
+    # past the frontier's r_par_max of 1.5, while lambda = 1 is inside
+    cfg = write_config(tmp_path, "reduce_weighted.json", {
+        "model": {"kind": "builtin", "name": "tanh2"},
+        "base_point": {"x0": [0.0, 0.0], "lambda0": [1.0]},
+        "estimator": {"mode": "sampled", "samples_per_dim": 9},
+        "parallel_weights": [1.0, 0.05],
+        "certify": {"r_par_grid": [0.5, 1.0, 1.5], "r_perp_grid": [0.5, 2.0]},
+        "reduce": {"alpha_min": -1.2, "alpha_max": 1.2, "alpha_samples": 13,
+                   "lambda_values": [1.0, 1.3]},
+    })
+    out = tmp_path / "reduce.csv"
+    assert main(["reduce", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [l for l in out.open(encoding="utf-8", newline="").read().split("\r\n")[1:] if l]
+    assert len(rows) == 26
+    assert all(row.endswith(",") for row in rows[:13])
+    assert all("outside the certified region" in row for row in rows[13:])
+    assert "(r_par=6, r_perp=0)" in rows[19]  # alpha = 0
 
 
 def test_trace_cli_branches_and_csv(tmp_path, capsys):

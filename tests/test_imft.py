@@ -530,10 +530,11 @@ def test_certify_grid_equals_the_full_scan_reference(name, chunk, norm_kind, wei
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)
-@pytest.mark.parametrize("name", ["ring4-ls", "ring4-imft"])
+@pytest.mark.parametrize("name", ["tanh2", "ring4-ls", "ring4-imft"])
 def test_pruned_L_equals_the_per_point_loop(name, norm_kind, weighted):
-    # the DSL views have a dy enclosure: the sampled L_y skips the x-points
-    # whose box bound cannot reach the floor, and stays the per-point maximum
+    # the views of DSL systems, the builtin tanh2's kernel split included,
+    # have a dy enclosure: the sampled L_y skips the x-points whose box bound
+    # cannot reach the floor, and stays the per-point maximum
     f, x0, y0, base, spd, ((r_x, r_y), *_), _, refs = _sampler_case(name)
     rows = []
     f = dataclasses.replace(f, jac_y_many=_counting(rows)(f.jac_y_many))

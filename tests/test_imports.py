@@ -39,11 +39,14 @@ def test_import_loads_no_submodule():
 
 
 def test_config_and_model_build_load_no_engine_module():
-    config = CONFIGS / "ring4_certify_sampled.json"
-    loaded = loaded_after(f"import lscert\nlscert.build_system(lscert.load_config({str(config)!r}).model)")
-    assert "config" in loaded and "system" in loaded
-    # a DSL model compiles its interval tree on the first enclosure it is asked for
-    assert not {"imft", "ls_bounds", "reduction", "report", "cli", "interval"} & set(loaded)
+    # an expression model, and a builtin, which is built from DSL source too
+    for name in ("ring4_certify_sampled.json", "tanh2_certify_sampled.json"):
+        config = CONFIGS / name
+        loaded = loaded_after(
+            f"import lscert\nlscert.build_system(lscert.load_config({str(config)!r}).model)")
+        assert "config" in loaded and "system" in loaded, name
+        # a DSL model compiles its interval tree on the first enclosure it is asked for
+        assert not {"imft", "ls_bounds", "reduction", "report", "cli", "interval"} & set(loaded), name
 
 
 def test_every_public_name_and_submodule_resolves():

@@ -355,6 +355,10 @@ def test_region_note_inside_and_outside(tanh2_split):
     assert region_note(tanh2_split, FRONTIER, [0.5], [1.2], [0.1]) is None
     note = region_note(tanh2_split, FRONTIER, [2.0], [1.0], [0.0])
     assert note is not None and "outside the certified region" in note
+    # the ball is ||(par - c)/w|| <= r_par: a 0.05 weight on lambda puts
+    # lambda - 1 = 0.2 at distance 4, past the frontier's 1.5
+    note = region_note(tanh2_split, FRONTIER, [0.0], [1.2], [0.1], weights=np.array([1.0, 0.05]))
+    assert note is not None and "(r_par=4," in note
 
 
 # --- the batched reduced map ---------------------------------------------------

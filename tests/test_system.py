@@ -33,7 +33,9 @@ from conftest import (
 ])
 def test_builtin_jacobians_match_finite_differences(name, params, n, m):
     sys_ = builtin_model(name, params)
-    assert (sys_.n, sys_.m) == (n, m)
+    assert sys_.name == name and (sys_.n, sys_.m) == (n, m)
+    # built from DSL source, every builtin but linear has a Jacobian enclosure
+    assert (sys_.jac_box is None) == (name == "linear")
     rng = np.random.default_rng(404)
     for _ in range(100):
         x = rng.uniform(-1.5, 1.5, size=n)
