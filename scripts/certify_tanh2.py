@@ -48,17 +48,8 @@ def main() -> None:
 
     if args.out:
         from lscert import report
-        meta = report.make_meta("certify_tanh2.py", {}, "spectral", "analytic",
-                                region_a.rigorous, q_a.base_residual)
-        doc = report.certification_report(
-            meta,
-            report.decomposition_dict(ss.decomp),
-            report.quantities_dict(q_a.M_par, q_a.M_perp, q_a.L_par, q_a.L_perp,
-                                   r_par_grid, r_perp_grid, "spectral",
-                                   q_a.L_par_rigorous, q_a.L_perp_rigorous),
-            report.region_rows(region_a),
-            report.frontier_rows(region_a),
-        )
+        doc = report.certificate_report("certify_tanh2.py", {}, "analytic", q_a, region_a,
+                                        r_par_grid, r_perp_grid, decomposition=ss.decomp)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

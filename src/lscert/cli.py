@@ -57,11 +57,12 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _emit_report(args, doc: dict, region, csv_names) -> None:
+def _emit_report(args, doc: dict) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     _write_text(args.out, text)
     if args.csv is not None:
-        _write_text(args.csv, report.region_csv(region, csv_names))
+        rows = doc["region"]
+        _write_text(args.csv, report.csv_text(list(rows[0]), [list(r.values()) for r in rows]))
 
 
 def _require(section, name: str):
@@ -99,35 +100,42 @@ def _weights(cfg: RunConfig, expected: int, what: str = "") -> np.ndarray | None
     return np.asarray(cfg.parallel_weights, dtype=float)
 
 
+def _kernel_split_region(cfg: RunConfig, ss: ls_bounds.SplitSystem):
+    """The kernel-split certificate of the config's certify grids: region, quantities
+    and the parallel weights."""
+    estimator = build_estimator(cfg.estimator, ("rpar", "rperp"))
+    weights = _weights(cfg, ss.q + ss.m, "q + m = ")
+    region, quantities = ls_bounds.certify_ls_region(
+        ss, cfg.certify.r_par_grid, cfg.certify.r_perp_grid, estimator, cfg.norm, weights)
+    return region, quantities, weights
+
+
+def _report_certificate(args, cfg: RunConfig, command: str, quantities, region, grids,
+                        names: tuple[str, str], decomposition=None) -> int:
+    """Write the run's report, print its summary line with --out, and choose the exit code.
+
+    Only the kernel split's summary names its largest certified r_par.
+    """
+    doc = report.certificate_report(command, cfg.raw, cfg.estimator.mode, quantities, region,
+                                    *grids, names, decomposition)
+    _emit_report(args, doc)
+    if args.out is not None:
+        good = sum(1 for e in region.entries if e.certified)
+        best = region.max_certified_r_par() if command == "ls-certify" else None
+        print(f"certified {good} of {len(region.entries)} radius pairs"
+              + (f"; max certified r_par = {best:.6g}" if best is not None else "")
+              + f"; rigorous = {str(region.rigorous).lower()}")
+    return EXIT_OK if region.any_certified else EXIT_NOT_CERTIFIED
+
+
 def _cmd_ls_certify(args) -> int:
     cfg = load_config(args.config)
     section = _require(cfg.certify, "certify")
     ss = _split_system_from(cfg)
-    estimator = build_estimator(cfg.estimator, ("rpar", "rperp"))
-    weights = _weights(cfg, ss.q + ss.m, "q + m = ")
-    region, quantities = ls_bounds.certify_ls_region(
-        ss, section.r_par_grid, section.r_perp_grid, estimator, cfg.norm, weights)
-    meta = report.make_meta("ls-certify", cfg.raw, cfg.norm, estimator.mode, region.rigorous,
-                            quantities.base_residual)
-    doc = report.certification_report(
-        meta,
-        report.decomposition_dict(ss.decomp),
-        report.quantities_dict(
-            quantities.M_par, quantities.M_perp, quantities.L_par, quantities.L_perp,
-            section.r_par_grid, section.r_perp_grid, cfg.norm,
-            quantities.L_par_rigorous, quantities.L_perp_rigorous),
-        report.region_rows(region),
-        report.frontier_rows(region),
-    )
-    _emit_report(args, doc, region, ("r_par", "r_perp"))
-    if args.out is not None:
-        total = len(region.entries)
-        good = sum(1 for e in region.entries if e.certified)
-        best = region.max_certified_r_par()
-        print(f"certified {good} of {total} radius pairs"
-              + (f"; max certified r_par = {best:.6g}" if best is not None else "")
-              + f"; rigorous = {str(region.rigorous).lower()}")
-    return EXIT_OK if region.any_certified else EXIT_NOT_CERTIFIED
+    region, quantities, _ = _kernel_split_region(cfg, ss)
+    return _report_certificate(args, cfg, "ls-certify", quantities, region,
+                               (section.r_par_grid, section.r_perp_grid), ("r_par", "r_perp"),
+                               ss.decomp)
 
 
 def _combined_split(model: ModelConfig, section: ImftSection, bp) -> SplitFunction:
@@ -167,25 +175,8 @@ def _cmd_imft_certify(args) -> int:
     estimator = build_estimator(cfg.estimator, ("rx", "ry"))
     quantities = imft_quantities(f, x0, y0, estimator, cfg.norm, _weights(cfg, f.n_x))
     region = certify_grid(quantities, section.r_x_grid, section.r_y_grid)
-    meta = report.make_meta("imft-certify", cfg.raw, cfg.norm, estimator.mode, region.rigorous)
-    doc = report.certification_report(
-        meta,
-        None,
-        report.quantities_dict(
-            quantities.M_x, quantities.M_y, quantities.L_x, quantities.L_y,
-            section.r_x_grid, section.r_y_grid, cfg.norm,
-            quantities.L_x_rigorous, quantities.L_y_rigorous,
-            names=("r_x", "r_y"), m_names=("M_x", "M_y"), l_names=("L_x", "L_y")),
-        report.region_rows(region, ("r_x", "r_y")),
-        report.frontier_rows(region, ("r_x", "r_y")),
-    )
-    _emit_report(args, doc, region, ("r_x", "r_y"))
-    if args.out is not None:
-        total = len(region.entries)
-        good = sum(1 for e in region.entries if e.certified)
-        print(f"certified {good} of {total} radius pairs; "
-              f"rigorous = {str(region.rigorous).lower()}")
-    return EXIT_OK if region.any_certified else EXIT_NOT_CERTIFIED
+    return _report_certificate(args, cfg, "imft-certify", quantities, region,
+                               (section.r_x_grid, section.r_y_grid), ("r_x", "r_y"))
 
 
 def _print_series(rm: reduction.ReducedMap) -> None:
@@ -205,10 +196,7 @@ def _frontier_for_warnings(cfg: RunConfig, ss: ls_bounds.SplitSystem):
     config allows it (a None frontier otherwise)."""
     if cfg.certify is None:
         return None, None
-    estimator = build_estimator(cfg.estimator, ("rpar", "rperp"))
-    weights = _weights(cfg, ss.q + ss.m, "q + m = ")
-    region, _ = ls_bounds.certify_ls_region(
-        ss, cfg.certify.r_par_grid, cfg.certify.r_perp_grid, estimator, cfg.norm, weights)
+    region, _, weights = _kernel_split_region(cfg, ss)
     return region.frontier, weights
 
 

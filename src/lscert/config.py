@@ -383,27 +383,25 @@ def _compile_override(source: str, path: str, names: tuple[str, ...]):
 def build_estimator(est: EstimatorConfig, radius_names: tuple[str, str]) -> SupremumEstimator:
     """Turn the config section into an estimator for one command family.
 
-    radius_names selects which override keys apply: ("rpar", "rperp") reads
-    L_par/L_perp, ("rx", "ry") reads L_x/L_y. A config is free to carry both
-    families; only the matching pair is compiled here.
+    radius_names selects which override keys apply: each name without its
+    leading "r" names its key, so ("rpar", "rperp") reads L_par/L_perp and
+    ("rx", "ry") reads L_x/L_y. A config is free to carry both families; only
+    the matching pair is compiled here.
     """
-    if radius_names == ("rpar", "rperp"):
-        src_x, src_y = est.L_par, est.L_perp
-        key_x, key_y = "estimator.L_par", "estimator.L_perp"
-    else:
-        src_x, src_y = est.L_x, est.L_y
-        key_x, key_y = "estimator.L_x", "estimator.L_y"
-    override_x = _compile_override(src_x, key_x, radius_names[:1]) if src_x is not None else None
-    override_y = _compile_override(src_y, key_y, radius_names) if src_y is not None else None
-    mode = est.mode
-    if mode == "analytic" and override_x is None and override_y is None:
+    keys = [f"L_{name[1:]}" for name in radius_names]
+    overrides = [
+        None if getattr(est, key) is None
+        else _compile_override(getattr(est, key), f"estimator.{key}", radius_names[:i + 1])
+        for i, key in enumerate(keys)]
+    if est.mode == "analytic" and overrides == [None, None]:
+        key_x, key_y = (f"estimator.{key}" for key in keys)
         raise ConfigError(key_x, "analytic mode has no override for this command "
                                  f"(expected {key_x} and/or {key_y})")
     from .imft import SupremumEstimator
     return SupremumEstimator(
-        mode=mode,
+        mode=est.mode,
         samples_per_dim=est.samples_per_dim,
         safety_factor=est.safety_factor,
-        override_L_x=override_x,
-        override_L_y=override_y,
+        override_L_x=overrides[0],
+        override_L_y=overrides[1],
     )

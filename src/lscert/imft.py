@@ -39,7 +39,7 @@ from .errors import DimensionMismatch, LscertError, NonFinite, SingularDyf
 from .norms import (PRUNE_MARGIN, SAFE_SCALE, box_norm_bounds, can_reach, check_norm_kind,
                     induced_norm, induced_norms, inverse_norm, norm_survivors, vector_norm)
 from .sampling import DEFAULT_SAMPLES_PER_DIM, ball_points, max_over
-from .system import damped_newton_many, fd_jacobians
+from .system import damped_newton_many, from_callable
 
 # lattice pairs per batched pass of a sampled L, and the number of held
 # matrices that triggers an SVD pass. Each DSL node holds an (N, n + m)
@@ -101,22 +101,15 @@ class SplitFunction:
 def split_function(fun, n_x: int, n_y: int, jac_x=None, jac_y=None) -> SplitFunction:
     """Wrap a callable and per-point Jacobian callables into a split function.
 
-    Each batched callable stacks the per-point ones; a missing block comes
-    from one central-difference pass per point.
+    It is the index split of from_callable's system with state y and
+    parameter x, so jac_y must return (n_y, n_y) and a missing block comes
+    from the one central-difference pass per point that both blocks share.
     """
-    def stacked(point, shape):
-        def many(X, Y):
-            out = np.empty((len(X),) + shape)
-            for i, (x, y) in enumerate(zip(X, Y)):
-                out[i] = np.asarray(point(x, y), dtype=float).reshape(shape)
-            return out
-        return many
+    def swapped(g):
+        return None if g is None else (lambda y, x: g(x, y))
 
-    def fd(which):
-        return lambda x, y: fd_jacobians(fun, n_x, n_y, x, y)[which]
-
-    return SplitFunction(n_x, n_y, stacked(fun, (n_y,)), stacked(jac_x or fd(0), (n_y, n_x)),
-                         stacked(jac_y or fd(1), (n_y, n_y)))
+    sys = from_callable(swapped(fun), n_y, n_x, jac_x=swapped(jac_y), jac_lambda=swapped(jac_x))
+    return index_split(sys, range(n_y, n_y + n_x), range(n_y))
 
 
 def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,

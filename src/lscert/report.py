@@ -40,82 +40,56 @@ def _jsonable(obj):
     return obj
 
 
-def make_meta(command: str, config_echo: dict, norm_kind: str, estimator_mode: str,
-              rigorous: bool, base_residual: float = 0.0) -> dict:
-    """The meta section; base_residual is the term the domain margin subtracts."""
+def certificate_report(command: str, config_echo: dict, estimator_mode: str, q, region,
+                       r_x_grid, r_y_grid, names: tuple[str, str] = ("r_par", "r_perp"),
+                       decomposition=None) -> dict:
+    """The report of one certify run: its quantities q (ImftQuantities) and region.
+
+    Every key follows the radius names, each "r_" and a suffix: ("r_par",
+    "r_perp") gives M_par, L_perp and r_par_max, ("r_x", "r_y") gives M_x,
+    L_y and r_x_max. The deviation bounds are tabulated on the grids' sorted
+    distinct radii, and the decomposition section is None unless a
+    SubspaceDecomposition is given.
+    """
     from . import __version__
-    return {
-        "tool": "lscert",
-        "version": __version__,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "command": command,
-        "norm": norm_kind,
-        "estimator_mode": estimator_mode,
-        "rigorous": bool(rigorous),
-        "base_residual": float(base_residual),
-        "boundary_note": BOUNDARY_NOTE,
-        "config": _jsonable(config_echo),
-    }
-
-
-def decomposition_dict(decomp) -> dict:
-    return _jsonable({
-        "n": decomp.n,
-        "q": decomp.q,
-        "rank_tol": decomp.rank_tol,
-        "singular_values": decomp.singular_values,
-        "V": decomp.V,
-        "Vperp": decomp.Vperp,
-        "W": decomp.W,
-        "Wperp": decomp.Wperp,
-    })
-
-
-def quantities_dict(m_x: float, m_y: float, l_x, l_y, r_x_grid, r_y_grid,
-                    norm_kind: str, rigorous_x: bool, rigorous_y: bool,
-                    names: tuple[str, str] = ("r_par", "r_perp"),
-                    m_names: tuple[str, str] = ("M_par", "M_perp"),
-                    l_names: tuple[str, str] = ("L_par", "L_perp")) -> dict:
-    """Base norms plus the deviation bounds tabulated on the radius grid."""
+    x_name, y_name = names
+    m_x, m_y, l_x, l_y = (f"{kind}_{name[2:]}" for kind in "ML" for name in names)
     table = [
-        {names[0]: rx, names[1]: ry, l_names[0]: l_x(rx), l_names[1]: l_y(rx, ry)}
+        {x_name: rx, y_name: ry, l_x: q.L_x(rx), l_y: q.L_y(rx, ry)}
         for ry in sorted(set(float(r) for r in r_y_grid))
         for rx in sorted(set(float(r) for r in r_x_grid))
     ]
     return _jsonable({
-        m_names[0]: m_x,
-        m_names[1]: m_y,
-        "norm": norm_kind,
-        f"{l_names[0]}_rigorous": rigorous_x,
-        f"{l_names[1]}_rigorous": rigorous_y,
-        "deviation_bounds": table,
+        "meta": {
+            "tool": "lscert",
+            "version": __version__,
+            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "command": command,
+            "norm": q.norm_kind,
+            "estimator_mode": estimator_mode,
+            "rigorous": region.rigorous,
+            "base_residual": float(q.base_residual),
+            "boundary_note": BOUNDARY_NOTE,
+            "config": config_echo,
+        },
+        "decomposition": None if decomposition is None else {
+            key: getattr(decomposition, key)
+            for key in ("n", "q", "rank_tol", "singular_values", "V", "Vperp", "W", "Wperp")},
+        "quantities": {
+            m_x: q.M_x,
+            m_y: q.M_y,
+            "norm": q.norm_kind,
+            f"{l_x}_rigorous": q.L_x_rigorous,
+            f"{l_y}_rigorous": q.L_y_rigorous,
+            "deviation_bounds": table,
+        },
+        "region": [
+            {x_name: e.r_x, y_name: e.r_y, "certified": e.certified,
+             "margin_domain": e.margin_domain, "margin_contraction": e.margin_contraction}
+            for e in region.entries
+        ],
+        "frontier": [{y_name: f.r_y, f"{x_name}_max": f.r_x_max} for f in region.frontier],
     })
-
-
-def region_rows(region, names: tuple[str, str] = ("r_par", "r_perp")) -> list[dict]:
-    return [
-        {names[0]: e.r_x, names[1]: e.r_y, "certified": e.certified,
-         "margin_domain": e.margin_domain, "margin_contraction": e.margin_contraction}
-        for e in region.entries
-    ]
-
-
-def frontier_rows(region, names: tuple[str, str] = ("r_par", "r_perp")) -> list[dict]:
-    return [
-        {names[1]: f.r_y, f"{names[0]}_max": f.r_x_max}
-        for f in region.frontier
-    ]
-
-
-def certification_report(meta: dict, decomposition: dict | None, quantities: dict,
-                         region_list: list[dict], frontier_list: list[dict]) -> dict:
-    return {
-        "meta": meta,
-        "decomposition": decomposition,
-        "quantities": quantities,
-        "region": _jsonable(region_list),
-        "frontier": _jsonable(frontier_list),
-    }
 
 
 # --- CSV ---------------------------------------------------------------------
@@ -140,15 +114,6 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     for row in rows:
         writer.writerow([_csv_cell(v) for v in row])
     return buf.getvalue()
-
-
-def region_csv(region, names: tuple[str, str] = ("r_par", "r_perp")) -> str:
-    header = [names[0], names[1], "certified", "margin_domain", "margin_contraction"]
-    rows = [
-        [e.r_x, e.r_y, e.certified, e.margin_domain, e.margin_contraction]
-        for e in region.entries
-    ]
-    return csv_text(header, rows)
 
 
 def trace_csv(trace, n_state: int) -> str:

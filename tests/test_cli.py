@@ -223,6 +223,21 @@ def test_region_csv_export(tmp_path, capsys):
     assert first[4] == format(row["margin_contraction"], ".17g")
 
 
+def test_imft_region_csv_export(tmp_path, capsys):
+    out, csv_path = tmp_path / "report.json", tmp_path / "region.csv"
+    code = main(["imft-certify", "--config", str(CONFIGS / "ring4_imft.json"),
+                 "--out", str(out), "--csv", str(csv_path)])
+    capsys.readouterr()
+    assert code == 0
+    header, *rows, tail = csv_path.open(encoding="utf-8", newline="").read().split("\r\n")
+    assert header == "r_x,r_y,certified,margin_domain,margin_contraction" and tail == ""
+    # one row per JSON region row, each cell the %.17g of its JSON value
+    region = json.loads(out.read_text(encoding="utf-8"))["region"]
+    assert [row.split(",") for row in rows] == [
+        [str(v).lower() if isinstance(v, bool) else format(v, ".17g") for v in entry.values()]
+        for entry in region]
+
+
 # --- imft-certify ----------------------------------------------------------------
 
 
