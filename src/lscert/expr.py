@@ -13,41 +13,47 @@ State variables are x1..xn and parameters l1..lm by default; callers may
 supply other names (the analytic-override expressions use rpar/rperp or
 rx/ry). Exponents are nonnegative integer literals only.
 
-Each component list is compiled once into closure trees over stacks of
-points, one walker per number type. `compile_values` walks floats: plain
-evaluation, which is kink-safe, as the residuals and the closed-form
-override hooks need. `compile_duals` walks first-order dual numbers and
-returns the component values together with both Jacobian blocks in one
+Each component list is compiled once into closures over stacks of points
+by one walker, `compile_tree`: it dispatches on the node kind and asks an
+arithmetic table for each node's closure, built from its children's; what a
+node computes, and where it raises or flags, is the table's own.
+`compile_values` walks with the float table (`_Floats`): plain evaluation,
+which is kink-safe, as the residuals and the closed-form override hooks
+need. `compile_duals` walks with the dual table (`_Duals`): first-order dual
+numbers, the component values together with both Jacobian blocks in one
 pass; it rejects abs/min/max within 1e-12 of their kinks because the
-derivative is not defined there. Each row of either walker is bit for bit
-what a per-point walk over Python floats gives: + - * / run vectorised,
-and powers and one-argument functions make the per-point walk's own `math`
-call on each element, mapped over the stack from C (PerElement). The dual
-walk makes a node's calls once per distinct bit pattern of its argument
-where at most half of the elements are distinct, as in a sampled-L lattice
-chunk, whose coordinates repeat, and gathers the results back (_distinct).
-That changes no bit and no error: the checks that name an element (log,
-sqrt, abs) run on the whole argument first, and a failing math call's
-NonFinite names only its node. The float walk maps every element.
-`eval_values`, `eval_dual` (one point, row 0 of a one-point stack) and
-`eval_dual_many` compile and evaluate in one call. A third tree, the
-interval walk of the interval module, follows the dual walk over boxes
-instead of points; a DSL system compiles it on first use
-(`system_from_expressions`), so building a model does not load it.
+derivative is not defined there. The interval module's table encloses both
+Jacobian blocks over boxes (`interval.compile_boxes`); a DSL system compiles
+it on first use (`system_from_expressions`), so building a model does not
+load it.
 
-The dual walk is demand-driven. `compile_duals` demands the values at the
-roots; the Jacobian of a DSL system (`system_from_expressions`) demands
-none, and a node then takes its value only where a derivative reads it: +
-- and negation pass the demand down, * / min max and every one-argument
-node read their operands' values, and sqrt, sech and exp take their own,
-which their slopes use. A skipped value skips no check: log and sqrt check
-their domains, abs/min/max their kinks and / its denominator, and each
-slope raises NonFinite naming its node where its math call fails, as a
-value does, at the first failing element. So the Jacobian walk gives the
-bits and the error text of the full walk, except where a value alone
-fails: at x1 = 1e103, x2 - x1^3 has finite Jacobian blocks but a value
-that overflows, and there the Jacobians are returned while the residual
-still raises NonFinite.
+Each row of the float and dual walks is bit for bit what a per-point walk
+over Python floats gives: + - * / run vectorised, and powers and
+one-argument functions make the per-point walk's own `math` call on each
+element, mapped over the stack from C (PerElement). The dual table makes a
+node's calls once per distinct bit pattern of its argument where at most
+half of the elements are distinct, as in a sampled-L lattice chunk, whose
+coordinates repeat, and gathers the results back (_distinct). That changes
+no bit and no error: the checks that name an element (log, sqrt, abs) run
+on the whole argument first, and a failing math call's NonFinite names only
+its node. The float table maps every element. `eval_values`, `eval_dual`
+(one point, row 0 of a one-point stack) and `eval_dual_many` compile and
+evaluate in one call.
+
+The dual and interval walks are demand-driven. `compile_duals` demands the
+values at the roots; the Jacobian of a DSL system
+(`system_from_expressions`) and `compile_boxes` demand none, and a node
+then takes its value only where a derivative reads it. The walker passes
+the demand down through + - and negation, and has every other node read
+its operands' values; of the one-argument nodes, sqrt, sech and exp take
+their own value, which their slopes use. In the dual table a skipped value
+skips no check: log and sqrt check their domains, abs/min/max their kinks
+and / its denominator, and each slope raises NonFinite naming its node
+where its math call fails, as a value does, at the first failing element.
+So the Jacobian walk gives the bits and the error text of the full walk,
+except where a value alone fails: at x1 = 1e103, x2 - x1^3 has finite
+Jacobian blocks but a value that overflows, and there the Jacobians are
+returned while the residual still raises NonFinite.
 """
 
 from __future__ import annotations
@@ -491,40 +497,62 @@ def _variable(nd: StateVar | ParamVar):
     return lambda xs, ls: ls[i]
 
 
-def _float_tree(nd: Node, names):
-    """`nd` as a closure f(xs, ls) over lists of (N,) float arrays; kink-safe.
+def compile_tree(nd: Node, table, demand: bool = True):
+    """`nd` as the closure that the arithmetic `table` builds from its children's closures.
 
-    Each list holds one array per variable, one entry per point. + - * /
-    run vectorised, which is IEEE-exact, so each row is the per-point float
-    value bit for bit; min/max select as Python's min/max do, and powers and
-    one-argument functions go through the per-point float function per
-    element (see PerElement).
+    The table gives const(value), variable(node) and neg(f, demand); add
+    (for + and -), mul, div and select (min, max) as (node, f, g, demand);
+    and call (a power or a one-argument function) as (node, f, demand).
+    `demand` says whether the caller reads the node's value.
     """
     if isinstance(nd, Const):
-        value = nd.value
-        return lambda xs, ls: value
+        return table.const(nd.value)
     if isinstance(nd, (StateVar, ParamVar)):
-        return _variable(nd)
+        return table.variable(nd)
     if isinstance(nd, Neg):
-        fa = _float_tree(nd.arg, names)
-        return lambda xs, ls: -fa(xs, ls)
+        return table.neg(compile_tree(nd.arg, table, demand), demand)
     if isinstance(nd, Binary):
-        fa, fb = _float_tree(nd.left, names), _float_tree(nd.right, names)
+        build = table.add if nd.op in "+-" else table.mul if nd.op == "*" else table.div
+        inner = demand or nd.op in "*/"
+        return build(nd, compile_tree(nd.left, table, inner), compile_tree(nd.right, table, inner),
+                     demand)
+    if isinstance(nd, Pow):
+        return table.call(nd, compile_tree(nd.base, table), demand)
+    args = [compile_tree(arg, table) for arg in nd.args]
+    return (table.select if nd.name in BINARY_FUNCTIONS else table.call)(nd, *args, demand)
+
+
+class _Floats:
+    """The float table: closures f(xs, ls) over lists of (N,) arrays, one per variable; kink-safe."""
+
+    def __init__(self, names):
+        self.names = names
+
+    def const(self, value):
+        return lambda xs, ls: value
+
+    variable = staticmethod(_variable)
+
+    def neg(self, fa, demand):
+        return lambda xs, ls: -fa(xs, ls)
+
+    def add(self, nd, fa, fb, demand):
         if nd.op == "+":
             return lambda xs, ls: fa(xs, ls) + fb(xs, ls)
-        if nd.op == "-":
-            return lambda xs, ls: fa(xs, ls) - fb(xs, ls)
-        if nd.op == "*":
-            return lambda xs, ls: fa(xs, ls) * fb(xs, ls)
+        return lambda xs, ls: fa(xs, ls) - fb(xs, ls)
 
+    def mul(self, nd, fa, fb, demand):
+        return lambda xs, ls: fa(xs, ls) * fb(xs, ls)
+
+    def div(self, nd, fa, fb, demand):
         def divide(xs, ls):
             a, b = fa(xs, ls), fb(xs, ls)
             if np.any(b == 0.0):
-                raise _domain_error(nd, names, "division by zero")
+                raise _domain_error(nd, self.names, "division by zero")
             return a / b
         return divide
-    if isinstance(nd, Func) and nd.name in BINARY_FUNCTIONS:
-        fa, fb = (_float_tree(arg, names) for arg in nd.args)
+
+    def select(self, nd, fa, fb, demand):
         # min(a, b) is b only where b < a, max(a, b) only where b > a
         beats = np.less if nd.name == "min" else np.greater
 
@@ -532,135 +560,127 @@ def _float_tree(nd: Node, names):
             a, b = fa(xs, ls), fb(xs, ls)
             return np.where(beats(b, a), b, a)
         return select
-    fa = _float_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names)
-    value = _value_fn(nd, names)
-    return lambda xs, ls: value(np.atleast_1d(fa(xs, ls)).tolist())
+
+    def call(self, nd, fa, demand):
+        value = _value_fn(nd, self.names)
+        return lambda xs, ls: value(np.atleast_1d(fa(xs, ls)).tolist())
 
 
-def _dual_tree(nd: Node, names, zero: np.ndarray, demand: bool = True):
-    """`nd` as a closure f(xs, ls) over lists of (value, derivative) pairs.
+class _Duals:
+    """The dual table: closures f(xs, ls) over lists of (value, derivative) pairs.
 
     A pair holds N points: values (N,) and derivatives (N, n+m); constants
-    and seeds hold (1,) and (1, n+m) arrays that broadcast. Only IEEE-exact
-    operations (+ - * /, copysign, selection) are vectorised, so every row
-    rounds as per-point float arithmetic does; powers and one-argument
-    functions take their values through PerElement, because numpy's vectorised
-    tanh/cosh/exp/log/power round differently from the math module.
-
-    `demand` says whether the caller reads the node's value. Where it does
-    not, the pair's value may be None and the node computes only what its
-    derivative needs: + - and negation pass the demand down; * / min max and
-    the argument of a one-argument node read their operands' values; sqrt,
-    sech and exp keep their own value, which their slope uses. Every check
-    runs either way.
+    and seeds hold (1,) and (1, n+m) arrays that broadcast. A value that is
+    not demanded may be None (see the module docstring).
     """
-    if isinstance(nd, Const):
-        pair = (np.array([nd.value]), zero)
-        return lambda xs, ls: pair
-    if isinstance(nd, (StateVar, ParamVar)):
-        return _variable(nd)
-    if isinstance(nd, Neg):
-        fa = _dual_tree(nd.arg, names, zero, demand)
 
+    def __init__(self, names, zero):
+        self.names, self.zero = names, zero
+
+    def const(self, value):
+        pair = (np.array([value]), self.zero)
+        return lambda xs, ls: pair
+
+    variable = staticmethod(_variable)
+
+    def neg(self, fa, demand):
         def negate(xs, ls):
             v, d = fa(xs, ls)
             return (-v if demand else None), -d
         return negate
-    if isinstance(nd, Binary) and nd.op in "+-":
-        fa, fb = _dual_tree(nd.left, names, zero, demand), _dual_tree(nd.right, names, zero, demand)
+
+    def add(self, nd, fa, fb, demand):
         op = np.add if nd.op == "+" else np.subtract
 
         def add(xs, ls):
             (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
             return (op(av, bv) if demand else None), op(ad, bd)
         return add
-    if isinstance(nd, Binary):
-        fa, fb = _dual_tree(nd.left, names, zero), _dual_tree(nd.right, names, zero)
-        if nd.op == "*":
-            def multiply(xs, ls):
-                (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
-                return (av * bv if demand else None), ad * bv[:, None] + av[:, None] * bd
-            return multiply
 
+    def mul(self, nd, fa, fb, demand):
+        def multiply(xs, ls):
+            (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
+            return (av * bv if demand else None), ad * bv[:, None] + av[:, None] * bd
+        return multiply
+
+    def div(self, nd, fa, fb, demand):
         def divide(xs, ls):
             (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
             if (bv == 0.0).any():
-                raise _domain_error(nd, names, "division by zero")
+                raise _domain_error(nd, self.names, "division by zero")
             q = av / bv
             return q, (ad - q[:, None] * bd) / bv[:, None]
         return divide
-    if isinstance(nd, Func) and nd.name in BINARY_FUNCTIONS:
-        fa, fb = (_dual_tree(arg, names, zero) for arg in nd.args)
+
+    def select(self, nd, fa, fb, demand):
         want_less = nd.name == "min"
 
         def select(xs, ls):
             (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
             if (np.abs(av - bv) <= KINK_TOL).any():
-                raise _domain_error(nd, names, f"{nd.name} arguments tie within {KINK_TOL:g}",
+                raise _domain_error(nd, self.names, f"{nd.name} arguments tie within {KINK_TOL:g}",
                                     "; derivative undefined at the kink")
             pick_a = (av < bv) == want_less
             return (np.where(pick_a, av, bv) if demand else None), np.where(pick_a[:, None], ad, bd)
         return select
-    fa = _dual_tree(nd.base if isinstance(nd, Pow) else nd.args[0], names, zero)
-    value, check, divide = _value_fn(nd, names), None, False
-    # the slopes of sqrt, sech and exp read the node's own value
-    own = demand or (isinstance(nd, Func) and nd.name in ("sqrt", "sech", "exp"))
-    # slope(v, lst, out): per element, the factor that multiplies the
-    # argument's derivative (divides it where `divide`), from the argument's
-    # value v (also as the list lst) and the node's own value out (None
-    # unless own)
-    if isinstance(nd, Pow) and nd.exponent == 0:
-        slope = None  # x^0 is 1 with derivative 0 wherever x is
-    elif isinstance(nd, Pow):
-        k, below = nd.exponent, _mapped(pow, nd.exponent - 1)
-        power = _checked(nd, names, PerElement(lambda v: k * v ** (k - 1), lambda lst: k * below(lst)))
-        slope = lambda v, lst, out: power(lst)
-    elif nd.name == "exp":
-        slope = lambda v, lst, out: out
-    elif nd.name == "sech":
-        slope = lambda v, lst, out: -out * _tanh(lst)
-    elif nd.name in SMOOTH:
-        smooth = _checked(nd, names, SMOOTH[nd.name][1])
-        slope = lambda v, lst, out: smooth(lst)
-    elif nd.name == "log":
-        slope, divide = (lambda v, lst, out: v), True
 
-        def check(v):
-            if (v <= 0.0).any():
-                bad = v[v <= 0.0][0].item()
-                raise _domain_error(nd, names, f"log of non-positive value {bad!r}")
-    elif nd.name == "sqrt":
-        slope, divide = (lambda v, lst, out: 2.0 * out), True
+    def call(self, nd, fa, demand):
+        names, zero = self.names, self.zero
+        value, check, divide = _value_fn(nd, names), None, False
+        # the slopes of sqrt, sech and exp read the node's own value
+        own = demand or (isinstance(nd, Func) and nd.name in ("sqrt", "sech", "exp"))
+        # slope(v, lst, out): per element, the factor that multiplies the
+        # argument's derivative (divides it where `divide`), from the
+        # argument's value v (also as the list lst) and the node's own value
+        # out (None unless own)
+        if isinstance(nd, Pow) and nd.exponent == 0:
+            slope = None  # x^0 is 1 with derivative 0 wherever x is
+        elif isinstance(nd, Pow):
+            k, below = nd.exponent, _mapped(pow, nd.exponent - 1)
+            power = _checked(nd, names, PerElement(lambda v: k * v ** (k - 1),
+                                                   lambda lst: k * below(lst)))
+            slope = lambda v, lst, out: power(lst)
+        elif nd.name == "exp":
+            slope = lambda v, lst, out: out
+        elif nd.name == "sech":
+            slope = lambda v, lst, out: -out * _tanh(lst)
+        elif nd.name in SMOOTH:
+            smooth = _checked(nd, names, SMOOTH[nd.name][1])
+            slope = lambda v, lst, out: smooth(lst)
+        elif nd.name == "abs":
+            slope = lambda v, lst, out: np.copysign(1.0, v)
 
-        def check(v):
-            if (v <= 0.0).any():
-                bad = v[v <= 0.0][0].item()
-                kind = "negative value" if bad < 0 else "zero (derivative singular)"
-                raise _domain_error(nd, names, f"sqrt of {kind} {bad!r}")
-    else:
-        slope = lambda v, lst, out: np.copysign(1.0, v)
+            def check(v):
+                if (np.abs(v) <= KINK_TOL).any():
+                    raise _domain_error(nd, names, f"abs argument within {KINK_TOL:g} of the kink",
+                                        "; derivative undefined there")
+        else:  # log and sqrt
+            slope, divide = ((lambda v, lst, out: v) if nd.name == "log"
+                             else (lambda v, lst, out: 2.0 * out)), True
 
-        def check(v):
-            if (np.abs(v) <= KINK_TOL).any():
-                raise _domain_error(nd, names, f"abs argument within {KINK_TOL:g} of the kink",
-                                    "; derivative undefined there")
-    # log, abs and x^0 make a math call per element only for a demanded value
-    maps = own or not (slope is None or (isinstance(nd, Func) and nd.name in ("log", "abs")))
+            def check(v):
+                if (v <= 0.0).any():
+                    bad = v[v <= 0.0][0].item()
+                    kind = ("non-positive value" if nd.name == "log" else "negative value" if bad < 0
+                            else "zero (derivative singular)")
+                    raise _domain_error(nd, names, f"{nd.name} of {kind} {bad!r}")
+        # log, abs and x^0 make a math call per element only for a demanded value
+        maps = own or not (slope is None or (isinstance(nd, Func) and nd.name in ("log", "abs")))
 
-    def chain(xs, ls):
-        v, d = fa(xs, ls)
-        if check is not None:
-            check(v)
-        keys, back = _distinct(v) if maps else (v, None)
-        lst = keys.tolist() if maps else None
-        out = value(lst) if own else None
-        if slope is None:
-            return out if back is None else out[back], zero
-        s = slope(keys, lst, out)
-        if back is not None:
-            out, s = (None if out is None else out[back]), s[back]
-        return out, (d / s[:, None] if divide else d * s[:, None])
-    return chain
+        def chain(xs, ls):
+            v, d = fa(xs, ls)
+            if check is not None:
+                check(v)
+            keys, back = _distinct(v) if maps else (v, None)
+            lst = keys.tolist() if maps else None
+            out = value(lst) if own else None
+            if slope is None:
+                return out if back is None else out[back], zero
+            s = slope(keys, lst, out)
+            if back is not None:
+                out, s = (None if out is None else out[back]), s[back]
+            return out, (d / s[:, None] if divide else d * s[:, None])
+        return chain
 
 
 def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -686,10 +706,12 @@ def compile_values(asts: list[Node], names: tuple[tuple[str, ...], tuple[str, ..
 
     X (N, n) and Lam (N, m) are float arrays. Returns the (N, k) component
     values, each row bit for bit the per-point values; raises NonFinite if
-    any is not finite. When several points fail, the error reported need not
-    be the first failing point.
+    any is not finite. When several points fail, the error is that of the
+    components in row order, then of the first failing node of the walk, at
+    its first failing point, as compile_duals says.
     """
-    trees = [_float_tree(ast, names) for ast in asts]
+    table = _Floats(names)
+    trees = [compile_tree(ast, table) for ast in asts]
 
     def values(X: np.ndarray, Lam: np.ndarray) -> np.ndarray:
         xs, ls = list(X.T), list(Lam.T)
@@ -711,8 +733,11 @@ def compile_duals(asts: list[Node], n: int, m: int,
 
     X (N, n) and Lam (N, m) are float arrays. Returns (values, d_values/d_x,
     d_values/d_lambda) with shapes (N, k), (N, k, n), (N, k, m). When
-    several points fail, the error reported need not be the first failing
-    point in row order: the walk goes node by node over all points.
+    several points fail, the error is pinned: the components are walked in
+    row order, each one node by node over all points, so the error is the
+    first failing component's, at the first failing node of its walk, at
+    that node's first failing point. An earlier point may fail only at a
+    later node, or in a later component.
 
     With with_values=False no value is demanded at the roots: the walk
     computes a value only where a derivative reads it, and returns None in
@@ -720,7 +745,8 @@ def compile_duals(asts: list[Node], n: int, m: int,
     """
     total = n + m
     seeds = np.eye(total)[:, None, :]  # seeds[i] is the (1, n+m) derivative of input i
-    trees = [_dual_tree(ast, names, np.zeros((1, total)), with_values) for ast in asts]
+    table = _Duals(names, np.zeros((1, total)))
+    trees = [compile_tree(ast, table, with_values) for ast in asts]
 
     def duals(X: np.ndarray, Lam: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         xs = [(X[:, i], seeds[i]) for i in range(n)]

@@ -422,7 +422,7 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
         return stop is not None and stop(lower())
 
     stopped = refuted()  # a pair refuted at 0 evaluates no lattice pair
-    bound = None
+    bound, live = None, np.ones(len(pts_x), dtype=bool)  # live: the x-points not yet dropped
     if box is not None and len(pts_x) > 1 and not stopped:
         lo, hi = box(pts_x, pts_y.min(axis=0), pts_y.max(axis=0))
         with np.errstate(all="ignore"):  # a non-finite end gives an inf bound
@@ -452,8 +452,13 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
                 held.append((d[keep], upper))
         stopped = refuted()
         if bound is not None and floor > SAFE_SCALE[0]:
-            reach = can_reach(bound[order // per_x], floor)
-            order, alone = order[reach], np.count_nonzero(reach[:alone])
+            # the floor only rises, so an x-point that fails once stays out,
+            # and order is filtered only when one fails for the first time
+            reach = can_reach(bound, floor)
+            if (live & ~reach).any():
+                live[~reach] = False
+                alive = live[order // per_x]
+                order, alone = order[alive], np.count_nonzero(alive[:alone])
         if held and not stopped and (not len(order)
                                      or sum(len(u) for _, u in held) >= CHUNK_PAIRS):
             stack, uppers = (np.concatenate(parts) for parts in zip(*held))

@@ -1,13 +1,13 @@
 """Interval enclosures of DSL Jacobians over boxes, and of the split views' linear maps.
 
-The third tree compiled from a DSL model, beside the float and dual trees of
-the expr module: an interval forward-mode walk (Moore, Kearfott & Cloud,
-Introduction to Interval Analysis, SIAM 2009, chapters 5 and 8).
-compile_boxes turns a component list into one function over a stack of
-boxes that returns, per box, an interval of every entry of both Jacobian
-blocks. The walk follows expr's dual walk operation by operation, so each
-interval holds the exact derivative over its box and also the float the
-dual walk computes at any point of the box:
+The third arithmetic table of expr's one tree walker (expr.compile_tree),
+beside the float and dual tables: an interval forward-mode walk (Moore,
+Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009, chapters 5
+and 8). compile_boxes turns a component list into one function over a
+stack of boxes that returns, per box, an interval of every entry of both
+Jacobian blocks. Node by node, the table takes the dual table's operation
+over boxes, so each interval holds the exact derivative over its box and
+also the float the dual walk computes at any point of the box:
 
 * + - * / take the extremes of the end-point results and round them outward
   by one ulp with np.nextafter; negation, abs, selection and a product with
@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .expr import BINARY_FUNCTIONS, KINK_TOL, Binary, Const, Func, Neg, Node, ParamVar, Pow, StateVar
+from .expr import KINK_TOL, Binary, Func, Neg, Node, ParamVar, Pow, StateVar, compile_tree
 
 EPS = float(np.finfo(float).eps)  # 2^-52, twice the unit roundoff
 
@@ -93,15 +93,6 @@ def _mul(a, b):
 def _div(a, b):
     """a / b for a divisor interval b that does not hold 0 (callers flag the others)."""
     return _extremes(a[:, None] / b[None])
-
-
-def _seeded(seed, b):
-    """seed * b for a variable's seed, 0s and 1s the same at both ends: exact end by end."""
-    return seed * b
-
-
-def _col(v):
-    return v[..., None]
 
 
 def _at(fn, a: np.ndarray, *args) -> np.ndarray:
@@ -192,59 +183,61 @@ def _slotted(nd: Node, n: int, slots: list[int]) -> Node:
     return nd
 
 
-def _tree(nd: Node, zero: np.ndarray, demand: bool = True):
-    """`nd`, over slotted variables, as a closure f(xs, bad) over (value, derivative) interval pairs.
+class _Boxes:
+    """The interval table: closures f(xs, bad) over slotted variables (_slotted).
 
-    xs[k] is slot k's pair. An interval stacks its lower and upper ends on
-    axis 0: a value is a (2, N) array, a derivative a (2, N, n+m) one;
-    constants hold (2, 1) and (2, 1, n+m) arrays that broadcast. `bad` is the (N,) mask of
-    boxes whose enclosure is unbounded; a node adds to it in place the boxes
-    where the dual walk may raise (see the module docstring), and the other
-    boxes' intervals are not read past it.
-
-    `demand` says whether the caller reads the node's value, as in expr's
-    dual tree: where it does not, the value may be None, and it is taken
-    exactly where the dual walk takes it. + - * and negation carry a
+    xs[k] is slot k's (value, derivative) pair. An interval stacks its lower
+    and upper ends on axis 0: a value is a (2, N) array, a derivative a
+    (2, N, n+m) one; constants hold (2, 1) and (2, 1, n+m) arrays that
+    broadcast. `bad` is the (N,) mask of boxes whose enclosure is
+    unbounded; a node adds to it in place the boxes where the dual walk may
+    raise (see the module docstring), and the other boxes' intervals are not
+    read past it. A value that is not demanded may be None, and is taken
+    exactly where the dual table takes it. + - * and negation carry a
     non-finite end on to their parent; every node that could turn one back
     into a finite end (a division, a selection, a power, a function) flags
     the boxes where its arguments have one, and the roots' derivatives are
     checked last.
     """
-    if isinstance(nd, Const):
-        pair = (np.full((2, 1), nd.value), zero)
+
+    def __init__(self, zero):
+        self.zero = zero
+
+    def const(self, value):
+        pair = (np.full((2, 1), value), self.zero)
         return lambda xs, bad: pair
-    if isinstance(nd, StateVar):
+
+    def variable(self, nd):
         slot = nd.index
         return lambda xs, bad: xs[slot]
-    if isinstance(nd, Neg):
-        fa = _tree(nd.arg, zero, demand)
 
+    def neg(self, fa, demand):
         def negate(xs, bad):
             v, d = fa(xs, bad)
             return (_neg(v) if demand else None), _neg(d)
         return negate
-    if isinstance(nd, Binary) and nd.op in "+-":
-        fa, fb = _tree(nd.left, zero, demand), _tree(nd.right, zero, demand)
+
+    def add(self, nd, fa, fb, demand):
         op = _add if nd.op == "+" else _sub
 
         def add(xs, bad):
             (av, ad), (bv, bd) = fa(xs, bad), fb(xs, bad)
             return (op(av, bv) if demand else None), op(ad, bd)
         return add
-    if isinstance(nd, Binary):
-        fa, fb = _tree(nd.left, zero), _tree(nd.right, zero)
-        if nd.op == "*":
-            # a variable's derivative is its seed, a 0/1 point: its product
-            # with an interval is exact, end by end
-            left = _seeded if isinstance(nd.left, StateVar) else _mul
-            right = _seeded if isinstance(nd.right, StateVar) else _mul
 
-            def multiply(xs, bad):
-                (av, ad), (bv, bd) = fa(xs, bad), fb(xs, bad)
-                return ((_mul(av, bv) if demand else None),
-                        _add(left(ad, _col(bv)), right(bd, _col(av))))
-            return multiply
+    def mul(self, nd, fa, fb, demand):
+        # a variable's derivative is its seed, a 0/1 point: its product with
+        # an interval is exact, end by end
+        left = np.multiply if isinstance(nd.left, StateVar) else _mul
+        right = np.multiply if isinstance(nd.right, StateVar) else _mul
 
+        def multiply(xs, bad):
+            (av, ad), (bv, bd) = fa(xs, bad), fb(xs, bad)
+            return ((_mul(av, bv) if demand else None),
+                    _add(left(ad, bv[..., None]), right(bd, av[..., None])))
+        return multiply
+
+    def div(self, nd, fa, fb, demand):
         def divide(xs, bad):
             (av, ad), (bv, bd) = fa(xs, bad), fb(xs, bad)
             _flag_nonfinite(bad, av)
@@ -252,10 +245,10 @@ def _tree(nd: Node, zero: np.ndarray, demand: bool = True):
             bad |= ~apart
             bv = np.where(apart, bv, 1.0)
             q = _div(av, bv)
-            return q, _div(_sub(ad, _mul(_col(q), bd)), _col(bv))
+            return q, _div(_sub(ad, _mul(q[..., None], bd)), bv[..., None])
         return divide
-    if isinstance(nd, Func) and nd.name in BINARY_FUNCTIONS:
-        fa, fb = (_tree(arg, zero) for arg in nd.args)
+
+    def select(self, nd, fa, fb, demand):
         want_less = nd.name == "min"
 
         def select(xs, bad):
@@ -269,55 +262,58 @@ def _tree(nd: Node, zero: np.ndarray, demand: bool = True):
             return ((np.where(pick_a, av, bv) if demand else None),
                     np.where(pick_a[:, None], ad, bd))
         return select
-    if isinstance(nd, Pow):
-        fa, k = _tree(nd.base, zero), nd.exponent
 
-        def power(xs, bad):
+    def call(self, nd, fa, demand):
+        zero = self.zero
+        if isinstance(nd, Pow):
+            k = nd.exponent
+
+            def power(xs, bad):
+                av, ad = fa(xs, bad)
+                _flag_nonfinite(bad, av)
+                out = _pow(av, k) if demand else None
+                if k == 0:
+                    return out, zero
+                return out, _mul(ad, _mul(np.full((2, 1), float(k)), _pow(av, k - 1))[..., None])
+            return power
+        name = nd.name
+
+        def chain(xs, bad):
             av, ad = fa(xs, bad)
             _flag_nonfinite(bad, av)
-            out = _pow(av, k) if demand else None
-            if k == 0:
-                return out, zero
-            return out, _mul(ad, _col(_mul(np.full((2, 1), float(k)), _pow(av, k - 1))))
-        return power
-    fa, name = _tree(nd.args[0], zero), nd.name
-
-    def chain(xs, bad):
-        av, ad = fa(xs, bad)
-        _flag_nonfinite(bad, av)
-        if name == "log" or name == "sqrt":
-            positive = av[0] > 0.0
-            bad |= ~positive
-            av = np.where(positive, av, 1.0)
-            if name == "log":
-                return (_widen(_at(math.log, av)) if demand else None), _div(ad, _col(av))
-            out = _outward(np.sqrt(av))  # sqrt is correctly rounded
-            return out, _div(ad, _col(_mul(np.full((2, 1), 2.0), out)))
-        if name == "abs":
-            below, above = av[1] < -KINK_TOL, av[0] > KINK_TOL
-            bad |= ~(below | above)
-            return ((np.where(above, av, -av[::-1]) if demand else None),
-                    np.where(above[:, None], ad, -ad[::-1]))
-        out = None
-        if name == "exp":
-            out = slope = _widen(_at(math.exp, av))
-        elif name == "sech":
-            out = _sech_power(av, 1)
-            slope = _mul(_neg(out), _widen(_at(math.tanh, av)))
-        elif name == "tanh":
-            slope = _sech_power(av, 2)
-            if demand:
-                out = _widen(_at(math.tanh, av))
-        elif name == "sin":
-            slope = _periodic(math.cos, av, 0.0)
-            if demand:
-                out = _periodic(math.sin, av, 0.5 * math.pi)
-        else:
-            slope = _neg(_periodic(math.sin, av, 0.5 * math.pi))
-            if demand:
-                out = _periodic(math.cos, av, 0.0)
-        return out, _mul(ad, _col(slope))
-    return chain
+            if name == "log" or name == "sqrt":
+                positive = av[0] > 0.0
+                bad |= ~positive
+                av = np.where(positive, av, 1.0)
+                if name == "log":
+                    return (_widen(_at(math.log, av)) if demand else None), _div(ad, av[..., None])
+                out = _outward(np.sqrt(av))  # sqrt is correctly rounded
+                return out, _div(ad, _mul(np.full((2, 1), 2.0), out)[..., None])
+            if name == "abs":
+                below, above = av[1] < -KINK_TOL, av[0] > KINK_TOL
+                bad |= ~(below | above)
+                return ((np.where(above, av, -av[::-1]) if demand else None),
+                        np.where(above[:, None], ad, -ad[::-1]))
+            out = None
+            if name == "exp":
+                out = slope = _widen(_at(math.exp, av))
+            elif name == "sech":
+                out = _sech_power(av, 1)
+                slope = _mul(_neg(out), _widen(_at(math.tanh, av)))
+            elif name == "tanh":
+                slope = _sech_power(av, 2)
+                if demand:
+                    out = _widen(_at(math.tanh, av))
+            elif name == "sin":
+                slope = _periodic(math.cos, av, 0.0)
+                if demand:
+                    out = _periodic(math.sin, av, 0.5 * math.pi)
+            else:
+                slope = _neg(_periodic(math.sin, av, 0.5 * math.pi))
+                if demand:
+                    out = _periodic(math.cos, av, 0.0)
+            return out, _mul(ad, slope[..., None])
+        return chain
 
 
 def compile_boxes(asts: list[Node], n: int, m: int):
@@ -333,13 +329,13 @@ def compile_boxes(asts: list[Node], n: int, m: int):
     side by side.
     """
     total = n + m
-    zero = np.zeros((2, 1, total))
+    table = _Boxes(np.zeros((2, 1, total)))
     eye = np.eye(total)
     groups: dict[Node, list[tuple[int, list[int]]]] = {}
     for row, ast in enumerate(asts):
         slots: list[int] = []
         groups.setdefault(_slotted(ast, n, slots), []).append((row, slots))
-    walks = [(_tree(key, zero, demand=False), [row for row, _ in members],
+    walks = [(compile_tree(key, table, demand=False), [row for row, _ in members],
               np.array([slots for _, slots in members], dtype=int).reshape(len(members), -1))
              for key, members in groups.items()]
 

@@ -17,6 +17,7 @@ from lscert import (
 )
 from lscert import expr
 from conftest import (
+    _random_node,
     central_difference_jacobian,
     generate_expression_cases,
     per_point_eval_dual,
@@ -181,6 +182,40 @@ def test_batched_residuals_equal_per_point_residuals_bitwise(seed):
                               np.array([r[1] for r in rows]).reshape(len(rows), -1))
         for i, (_, _, one) in enumerate(rows):
             assert many[i].tobytes() == one.tobytes(), expr.to_source(node, *names)
+
+
+@settings(deadline=None)  # examples: the hypothesis profile's
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_float_and_dual_tables_give_the_same_value_bits(seed):
+    # the rows repeat three points, so the dual walk makes each math call once
+    # per distinct argument and gathers (_distinct), and the float walk maps
+    # every element
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    asts = [_random_node(rng, n, m, int(rng.integers(1, 5))) for _ in range(int(rng.integers(1, 3)))]
+    names = expr.default_names(n, m)
+    XL = rng.uniform(-1.5, 1.5, size=(3, n + m))[rng.integers(0, 3, size=24)]
+    X, Lam = XL[:, :n], XL[:, n:]
+    try:
+        values = expr.compile_duals(asts, n, m, names)(X, Lam)[0]
+    except LscertError:
+        return  # a kink, a domain edge or a zero divisor: the dual walk has no values
+    assert expr.compile_values(asts, names)(X, Lam).tobytes() == values.tobytes()
+
+
+def test_the_first_failing_component_raises_at_its_first_failing_point():
+    # sqrt(x1 - 3) fails at both rows and log(x1 - 2) at row 1 only: each
+    # walk raises the earlier component's error, at its first failing row
+    source = "x1; sqrt(x1 - 3); log(x1 - 2)"
+    names = expr.default_names(1, 0)
+    asts = expr.parse_components(source, 3, *names)
+    system = system_from_expressions(source, 1, 0, components=3)
+    X, Lam = np.array([[2.5], [1.0]]), np.empty((2, 0))
+    for evaluate in (expr.compile_values(asts, names), expr.compile_duals(asts, 1, 0, names),
+                     system.jacobians, system.residuals):
+        with pytest.raises(DomainError) as err:
+            evaluate(X, Lam)
+        assert str(err.value) == "sqrt of negative value -0.5 in 'sqrt(x1 - 3.0)'"
 
 
 def test_division_by_zero_reports_offending_subexpression():
