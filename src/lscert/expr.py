@@ -613,15 +613,16 @@ class _Duals:
         return divide
 
     def select(self, nd, fa, fb, demand):
-        want_less = nd.name == "min"
+        # b only where b beats a, as in the float table: a NaN a is kept
+        beats = np.less if nd.name == "min" else np.greater
 
         def select(xs, ls):
             (av, ad), (bv, bd) = fa(xs, ls), fb(xs, ls)
             if (np.abs(av - bv) <= KINK_TOL).any():
                 raise _domain_error(nd, self.names, f"{nd.name} arguments tie within {KINK_TOL:g}",
                                     "; derivative undefined at the kink")
-            pick_a = (av < bv) == want_less
-            return (np.where(pick_a, av, bv) if demand else None), np.where(pick_a[:, None], ad, bd)
+            pick_b = beats(bv, av)
+            return (np.where(pick_b, bv, av) if demand else None), np.where(pick_b[:, None], bd, ad)
         return select
 
     def call(self, nd, fa, demand):

@@ -17,8 +17,10 @@ overridden, passes one check: finite and nonnegative, or the run fails with
 NonFinite. The frontier's bisection midpoint is read only for its verdict,
 so its sampled L_y stops as soon as a lower bound of it refutes the pair.
 Where the split view encloses its y-block over boxes (dy_box, DSL systems),
-a sampled L_y skips the x-points whose enclosure proves they cannot hold
-the maximum; every value stays the one of the full lattice, bit for bit.
+a sampled L_y bounds cells of neighbouring x-points first and single
+x-points after, and skips the cells and x-points whose enclosure proves
+they cannot hold the maximum; every value stays the one of the full
+lattice, bit for bit.
 
 This is the only certification engine. The kernel-split certificate of the
 ls_bounds module is this one with x := (alpha, lambda), y := beta and the
@@ -48,6 +50,12 @@ from .system import damped_newton_many, from_callable
 # benchmark workloads and kept worker peak RSS within 0.6 % (traced peak
 # about 0.2-0.3 MB higher); 4,096 pairs raised it by 1.0-1.5 MB on ring-4
 CHUNK_PAIRS = 1024
+# x-points per cell of a sampled L_y's first enclosure (_cells). On the
+# ls-tanh2-dense benchmark workload (799 x-points per call) an op encloses
+# 558, 291, 261, 333 and 402 boxes at 4, 9, 16, 25 and 36 (2,397 with one
+# box per x-point), with the same 198 Jacobian rows; in-process op times
+# at 9 to 36 lay within the host's noise
+CELL_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -60,12 +68,14 @@ class SplitFunction:
     one-point call. split_function adapts per-point callables, system_split
     views a ParametricSystem.
 
-    dy_box, where given, encloses the dy block: dy_box(X, y_lo, y_hi) takes
-    points X (N, n_x) and the ends of one y-box, and returns (lo, hi), each
-    (N, n_y, n_y), such that dy_many at (X[i], y) lies between lo[i] and
-    hi[i] for every y in the box; it is -inf and inf throughout lo[i] and
-    hi[i] where jac_y_many may raise at such a point. Only the views of DSL
-    systems have one. It encloses jac_y_many as built: a copy whose
+    dy_box, where given, encloses the dy block: dy_box(x_lo, x_hi, y_lo,
+    y_hi) takes the ends of N x-boxes, each (N, n_x), and the ends of one
+    y-box, each (n_y,), and returns (lo, hi), each (N, n_y, n_y), such that
+    dy_many at (x, y) lies between lo[i] and hi[i] for every x in the i-th
+    x-box and every y in the y-box; it is -inf and inf throughout lo[i] and
+    hi[i] where jac_y_many may raise at such a point. A point is the box
+    whose ends are equal: dy_box(X, X, y_lo, y_hi) encloses the block at
+    each point X[i]. Only the views of DSL systems have one. It encloses jac_y_many as built: a copy whose
     jac_y_many returns other values or raises elsewhere
     (dataclasses.replace) must replace dy_box too, or set it to None.
     """
@@ -75,7 +85,7 @@ class SplitFunction:
     value_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_x_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_y_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dy_box: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    dy_box: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
 
     def value(self, x, y) -> np.ndarray:
         return self.value_many(*self._one_point(x, y))[0]
@@ -125,10 +135,11 @@ def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
     them: a 0/1 matmul turns -0.0 into 0.0, inf into NaN.
 
     Where sys has a jac_box, embed_box and y_chain_box give the view its
-    dy_box: embed_box(X, y_lo, y_hi) returns the ends of the state and
-    parameter boxes that hold E(X[i], y) for every y of the box, and
-    y_chain_box(part) the (lo, hi) enclosure of dE/dy's block from part(0)
-    and part(1), the (lo, hi) enclosures of D_x Phi and D_lambda Phi.
+    dy_box: embed_box(x_lo, x_hi, y_lo, y_hi) returns the ends of the state
+    and parameter boxes, each (N, n) or (N, m), that hold E(x, y) for every
+    x of the i-th x-box and every y of the y-box, and y_chain_box(part) the
+    (lo, hi) enclosure of dE/dy's block from part(0) and part(1), the
+    (lo, hi) enclosures of D_x Phi and D_lambda Phi.
     """
     def projected(stack):
         return stack if project is None else project(stack)
@@ -144,8 +155,8 @@ def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
 
     dy_box = None
     if sys.jac_box is not None:
-        def dy_box(X, y_lo, y_hi):
-            parts = sys.jac_box(*embed_box(X, y_lo, y_hi))
+        def dy_box(x_lo, x_hi, y_lo, y_hi):
+            parts = sys.jac_box(*embed_box(x_lo, x_hi, y_lo, y_hi))
             return y_chain_box(parts.__getitem__)
 
     return SplitFunction(n_x, n_y, value_many, blocks(x_chain), blocks(y_chain), dy_box)
@@ -175,9 +186,9 @@ def index_split(sys, x_indices, y_indices) -> SplitFunction:
 
     # the scatter and the gather only move coordinates, so each end of a box
     # goes through them as a point does
-    def embed_box(X, y_lo, y_hi):
-        (x_lo, l_lo), (x_hi, l_hi) = embed(X, y_lo[None]), embed(X, y_hi[None])
-        return x_lo, x_hi, l_lo, l_hi
+    def embed_box(x_lo, x_hi, y_lo, y_hi):
+        (s_lo, l_lo), (s_hi, l_hi) = embed(x_lo, y_lo[None]), embed(x_hi, y_hi[None])
+        return s_lo, s_hi, l_lo, l_hi
 
     def y_chain_box(part):
         return tuple(gather(y_idx)(lambda i: part(i)[end]) for end in (0, 1))
@@ -357,6 +368,31 @@ def compute_M(
     return m_x, m_y
 
 
+def _cells(points):
+    """(cell of each point, lower ends, upper ends of each cell's bounding box) of a stack (N, d).
+
+    The points' range on each axis is cut into k runs of equal width,
+    k = floor((N / CELL_POINTS)^(1/d)) but at least 1, and a cell is the
+    points of one run per axis: about CELL_POINTS of them where the points
+    fill the runs' grid, as a lattice does. A stack of fewer than
+    2^d CELL_POINTS points is one cell. Each box is the points' own minimum
+    and maximum per coordinate.
+    """
+    count, dim = points.shape
+    runs = max(1, int((count / CELL_POINTS) ** (1.0 / dim)))
+    columns = points.T.copy()  # numpy reduces its rows about 7x faster than (N, d) columns
+    low, high = columns.min(axis=1), columns.max(axis=1)
+    if runs == 1:
+        return np.zeros(count, dtype=int), low[None], high[None]
+    span = np.where(high > low, high - low, 1.0)
+    index = np.minimum(((points - low) / span * runs).astype(int), runs - 1)
+    key = np.ravel_multi_index(tuple(index.T), (runs,) * dim)
+    cell = (np.cumsum(np.bincount(key, minlength=runs ** dim) > 0) - 1)[key]  # the runs held
+    order = np.argsort(cell, kind="stable")
+    grouped, starts = points[order], np.searchsorted(cell[order], np.arange(cell.max() + 1))
+    return cell, np.minimum.reduceat(grouped, starts), np.maximum.reduceat(grouped, starts)
+
+
 def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=None,
                box=None) -> float:
     """Max of ||(blocks(px, py) - base_block) diag(weights)|| over pts_x x pts_y.
@@ -374,24 +410,37 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
 
     Without a box the pairs run in the order of itertools.product(pts_x,
     pts_y). box, if given (and pts_x has two points or more), is the dy_box
-    of an unweighted call (L_y): one call encloses the block at every x-point
-    over the bounding box of pts_y, and box_norm_bounds bounds each x-point's
-    deviation norm. The x-point with the largest finite bound is taken
-    first, in chunks of its own; its box holds no point where blocks raises,
-    so the floor rises before any other x-point is reached. The other pairs
-    follow in lattice order, and before each chunk the x-points whose
-    bound, times (1 + PRUNE_MARGIN), no longer reaches the floor are dropped
-    (can_reach, the test norm_survivors applies to one matrix; only once the
-    floor is past SAFE_SCALE[0], where a norm is accurate in relative
-    terms). So every skipped pair's norm lies below a norm the call attains,
-    and the maximum is the same bit for bit. A box that may hold a raising point has an
-    infinite bound and is never skipped, and only those can raise, so a
-    chunk that raises is replayed one pair at a time and the error that
-    surfaces is the one of the first failing pair in lattice order, also
-    while earlier chunks' survivors are held. A call given stop reaches a
-    raising pair or not depending on where its chunks end, so such a call
-    with an infinite bound anywhere takes the pairs in lattice order
-    without skipping any, as a call without a box does.
+    of an unweighted call (L_y), and box_norm_bounds bounds the deviation
+    norm over each box it encloses, always times the bounding box of pts_y.
+    The x-points are grouped into cells (_cells), and it is called at most
+    three times:
+
+    1. once over the cells' bounding boxes, where there are two cells or
+       more; each x-point starts with its cell's bound;
+    2. once over the x-points of the cell with the largest finite bound
+       (every x-point where none is finite), each point its own box. Of
+       these, the one with the largest finite bound is taken first, in
+       chunks of its own; its box holds no point where blocks raises, so
+       the floor rises before any other x-point is reached;
+    3. once the floor is past SAFE_SCALE[0], where a norm is accurate in
+       relative terms, and that first x-point, if any, is taken: over the
+       other x-points whose cell's bound, times (1 + PRUNE_MARGIN), still
+       reaches the floor (can_reach, the test norm_survivors applies to one
+       matrix). The cells that do not reach it are dropped whole.
+
+    The other pairs follow in lattice order, queued once that first x-point
+    is taken and built over the x-points not yet dropped, and before each
+    chunk the x-points whose bound no longer reaches the floor are dropped.
+    So every skipped pair's norm lies below a norm the call attains, and the
+    maximum is the same bit for bit. A box that may hold a raising point has
+    an infinite bound, so such a cell is never dropped whole and such an
+    x-point is never skipped, and only those can raise: a chunk that raises
+    is replayed one pair at a time and the error that surfaces is the one of
+    the first failing pair in lattice order, also while earlier chunks'
+    survivors are held. A call given stop reaches a raising pair or not
+    depending on where its chunks end, so such a call with an infinite cell
+    or x-point bound takes the pairs in lattice order without skipping any,
+    as a call without a box does.
 
     stop, if given, is asked about a lower bound of the maximum,
     max(floor, 0) (1 - PRUNE_MARGIN), where the factor covers the few ulps a
@@ -401,8 +450,6 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
     that lower bound is returned.
     """
     per_x = len(pts_y)
-    order = np.arange(len(pts_x) * per_x)  # the pairs still to take, in the order they are taken
-    alone = 0  # the first `alone` of them are the first x-point's, taken in chunks of their own
     floor = best = -np.inf  # the best lower bound and the largest norm taken
     held: list[tuple[np.ndarray, np.ndarray]] = []  # survivors and their upper bounds
 
@@ -421,21 +468,41 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
     def refuted() -> bool:
         return stop is not None and stop(lower())
 
+    def pairs_of(points):
+        return (points[:, None] * per_x + np.arange(per_x)).ravel()
+
     stopped = refuted()  # a pair refuted at 0 evaluates no lattice pair
-    bound, live = None, np.ones(len(pts_x), dtype=bool)  # live: the x-points not yet dropped
+    live = np.ones(len(pts_x), dtype=bool)  # the x-points whose pairs may still be taken
+    coarse = ~live  # the x-points whose bound is still their cell's
+    bound = first = None  # per x-point, an upper bound of its deviation norms; the first x-point
     if box is not None and len(pts_x) > 1 and not stopped:
-        lo, hi = box(pts_x, pts_y.min(axis=0), pts_y.max(axis=0))
-        with np.errstate(all="ignore"):  # a non-finite end gives an inf bound
-            bound = box_norm_bounds(np.nextafter(lo - base_block, -np.inf),
-                                    np.nextafter(hi - base_block, np.inf), norm_kind)
+        y_lo, y_hi = pts_y.min(axis=0), pts_y.max(axis=0)
+
+        def enclose(points):  # bounds over the boxes {x} x (y box) of the chosen x-points
+            x = pts_x[points]
+            return _box_bounds(box, base_block, x, x, y_lo, y_hi, norm_kind)
+
+        cell, cell_lo, cell_hi = _cells(pts_x)
+        bound = np.full(len(pts_x), np.inf)
+        if len(cell_lo) > 1:
+            bound = _box_bounds(box, base_block, cell_lo, cell_hi, y_lo, y_hi, norm_kind)[cell]
+        finite = np.isfinite(bound)
+        top = cell == cell[np.argmax(np.where(finite, bound, -np.inf))] if finite.any() \
+            else np.ones_like(finite)
+        bound[top], coarse = enclose(top), ~top
+        own = np.where(top & np.isfinite(bound), bound, -np.inf)
         if stop is not None and not np.isfinite(bound).all():
             bound = None
-        elif np.isfinite(bound).any():
-            first = order // per_x == np.argmax(np.where(np.isfinite(bound), bound, -np.inf))
-            order, alone = np.concatenate((order[first], order[~first])), per_x
+        elif np.isfinite(own).any():
+            first = np.argmax(own)
+    # the pairs queued, in the order they are taken: the first x-point's, in
+    # chunks of their own (the first `alone` pairs), and then the others'
+    rest = first is not None  # whether the others are still to be queued
+    order = pairs_of(np.array([first]) if rest else np.arange(len(pts_x)))
+    alone = per_x if rest else 0
 
     def chunk_max(_):
-        nonlocal order, alone, floor, stopped
+        nonlocal order, alone, floor, stopped, rest
         size = min(alone, CHUNK_PAIRS) if alone else CHUNK_PAIRS
         pairs, order, alone = order[:size], order[size:], max(alone - size, 0)
         xs, ys = pts_x[pairs // per_x], pts_y[pairs % per_x]
@@ -451,14 +518,24 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
             else:
                 held.append((d[keep], upper))
         stopped = refuted()
-        if bound is not None and floor > SAFE_SCALE[0]:
+        if bound is not None and not stopped and floor > SAFE_SCALE[0]:
+            reach = can_reach(bound, floor)
+            if coarse.any() and not alone:
+                # the x-points of the cells that still reach the floor get their own boxes
+                refine = coarse & live & reach
+                if refine.any():
+                    bound[refine] = enclose(refine)
+                    reach = can_reach(bound, floor)
+                coarse[:] = False
             # the floor only rises, so an x-point that fails once stays out,
             # and order is filtered only when one fails for the first time
-            reach = can_reach(bound, floor)
             if (live & ~reach).any():
                 live[~reach] = False
                 alive = live[order // per_x]
                 order, alone = order[alive], np.count_nonzero(alive[:alone])
+        if rest and not len(order) and not stopped:  # the first x-point is taken: queue the others
+            live[first] = rest = False
+            order = pairs_of(np.flatnonzero(live))
         if held and not stopped and (not len(order)
                                      or sum(len(u) for _, u in held) >= CHUNK_PAIRS):
             stack, uppers = (np.concatenate(parts) for parts in zip(*held))
@@ -468,6 +545,14 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
 
     value = max_over(iter(lambda: bool(len(order)) and not stopped, False), chunk_max)
     return lower() if stopped else value
+
+
+def _box_bounds(box, base_block, x_lo, x_hi, y_lo, y_hi, norm_kind):
+    """box_norm_bounds of the deviation from base_block over each box box(...) encloses."""
+    lo, hi = box(x_lo, x_hi, y_lo, y_hi)
+    with np.errstate(all="ignore"):  # a non-finite end gives an inf bound
+        return box_norm_bounds(np.nextafter(lo - base_block, -np.inf),
+                               np.nextafter(hi - base_block, np.inf), norm_kind)
 
 
 def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, balls,

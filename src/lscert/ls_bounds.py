@@ -122,21 +122,21 @@ class SplitSystem:
         are [(W^T J) V | W^T D_lambda Phi] and (W^T J) Vperp. It is not cached
         on self: the view holds self, and that cycle would keep each system's
         arrays until a cyclic collection (peak RSS about 0.3 MB higher).
-        Where the system has a jac_box, the dy block's enclosure carries a
-        beta box through the affine states and through W^T J Vperp in
-        midpoint-radius form (interval.matvec_box, interval.sandwich_box).
+        Where the system has a jac_box, the dy block's enclosure carries an
+        (alpha, beta) box through the affine states and W^T J Vperp in
+        midpoint-radius form (interval.matvec_box, interval.sandwich_box);
+        the lambda ends of the x-box are the parameter box's.
         """
         q, v, v_perp = self.q, self.decomp.V[None], self.decomp.Vperp[None]
         basis = np.hstack([self.decomp.V, self.decomp.Vperp])
 
         # the interval module loads with the first enclosure, which only a
         # DSL system's view is asked for
-        def embed_box(P, b_lo, b_hi):
+        def embed_box(p_lo, p_hi, b_lo, b_hi):
             from .interval import matvec_box
-            alpha, lam = P[:, :q], P[:, q:]
-            ends = (np.hstack([alpha, np.broadcast_to(b, (len(P), self.n_perp))])
-                    for b in (b_lo, b_hi))
-            return (*matvec_box(basis, *ends), lam, lam)
+            ends = (np.hstack([p[:, :q], np.broadcast_to(b, (len(p), self.n_perp))])
+                    for p, b in ((p_lo, b_lo), (p_hi, b_hi)))
+            return (*matvec_box(basis, *ends), p_lo[:, q:], p_hi[:, q:])
 
         def y_chain_box(part):
             from .interval import sandwich_box

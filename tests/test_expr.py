@@ -250,6 +250,31 @@ def test_kinks_reject_derivatives_but_not_values():
     assert vals[0] == 1.0 and jx[0, 0] == 1.0 and jx[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("nan_first", [True, False])
+@pytest.mark.parametrize("name", ["min", "max"])
+def test_a_nan_argument_of_min_or_max_is_kept_or_dropped_by_every_table(name, nan_first):
+    # inf - inf is NaN at x1 = 1. Python's min and max keep their first
+    # argument unless the second beats it, so a NaN first argument is kept and
+    # a NaN second one dropped; the float and dual tables choose the same way
+    nan = "x1*1e300*1e300 - x1*1e300*1e300"
+    args = (nan, "1.0") if nan_first else ("1.0", nan)
+    source = f"{name}({args[0]}, {args[1]}) + x1"
+    names = expr.default_names(1, 0)
+    asts = expr.parse_components(source, 1, *names)
+    system = system_from_expressions(source, 1, 0)
+    X, Lam = np.ones((1, 1)), np.empty((1, 0))
+    evaluations = (expr.compile_values(asts, names), expr.compile_duals(asts, 1, 0, names),
+                   system.residuals, system.jacobians)
+    if nan_first:
+        for evaluate in evaluations:
+            with pytest.raises(NonFinite):
+                evaluate(X, Lam)
+    else:
+        values, duals, residuals, (jx, _) = (evaluate(X, Lam) for evaluate in evaluations)
+        assert values.tolist() == duals[0].tolist() == residuals.tolist() == [[2.0]]
+        assert duals[1].tolist() == jx.tolist() == [[[1.0]]]
+
+
 def test_overflow_raises_nonfinite():
     with pytest.raises(NonFinite):
         expr.eval_values(expr.parse("exp(x1)", 1, 0), [1000.0], [])

@@ -358,6 +358,10 @@ def _sampler_case(name):
         return _ls_case(tanh2, tanh2_jacs, 9, [(0.5, 0.5), (1.5, 2.0)])
     if name == "tanh2-steep":
         return _ls_case(tanh2, tanh2_jacs, 5, [(1.0, 400.0)])
+    if name == "tanh2-cells":
+        # 145 to 289 x-points at spd 17, by norm kind: the sampled L_y bounds
+        # cells of them (imft._cells) before single x-points
+        return _ls_case(tanh2, tanh2_jacs, 17, [(0.75, 3.0)])
     if name == "tanh2-weights":
         return _ls_case(tanh2, tanh2_jacs, 9, [(1.0, 0.5)], weights=np.array([1.0, 0.5]))
     if name == "ring4-ls":
@@ -530,7 +534,7 @@ def test_certify_grid_equals_the_full_scan_reference(name, chunk, norm_kind, wei
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)
-@pytest.mark.parametrize("name", ["tanh2", "ring4-ls", "ring4-imft"])
+@pytest.mark.parametrize("name", ["tanh2", "ring4-ls", "ring4-imft", "tanh2-cells"])
 def test_pruned_L_equals_the_per_point_loop(name, norm_kind, weighted):
     # the views of DSL systems, the builtin tanh2's kernel split included,
     # have a dy enclosure: the sampled L_y skips the x-points whose box bound
@@ -544,6 +548,27 @@ def test_pruned_L_equals_the_per_point_loop(name, norm_kind, weighted):
                       base) == want
     lattice = len(ball_points(x0, r_x, spd, norm_kind, w)) * len(ball_points(y0, r_y, spd, norm_kind))
     assert sum(rows) < lattice
+
+
+@pytest.mark.parametrize("norm_kind", NORM_KINDS)
+def test_the_cell_path_equals_the_per_point_reference(norm_kind):
+    # test_pruned_L_equals_the_per_point_loop holds this case's L to
+    # per_point_L. Its enclosures hold fewer boxes than its ball has
+    # x-points, and every grid pair and the frontier midpoint 1.75 take cells
+    f, x0, y0, base, spd, ((r_x, r_y), *_), _, refs = _sampler_case("tanh2-cells")
+    boxes = []
+    f = dataclasses.replace(f, dy_box=lambda *ends, box=f.dy_box: boxes.append(len(ends[0]))
+                            or box(*ends))
+    est = SupremumEstimator(samples_per_dim=spd)
+    pts_x = ball_points(x0, r_x, spd, norm_kind)
+    assert len(imft._cells(pts_x)[1]) > 1
+    estimate_L(f, x0, y0, r_x, r_y, est, norm_kind, base=base)
+    assert 0 < sum(boxes) < len(pts_x)
+    q = imft_quantities(f, x0, y0, est, norm_kind, base=base)
+    per_point = lambda r_x, r_y: per_point_L(*refs, x0, y0, r_x, r_y, spd, norm_kind, base=base)
+    region = certify_grid(q, [1.0, 2.5], [r_y])
+    assert region == full_scan_region(q, [1.0, 2.5], [r_y], per_point)
+    assert region.frontier[0].r_x_max in (1.0, 1.75)
 
 
 def _ring4_imft(jac_y_many=None, box=True):

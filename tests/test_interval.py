@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lscert
 from lscert import (LscertError, SupremumEstimator, estimate_L, imft_quantities, index_split,
                     system_from_expressions)
+from lscert.config import parse_config
 from lscert.expr import (Binary, Func, Neg, Pow, StateVar, compile_duals, default_names,
-                         parse_components)
-from lscert.imft import certify_grid
+                         parse_components, to_source)
+from lscert.imft import _cells, certify_grid
 from lscert.interval import compile_boxes
 from lscert.norms import NORM_KINDS, box_norm_bounds, induced_norms
 from lscert.sampling import ball_points
@@ -112,12 +114,56 @@ def test_ring4_box_bound_is_the_exact_range_of_its_deviation():
                                    4, 1)
     f = index_split(sys_, [4], [0, 1, 2, 3])
     ls = np.array([[-0.1], [0.5], [0.8], [1.1]])
-    lo, hi = f.dy_box(ls, np.full(4, -0.3), np.full(4, 0.3))
+    lo, hi = f.dy_box(ls, ls, np.full(4, -0.3), np.full(4, 0.3))
     base = f.dy(np.array([0.5]), np.zeros(4))
     bound = box_norm_bounds(lo - base, hi - base)
     l = ls[:, 0]
     exact = np.maximum(np.abs(l - 0.5), np.abs(l / np.cosh(0.3 * l) ** 2 - 0.5))
     assert (bound >= exact).all() and (bound <= exact * (1 + 1e-13) + 1e-15).all()
+
+
+def _random_split_view(rng, kind):
+    """(split view, x0, y0): "index" splits one of EVERY_KIND plus a random
+    source by coordinates, "kernel" is the kernel split of tanh2 or of a ring-4
+    source."""
+    if kind == "index":
+        source = f"{EVERY_KIND[rng.integers(0, len(EVERY_KIND))]} + " \
+            f"{to_source(_random_node(rng, 2, 1, int(rng.integers(1, 5))))}"
+        y = int(rng.integers(0, 3))
+        f = index_split(system_from_expressions(source, 2, 1, components=1),
+                        [i for i in range(3) if i != y], [y])
+        return f, np.zeros(2), np.zeros(1)
+    ring4 = "; ".join(f"-x{i} + tanh(l1*x{i % 4 + 1})" for i in range(1, 5))
+    model = ({"kind": "builtin", "name": "tanh2"} if rng.integers(0, 2)
+             else {"kind": "expr", "source": ring4, "n": 4, "m": 1})
+    sys_ = lscert.build_system(parse_config({"model": model}).model)
+    ss = lscert.build_split_system(sys_, lscert.evaluation_point(sys_, np.zeros(sys_.n), [1.0]))
+    return ss.as_split_function(), ss.par_center, ss.beta0
+
+
+@settings(deadline=None)  # examples: the hypothesis profile's
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@pytest.mark.parametrize("kind", ["index", "kernel"])
+def test_dy_box_over_x_cells_encloses_dy_many(kind, seed):
+    # a sampled L_y encloses cells of x-points, each times one y-box; a box of
+    # zero width in x is an x-point's own
+    rng = np.random.default_rng(seed)
+    f, x0, y0 = _random_split_view(rng, kind)
+    count, per_box = 12, 16
+    x_lo, x_hi = (x0 + end for end in _boxes(rng, count, f.n_x))
+    y_lo, y_hi = (y0 + end[0] for end in _boxes(rng, 1, f.n_y))
+    lo, hi = f.dy_box(x_lo, x_hi, y_lo, y_hi)
+    for i in range(count):
+        box_lo, box_hi = np.concatenate([x_lo[i], y_lo]), np.concatenate([x_hi[i], y_hi])
+        corners = rng.integers(0, 2, size=(per_box // 2, len(box_lo))).astype(bool)
+        points = np.vstack([np.where(corners, box_hi, box_lo),
+                            rng.uniform(box_lo, box_hi, size=(per_box // 2, len(box_lo)))])
+        try:
+            dy = f.dy_many(points[:, :f.n_x], points[:, f.n_x:])
+        except LscertError:
+            assert np.isneginf(lo[i]).all() and np.isposinf(hi[i]).all()
+            continue
+        assert (lo[i] <= dy).all() and (dy <= hi[i]).all(), (i, box_lo, box_hi)
 
 
 def test_box_norm_bounds_hold_every_matrix_of_the_box():
@@ -156,7 +202,7 @@ def test_a_raising_model_keeps_the_error_of_the_unpruned_sampler(source, text):
         estimate_L(f, x0, y0, 0.2, 0.1, est)
     # the x-points whose boxes hold a raising point are unbounded, and only they
     pts_x, pts_y = ball_points(x0, 0.2, 5), ball_points(y0, 0.1, 5)
-    lo, hi = f.dy_box(pts_x, pts_y.min(axis=0), pts_y.max(axis=0))
+    lo, hi = f.dy_box(pts_x, pts_x, pts_y.min(axis=0), pts_y.max(axis=0))
     unbounded = np.isinf(box_norm_bounds(lo, hi))
     raises = []
     for px in pts_x:
@@ -166,6 +212,20 @@ def test_a_raising_model_keeps_the_error_of_the_unpruned_sampler(source, text):
         except LscertError:
             raises.append(True)
     assert (unbounded >= np.array(raises)).all() and any(raises)
+
+
+@pytest.mark.parametrize("source,text", ERROR_MODELS)
+def test_a_raising_model_on_cells_keeps_the_error_of_the_unpruned_sampler(source, text):
+    # spd 65 puts 65 x-points in the x-ball, 4 cells of them (imft._cells); a
+    # cell that holds a raising pair is unbounded and never dropped whole
+    f = index_split(system_from_expressions(source, 2, 0, components=1), [0], [1])
+    x0, y0, est = np.zeros(1), np.zeros(1), SupremumEstimator(samples_per_dim=65)
+    assert len(_cells(ball_points(x0, 0.2, 65))[1]) == 4
+    with pytest.raises(LscertError) as unpruned:
+        estimate_L(dataclasses.replace(f, dy_box=None), x0, y0, 0.2, 0.1, est)
+    assert text in str(unpruned.value)
+    with pytest.raises(type(unpruned.value), match=re.escape(str(unpruned.value)) + "$"):
+        estimate_L(f, x0, y0, 0.2, 0.1, est)
 
 
 def test_a_stopped_midpoint_with_a_raising_box_keeps_the_error_of_the_unpruned_sampler():
@@ -181,6 +241,30 @@ def test_a_stopped_midpoint_with_a_raising_box_keeps_the_error_of_the_unpruned_s
 
     def region(view):
         return certify_grid(imft_quantities(view, np.zeros(1), np.zeros(1), est), [0.25, 0.75],
+                            [0.2])
+
+    with pytest.raises(LscertError) as unpruned:
+        region(dataclasses.replace(f, dy_box=None))
+    assert "abs argument within 1e-12 of the kink" in str(unpruned.value)
+    with pytest.raises(type(unpruned.value), match=re.escape(str(unpruned.value)) + "$"):
+        region(f)
+
+
+def test_a_stopped_midpoint_on_cells_keeps_the_error_of_the_unpruned_sampler():
+    # the test above at spd 65, where every x-ball holds 4 cells: the frontier
+    # midpoint r_x = 0.49 of the grid (0.25, 0.73) at r_y = 0.2 meets the kink
+    # at its first x-point, -0.49, and y = -0.1, so its first cell is
+    # unbounded; its last x-point, 0.49, alone refutes the pair. Taken first,
+    # it would stop the call before the kink is reached; the grid balls hold
+    # no lattice pair on the kink
+    sys_ = system_from_expressions("x2 + 3*x1*x2 + 0.01*abs(x1 + x2 + 0.59)", 2, 0, components=1)
+    f = index_split(sys_, [0], [1])
+    mid = ball_points(np.zeros(1), 0.5 * (0.25 + 0.73), 65)
+    assert mid[[0, -1], 0].tolist() == [-0.49, 0.49] and len(_cells(mid)[1]) == 4
+    est = SupremumEstimator(samples_per_dim=65)
+
+    def region(view):
+        return certify_grid(imft_quantities(view, np.zeros(1), np.zeros(1), est), [0.25, 0.73],
                             [0.2])
 
     with pytest.raises(LscertError) as unpruned:
