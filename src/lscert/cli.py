@@ -212,21 +212,23 @@ def _cmd_reduce(args) -> int:
     alphas = np.linspace(section.alpha_min, section.alpha_max, section.alpha_samples)
     lams = np.repeat(np.asarray(section.lambda_values, dtype=float), len(alphas))
     batch = rm.evaluate_many(np.tile(alphas, len(section.lambda_values))[:, None], lams[:, None])
-    rows, failed = [], {}
-    for i, (alpha, lam) in enumerate(zip(batch.alpha[:, 0], lams)):
-        point, warning = batch.point(i), None
-        if point is None:
-            failed.setdefault(i // len(alphas), []).append((float(alpha), batch.errors[i]))
-        elif frontier is not None:
-            warning = reduction.region_note(
-                ss, frontier, point.alpha, point.lam, point.beta, cfg.norm, weights)
-        rows.append((alpha, lam, point, warning))
-    for li, failures in failed.items():
+    failed = sorted(batch.errors)
+    warnings = [""] * len(lams)
+    if frontier is not None:
+        for i in range(len(lams)):
+            if i not in batch.errors:
+                warnings[i] = reduction.region_note(ss, frontier, batch.alpha[i], batch.lam[i],
+                                                    batch.beta[i], cfg.norm, weights) or ""
+    notes: dict[int, list] = {}
+    for i in failed:
+        notes.setdefault(i // len(alphas), []).append((float(batch.alpha[i, 0]), batch.errors[i]))
+    for li, failures in notes.items():
         print(f"note: {reduction.failure_note(section.lambda_values[li], failures)}",
               file=sys.stderr)
     if args.out is not None:
-        _write_text(args.out, report.reduce_csv(rows, ss.q, ss.m, ss.n_perp))
-        print(f"wrote {len(rows)} rows to {args.out}")
+        _write_text(args.out, report.reduce_csv(batch.alpha, batch.lam, batch.g, batch.beta,
+                                                failed, warnings))
+        print(f"wrote {len(lams)} rows to {args.out}")
     return EXIT_OK
 
 

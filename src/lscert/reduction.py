@@ -13,11 +13,18 @@ correspondence is best effort and flagged.
 phi is the solution in the certified ball around the base beta0, so the
 grid paths (series, trace, the reduce table) seed every solve at beta0 and
 run them in lockstep, many points per batched Newton.
+
+A batch pass keeps each row's beta and the full residual Phi of its last
+evaluation, and reads g = Wperp^T Phi off it. The lifted state and the
+lifted residual norm are computed only when a caller reads them, by the
+operations the solve used, so with its bits. The grid scan and the
+bisection of trace_branches read g alone; only the roots are lifted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,20 +100,23 @@ class ReducedMap:
     max_backtracks: int = 30
 
     def phi(self, alpha, lam, beta_init: np.ndarray | None = None) -> np.ndarray:
-        return self.evaluate(alpha, lam, beta_init).beta
+        return self._one(alpha, lam, beta_init).beta[0]
 
     def g(self, alpha, lam, beta_init: np.ndarray | None = None) -> np.ndarray:
-        return self.evaluate(alpha, lam, beta_init).g
+        return self._one(alpha, lam, beta_init).g[0]
 
     def evaluate(self, alpha, lam, beta_init: np.ndarray | None = None) -> ReducedPoint:
         """The reduced map at one point, its solve seeded at beta_init (default beta0)."""
+        return self._one(alpha, lam, beta_init).point(0)
+
+    def _one(self, alpha, lam, beta_init) -> ReducedBatch:
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))[None]
         lam = np.atleast_1d(np.asarray(lam, dtype=float))[None]
         seed = None if beta_init is None else np.reshape(beta_init, (1, -1))
         batch = self._batch(alpha, lam, seed)
         if batch.errors:
             raise batch.errors[0]
-        return batch.point(0)
+        return batch
 
     # The *_many forms evaluate at each row of alpha (N, q) and lam (N, m)
     # with every solve seeded at beta0. A failed Newton solve is that row's
@@ -118,15 +128,13 @@ class ReducedMap:
     def evaluate_many(self, alpha, lam) -> ReducedBatch:
         """evaluate at each row."""
         alpha, lam = np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float)
-        out = ReducedBatch(alpha=alpha, lam=lam, beta=np.empty((len(alpha), self.ss.n_perp)),
-                           x=np.empty((len(alpha), self.ss.decomp.n)),
-                           g=np.empty((len(alpha), self.ss.q)),
-                           residual_full=np.empty(len(alpha)), errors={})
-        for rows, part in self._chunks(len(alpha), lambda rows: (alpha[rows], lam[rows])):
-            for name in ("beta", "x", "g", "residual_full"):
-                getattr(out, name)[rows] = getattr(part, name)
-            out.errors.update((rows.start + i, exc) for i, exc in part.errors.items())
-        return out
+        ss, count = self.ss, len(alpha)
+        beta, full, g = (np.empty((count, width)) for width in (ss.n_perp, ss.sys.k, ss.q))
+        errors = {}
+        for rows, part in self._chunks(count, lambda rows: (alpha[rows], lam[rows])):
+            beta[rows], full[rows], g[rows] = part.beta, part.full, part.g
+            errors.update((rows.start + i, exc) for i, exc in part.errors.items())
+        return ReducedBatch(ss, alpha, lam, beta, full, g, errors)
 
     def g_grid(self, alphas, lambdas) -> tuple[np.ndarray, dict[int, Exception]]:
         """g at each (lambda, alpha) pair of alphas (S, q) and lambdas (L, m).
@@ -139,15 +147,29 @@ class ReducedMap:
         alphas, lambdas = np.asarray(alphas, dtype=float), np.asarray(lambdas, dtype=float)
         count = len(alphas)
 
-        def pairs(rows):
-            i = np.arange(rows.start, rows.stop)
-            return alphas[i % count], lambdas[i // count]
+        # a chunk spans at most CHUNK_ROWS // count + 2 lambdas, so its
+        # alphas are one slice of these copies
+        tiled = np.tile(alphas, (min(CHUNK_ROWS // max(count, 1) + 2, len(lambdas)), 1))
 
-        g, errors = np.empty((len(lambdas) * count, self.ss.q)), {}
-        for rows, part in self._chunks(len(g), pairs):
+        def pairs(rows):
+            first, offset = divmod(rows.start, count)
+            size = rows.stop - rows.start
+            lams = np.repeat(lambdas[first:(rows.stop - 1) // count + 1], count, axis=0)
+            return tiled[offset:offset + size], lams[offset:offset + size]
+
+        g, errors = self._g(len(lambdas) * count, pairs)
+        return g.reshape(len(lambdas), count, self.ss.q), errors
+
+    def _g(self, total: int, points) -> tuple[np.ndarray, dict[int, Exception]]:
+        """g (total, q) at points(rows) over range(total), and the errors by row.
+
+        Of each chunk's pass only g is kept: nothing is lifted.
+        """
+        g, errors = np.empty((total, self.ss.q)), {}
+        for rows, part in self._chunks(total, points):
             g[rows] = part.g
             errors.update((rows.start + i, exc) for i, exc in part.errors.items())
-        return g.reshape(len(lambdas), count, self.ss.q), errors
+        return g, errors
 
     def _chunks(self, total: int, points):
         """(rows, _batch of points(rows)) for each CHUNK_ROWS slice of range(total)."""
@@ -164,16 +186,19 @@ class ReducedMap:
     def _batch(self, alpha, lam, seeds=None) -> ReducedBatch:
         """The reduced map at each row of alpha (N, q) and lam (N, m), solved in lockstep.
 
-        Row i is seeded at seeds[i] (default beta0). g and the lifted
-        residual norm come from each row's last residual evaluation, which
-        for a solved row is at its beta (see damped_newton_many); failed
-        rows hold NaN, and their errors name alpha and lambda.
+        Row i is seeded at seeds[i] (default beta0). The full residual of
+        each row's last evaluation is kept, and g is read off it; for a
+        solved row that evaluation was at its beta (see damped_newton_many).
+        Failed rows hold NaN, and their errors name alpha and lambda.
         """
         ss = self.ss
-        x, full = np.empty((len(alpha), ss.decomp.n)), np.empty((len(alpha), ss.sys.k))
+        full = np.empty((len(alpha), ss.sys.k))
 
         def residual(B, rows):
-            x[rows], full[rows], range_part = ss.lifted_many(alpha[rows], B, lam[rows])
+            if len(rows) == len(alpha):  # every row, in order
+                full[:], range_part = ss.lifted_many(alpha, B, lam)[1:]
+            else:
+                full[rows], range_part = ss.lifted_many(alpha[rows], B, lam[rows])[1:]
             return range_part
 
         beta, errors = damped_newton_many(
@@ -181,24 +206,43 @@ class ReducedMap:
             np.broadcast_to(ss.beta0 if seeds is None else seeds, (len(alpha), ss.n_perp)),
             self.newton_tol, self.max_iters, self.max_backtracks)
         failed = sorted(errors)
-        beta[failed] = x[failed] = full[failed] = np.nan
-        return ReducedBatch(alpha=alpha, lam=lam, beta=beta, x=x,
-                            g=(ss.decomp.Wperp.T[None] @ full[:, :, None])[..., 0],
-                            residual_full=row_norms(full),
-                            errors={i: _range_error(errors[i], alpha[i], lam[i]) for i in failed})
+        if failed:
+            beta[failed] = full[failed] = np.nan
+        return ReducedBatch(ss, alpha, lam, beta, full,
+                            (ss.decomp.Wperp.T[None] @ full[:, :, None])[..., 0],
+                            {i: _range_error(errors[i], alpha[i], lam[i]) for i in failed})
 
 
 @dataclass(frozen=True)
 class ReducedBatch:
-    """The reduced map at each row of a point stack; failed rows hold NaN."""
+    """The reduced map at each row of a point stack; failed rows hold NaN.
 
+    beta, g and the errors come off the lockstep solve, and full is each
+    row's last full residual Phi, which for a solved row is at its beta. The
+    lifted states x and residual norms are computed from beta and full when
+    first read, by the operations the solve's own evaluation used, so with
+    its bits.
+    """
+
+    ss: SplitSystem = field(repr=False)
     alpha: np.ndarray          # (N, q)
     lam: np.ndarray            # (N, m)
     beta: np.ndarray           # (N, n-q)
-    x: np.ndarray              # (N, n)
+    full: np.ndarray           # (N, k)
     g: np.ndarray              # (N, q)
-    residual_full: np.ndarray  # (N,)
     errors: dict               # {row: the Newton error solve_phi raises there}
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The lifted states V alpha + Vperp beta, (N, n)."""
+        x = self.ss.states(self.alpha, self.beta)
+        x[sorted(self.errors)] = np.nan
+        return x
+
+    @cached_property
+    def residual_full(self) -> np.ndarray:
+        """The norm of the lifted residual at each row, (N,)."""
+        return row_norms(self.full)
 
     def point(self, i: int) -> ReducedPoint | None:
         """Row i as a ReducedPoint; None if its solve failed."""
@@ -316,31 +360,35 @@ def _bisect_roots(rm: ReducedMap, lo, hi, g_lo, lam, tol: float):
     """Bisect every bracket [lo[i], hi[i]] of g(., lam[i]) to width tol, in lockstep.
 
     g(lo[i]) has the sign of g_lo[i] and g(hi[i]) the other one; each step
-    is one evaluate_many call over the open brackets. Returns the roots, NaN
-    where a failed solve inside the bracket drops it, and per bracket None
-    or the (alpha, error) of that failure.
+    is one pass of g alone over the brackets still open, which are kept
+    packed. Returns the roots, NaN where a failed solve inside the bracket
+    drops it, and per bracket None or the (alpha, error) of that failure.
     """
-    lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
     root = np.full(len(lo), np.nan)
-    stopped = np.zeros(len(lo), dtype=bool)  # by a failed solve or an exact zero
     failures: list[tuple[float, Exception] | None] = [None] * len(lo)
+    at = np.arange(len(lo))  # the bracket of each open row
     for _ in range(200):
-        live = np.flatnonzero(~stopped & ~(hi - lo <= tol))
-        if not len(live):
+        narrow = hi - lo <= tol
+        if narrow.any():
+            root[at[narrow]] = 0.5 * (lo[narrow] + hi[narrow])
+            at, lo, hi, g_lo, lam = (v[~narrow] for v in (at, lo, hi, g_lo, lam))
+        if not len(at):
             break
-        mid = 0.5 * (lo[live] + hi[live])
-        batch = rm.evaluate_many(mid[:, None], lam[live, None])
-        g_mid, bad = batch.g[:, 0], np.zeros(len(live), dtype=bool)
-        for j, exc in batch.errors.items():
-            failures[live[j]], bad[j] = (float(mid[j]), exc), True
-        hit = ~bad & (g_mid == 0.0)
-        root[live[hit]] = mid[hit]
-        stopped[live[bad | hit]] = True
-        left = ~(bad | hit) & ((g_lo[live] < 0.0) != (g_mid < 0.0))
-        right = ~(bad | hit | left)
-        hi[live[left]] = mid[left]
-        lo[live[right]], g_lo[live[right]] = mid[right], g_mid[right]
-    root[~stopped] = 0.5 * (lo[~stopped] + hi[~stopped])
+        mid = 0.5 * (lo + hi)
+        g_mid, errors = rm._g(len(at), lambda rows: (mid[rows, None], lam[rows, None]))
+        g_mid = g_mid[:, 0]
+        left = (g_lo < 0.0) != (g_mid < 0.0)
+        hi, lo, g_lo = np.where(left, mid, hi), np.where(left, lo, mid), np.where(left, g_lo, g_mid)
+        # an exact zero is the bracket's root; a failed solve drops it
+        zero = g_mid == 0.0
+        if errors or zero.any():
+            bad = np.zeros(len(at), dtype=bool)
+            for j, exc in errors.items():
+                failures[at[j]], bad[j] = (float(mid[j]), exc), True
+            zero &= ~bad
+            root[at[zero]] = mid[zero]
+            at, lo, hi, g_lo, lam = (v[~(bad | zero)] for v in (at, lo, hi, g_lo, lam))
+    root[at] = 0.5 * (lo + hi)
     return root, failures
 
 
@@ -348,6 +396,11 @@ def failure_note(lam: float, failed: list[tuple[float, Exception]]) -> str:
     """The one note for a parameter value whose Newton solves failed at some alphas."""
     return (f"lambda={lam:.6g}: Newton failed at {len(failed)} alpha value(s), "
             f"left as gaps; first at alpha={failed[0][0]:.6g}: {failed[0][1]}")
+
+
+def _where(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column indices of the True entries of a 2-D mask, row-major."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def trace_branches(
@@ -369,8 +422,9 @@ def trace_branches(
     An alpha whose Newton solve fails is a gap, and a bisection that meets one
     drops its root, as does a root whose lift fails; each lambda with
     failures gets one note. Every solve is seeded at beta0: the whole
-    (lambda x alpha) grid is one g_grid call, the bisections of all lambdas
-    run in lockstep, and all roots are lifted in one evaluate_many call.
+    (lambda x alpha) grid is one g_grid call and the bisections of all
+    lambdas run in lockstep, both reading g alone; the roots are collected
+    from arrays, and only they are lifted, in one evaluate_many call.
     """
     if rm.ss.q != 1 or rm.ss.m != 1:
         raise UnsupportedDimensions(
@@ -395,55 +449,55 @@ def trace_branches(
     for i, exc in sorted(errors.items()):
         solved[divmod(i, count)] = False
         failed[i // count].append((float(grid[i % count]), exc))
-    roots: list[list[float]] = [[] for _ in lams]
-    for li, ai in zip(*np.nonzero(solved & (values == 0.0))):
-        roots[li].append(float(grid[ai]))
     # a sign change between neighbours, neither of them a gap
     negative = values < 0.0
     change = solved[:, :-1] & solved[:, 1:] & (negative[:, :-1] != negative[:, 1:])
-    degenerate = solved & (values != 0.0) & (np.abs(values) < DEGENERATE_TOL)
+    degenerate = solved & (values != 0.0) & (-DEGENERATE_TOL < values) & (values < DEGENERATE_TOL)
     degenerate[:, 1:] &= ~change
     degenerate[:, :-1] &= ~change
     notes_at: list[list[str]] = [[] for _ in lams]
-    for li, ai in zip(*np.nonzero(degenerate)):
+    for li, ai in zip(*(v.tolist() for v in _where(degenerate))):
         notes_at[li].append(
-            f"lambda={lams[li]:.6g}: |g({grid[ai]:.6g})| = {abs(values[li, ai]):.2e} "
+            f"lambda={lambda_values[li]:.6g}: |g({grid[ai]:.6g})| = {abs(values[li, ai]):.2e} "
             "without a sign change; possible degenerate root")
 
-    bl, ba = np.nonzero(change & (values[:, :-1] != 0.0) & (values[:, 1:] != 0.0))
+    bl, ba = _where(change & (values[:, :-1] != 0.0) & (values[:, 1:] != 0.0))
     bisected, bracket_failures = _bisect_roots(rm, grid[ba], grid[ba + 1], values[bl, ba],
                                                lams[bl], root_tol)
-    for li, r, failure in zip(bl, bisected.tolist(), bracket_failures):
+    for li, failure in zip(bl.tolist(), bracket_failures):
         if failure is not None:
             failed[li].append(failure)
-        else:
-            roots[li].append(r)
-    for li, found in enumerate(roots):
-        roots[li] = []
-        for r in sorted(found):
-            if not roots[li] or r - roots[li][-1] > 2.0 * root_tol:
-                roots[li].append(r)
+    kept = ~np.isnan(bisected)
+    # the node zeros, then the bisected roots, sorted per lambda: a root
+    # within 2 root_tol of the last one kept is the same root
+    zl, za = _where(solved & (values == 0.0))
+    root_lam = np.concatenate([zl, bl[kept]])
+    root_alpha = np.concatenate([grid[za], bisected[kept]])
+    order = np.lexsort((root_alpha, root_lam))
+    owner, flat = [], []
+    for li, r in zip(root_lam[order].tolist(), root_alpha[order].tolist()):
+        if not owner or owner[-1] != li or r - flat[-1] > 2.0 * root_tol:
+            owner.append(li)
+            flat.append(r)
 
-    owner = np.repeat(np.arange(len(lams)), [len(found) for found in roots])
-    flat = np.array([r for found in roots for r in found])
-    lifted = rm.evaluate_many(flat[:, None], lams[owner, None])
+    lifted = rm.evaluate_many(np.array(flat)[:, None], lams[np.array(owner, dtype=int), None])
+    g_values, residuals = lifted.g[:, 0].tolist(), lifted.residual_full.tolist()
     points_at: list[list[BranchPoint]] = [[] for _ in lams]
     dropped_at: list[list[str]] = [[] for _ in lams]
-    for i, (li, r) in enumerate(zip(owner, flat.tolist())):
-        pt = lifted.point(i)
-        if pt is None:
+    for i, (li, r, residual) in enumerate(zip(owner, flat, residuals)):
+        if i in lifted.errors:
             failed[li].append((r, lifted.errors[i]))
-        elif pt.residual_full > residual_tol:
+        elif residual > residual_tol:
             dropped_at[li].append(
-                f"lambda={lams[li]:.6g}: root alpha={r:.6g} dropped, lifted residual "
-                f"{pt.residual_full:.2e} exceeds {residual_tol:g}")
+                f"lambda={lambda_values[li]:.6g}: root alpha={r:.6g} dropped, lifted residual "
+                f"{residual:.2e} exceeds {residual_tol:g}")
         else:
-            points_at[li].append(BranchPoint(lam=lambda_values[li], alpha=r, beta=pt.beta,
-                                             x=pt.x, g_value=float(pt.g[0]),
-                                             residual_full=pt.residual_full))
+            points_at[li].append(BranchPoint(lam=lambda_values[li], alpha=r,
+                                             beta=lifted.beta[i], x=lifted.x[i],
+                                             g_value=g_values[i], residual_full=residual))
 
     branches: list[list[BranchPoint]] = []
-    last_alpha: list[float | None] = []  # None once a branch has gone inactive
+    active: dict[int, float] = {}  # the last alpha of each branch still open
     notes: list[str] = []
     for lam, degenerate_notes, failures, dropped, points in zip(
             lambda_values, notes_at, failed, dropped_at, points_at):
@@ -451,13 +505,10 @@ def trace_branches(
         if failures:
             notes.append(failure_note(lam, failures))
         notes += dropped
-        # greedy nearest-neighbour continuation
-        active_before = {bi for bi, la in enumerate(last_alpha) if la is not None}
-        candidates = sorted(
-            (abs(p.alpha - last_alpha[bi]), bi, pi)
-            for bi in active_before
-            for pi, p in enumerate(points)
-        )
+        # greedy nearest-neighbour continuation; a branch that takes no
+        # point ends, and is not matched across the gap
+        candidates = sorted((abs(p.alpha - last), bi, pi)
+                            for bi, last in active.items() for pi, p in enumerate(points))
         assignment: dict[int, int] = {}
         branch_used: set[int] = set()
         for dist, bi, pi in candidates:
@@ -467,16 +518,13 @@ def trace_branches(
                 continue
             assignment[pi] = bi
             branch_used.add(bi)
+        active = {}
         for pi, p in enumerate(points):
-            bi = assignment.get(pi)
-            if bi is None:
+            bi = assignment.get(pi, len(branches))
+            if bi == len(branches):
                 branches.append([])
-                last_alpha.append(None)
-                bi = len(branches) - 1
             branches[bi].append(p)
-            last_alpha[bi] = p.alpha
-        for bi in active_before - branch_used:
-            last_alpha[bi] = None  # branch ended; do not match across the gap
+            active[bi] = p.alpha
     return TraceResult(
         branches=tuple(tuple(b) for b in branches),
         notes=tuple(notes),

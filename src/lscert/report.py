@@ -20,10 +20,6 @@ BOUNDARY_NOTE = ("deviation suprema are taken over closed balls; "
                  "closed-ball boundary points are admissible sample points")
 
 
-def fmt17(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -95,46 +91,42 @@ def certificate_report(command: str, config_echo: dict, estimator_mode: str, q, 
 # --- CSV ---------------------------------------------------------------------
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt17(value)
-    return str(value)
+# how csv_text writes a cell, by its type: None is empty, a float goes
+# through %.17g, and anything else (an int or a string) through str
+_CELL = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    float: "%.17g".__mod__,
+}
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:
+    """The CSV of the header and rows; cells are Python scalars (tolist an array first)."""
     buf = io.StringIO()
     writer = csv.writer(buf)  # RFC 4180: CRLF line ends, quoting only when needed
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    writer.writerows([_CELL.get(type(v), str)(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
 def trace_csv(trace, n_state: int) -> str:
     header = ["branch_id", "lambda", "alpha"] + [f"x_{i + 1}" for i in range(n_state)] \
         + ["residual_full"]
-    rows = []
-    for branch_id, branch in enumerate(trace.branches):
-        for p in branch:
-            rows.append([branch_id, p.lam, p.alpha] + list(p.x) + [p.residual_full])
+    rows = [[branch_id, p.lam, p.alpha, *p.x.tolist(), p.residual_full]
+            for branch_id, branch in enumerate(trace.branches) for p in branch]
     return csv_text(header, rows)
 
 
-def reduce_csv(entries, q: int, m: int, n_perp: int) -> str:
-    """Rows of (alpha, lambda, ReducedPoint or None, warning); None leaves g and phi empty."""
+def reduce_csv(alpha, lam, g, phi, failed, warnings) -> str:
+    """The reduce table: a row per point of alpha (N, q) and lam (N, m) with its g (N, q),
+    phi (N, n-q) and warning; the g and phi cells of the failed rows are empty."""
+    q, m, n_perp = alpha.shape[1], lam.shape[1], phi.shape[1]
     header = [f"alpha_{i + 1}" for i in range(q)] + [f"lambda_{j + 1}" for j in range(m)] \
         + [f"g_{i + 1}" for i in range(q)] + [f"phi_{k + 1}" for k in range(n_perp)] \
         + ["warning"]
-    rows = []
-    for alpha, lam, point, warning in entries:
-        solved = [None] * (q + n_perp) if point is None else list(point.g) + list(point.beta)
-        rows.append(list(np.atleast_1d(np.asarray(alpha, dtype=float)))
-                    + list(np.atleast_1d(np.asarray(lam, dtype=float)))
-                    + solved + [warning or ""])
+    rows = np.hstack([alpha, lam, g, phi]).tolist()
+    for i in failed:
+        rows[i][q + m:] = [None] * (q + n_perp)
+    for row, warning in zip(rows, warnings):
+        row.append(warning)
     return csv_text(header, rows)

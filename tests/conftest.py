@@ -693,3 +693,110 @@ def per_point_reduced(ss, alpha, lam):
     x = v @ alpha + v_perp @ beta
     full = ss.sys.phi(x, lam)
     return beta, x, ss.decomp.Wperp.T @ full, float(np.linalg.norm(full))
+
+
+def per_point_trace(ss, lambda_values, alpha_window, alpha_samples, residual_tol=1e-8,
+                    root_tol=1e-10, max_jump=None):
+    """trace_branches point by point: (branches, notes).
+
+    Each grid node is solved alone by per_point_reduced, a sign change
+    between two solved nonzero neighbours is bisected alone with 0.5 * (lo +
+    hi), and each root is lifted alone; the branches are stitched by the
+    greedy rule trace_branches had before it was batched, kept as it was. A
+    branch is a list of (lam, alpha, beta, x, g_value, residual_full).
+    """
+    newton_errors = (NewtonDiverged, SingularNewtonSystem)
+    lo_w, hi_w = float(alpha_window[0]), float(alpha_window[1])
+    if max_jump is None:
+        max_jump = 0.25 * (hi_w - lo_w)
+    grid = np.linspace(lo_w, hi_w, alpha_samples).tolist()
+
+    def g_at(alpha, lam):
+        return float(per_point_reduced(ss, [alpha], [lam])[2][0])
+
+    def bisect(lo, hi, g_lo, lam):
+        """(root, None), or (None, (alpha, error)) where a solve fails."""
+        for _ in range(200):
+            if hi - lo <= root_tol:
+                break
+            mid = 0.5 * (lo + hi)
+            try:
+                g_mid = g_at(mid, lam)
+            except newton_errors as exc:
+                return None, (mid, exc)
+            if g_mid == 0.0:
+                return mid, None
+            if (g_lo < 0.0) != (g_mid < 0.0):
+                hi = mid
+            else:
+                lo, g_lo = mid, g_mid
+        return 0.5 * (lo + hi), None
+
+    notes, branches, last_alpha = [], [], []
+    for lam in (float(l) for l in lambda_values):
+        values, failures = [], []
+        for alpha in grid:
+            try:
+                values.append(g_at(alpha, lam))
+            except newton_errors as exc:
+                values.append(None)
+                failures.append((alpha, exc))
+        roots = [a for a, v in zip(grid, values) if v == 0.0]
+        change = [i for i in range(len(grid) - 1)
+                  if values[i] is not None and values[i + 1] is not None
+                  and (values[i] < 0.0) != (values[i + 1] < 0.0)]
+        near = [i for i, v in enumerate(values)
+                if v is not None and v != 0.0 and abs(v) < 1e-12
+                and i not in change and i - 1 not in change]
+        lam_notes = [f"lambda={lam:.6g}: |g({grid[i]:.6g})| = {abs(values[i]):.2e} "
+                     "without a sign change; possible degenerate root" for i in near]
+        for i in change:
+            if values[i] != 0.0 and values[i + 1] != 0.0:
+                root, failure = bisect(grid[i], grid[i + 1], values[i], lam)
+                if failure is None:
+                    roots.append(root)
+                else:
+                    failures.append(failure)
+        kept = []
+        for r in sorted(roots):
+            if not kept or r - kept[-1] > 2.0 * root_tol:
+                kept.append(r)
+        points, dropped = [], []
+        for r in kept:
+            try:
+                beta, x, g, residual = per_point_reduced(ss, [r], [lam])
+            except newton_errors as exc:
+                failures.append((r, exc))
+                continue
+            if residual > residual_tol:
+                dropped.append(f"lambda={lam:.6g}: root alpha={r:.6g} dropped, lifted residual "
+                               f"{residual:.2e} exceeds {residual_tol:g}")
+            else:
+                points.append((lam, r, beta, x, float(g[0]), residual))
+        notes += lam_notes
+        if failures:
+            notes.append(f"lambda={lam:.6g}: Newton failed at {len(failures)} alpha value(s), "
+                         f"left as gaps; first at alpha={failures[0][0]:.6g}: {failures[0][1]}")
+        notes += dropped
+        active_before = {bi for bi, la in enumerate(last_alpha) if la is not None}
+        candidates = sorted((abs(p[1] - last_alpha[bi]), bi, pi)
+                            for bi in active_before for pi, p in enumerate(points))
+        assignment, branch_used = {}, set()
+        for dist, bi, pi in candidates:
+            if dist > max_jump:
+                break
+            if bi in branch_used or pi in assignment:
+                continue
+            assignment[pi] = bi
+            branch_used.add(bi)
+        for pi, p in enumerate(points):
+            bi = assignment.get(pi)
+            if bi is None:
+                branches.append([])
+                last_alpha.append(None)
+                bi = len(branches) - 1
+            branches[bi].append(p)
+            last_alpha[bi] = p[1]
+        for bi in active_before - branch_used:
+            last_alpha[bi] = None
+    return branches, notes

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lscert
 from lscert import (
@@ -23,8 +26,8 @@ from lscert import (
 from lscert.errors import DomainError
 from lscert.ls_bounds import FrontierPoint
 from lscert.system import _newton_steps, damped_newton_many, row_norms
-from conftest import (expr_jacobians, per_point_damped_newton, per_point_reduced, point_state,
-                      split_view_blocks)
+from conftest import (expr_jacobians, per_point_damped_newton, per_point_reduced, per_point_trace,
+                      point_state, split_view_blocks)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -488,3 +491,61 @@ def test_a_failing_chunk_surfaces_the_first_failing_points_error(chunk, monkeypa
     with pytest.raises(DomainError) as err:
         trace_branches(ReducedMap(ss), [1.0], (-4.0, 4.0), alpha_samples=41)
     assert str(err.value) == str(first.value)
+
+
+# --- the batched trace against the per-point trace -------------------------------
+
+
+def trace_bytes(branches):
+    """Every field of every point as bytes, branch by branch."""
+    return [[tuple(np.asarray(v, dtype=float).tobytes() for v in point) for point in branch]
+            for branch in branches]
+
+
+def assert_trace_is_the_per_point_trace(ss, lambda_values, window, samples):
+    result = trace_branches(ReducedMap(ss), lambda_values, window, alpha_samples=samples)
+    branches, notes = per_point_trace(ss, lambda_values, window, samples)
+    got = [[(p.lam, p.alpha, p.beta, p.x, p.g_value, p.residual_full) for p in branch]
+           for branch in result.branches]
+    assert trace_bytes(got) == trace_bytes(branches)
+    assert list(result.notes) == notes
+    return result
+
+
+@functools.cache
+def cubic_ss():
+    return cubic_split()[0]
+
+
+def degenerate_split():
+    # g(alpha) = alpha^2 + 5e-13 grazes zero without a sign change
+    fun = lambda x, lam: np.array([x[1], x[0] ** 2 + 5e-13])
+    sys = lscert.from_callable(
+        fun, 2, 1,
+        jac_x=lambda x, lam: np.array([[0.0, 1.0], [2.0 * x[0], 0.0]]),
+        jac_lambda=lambda x, lam: np.zeros((2, 1)),
+    )
+    return build_split_system(sys, lscert.evaluation_point(sys, [0.0, 0.0], [1.0]))
+
+
+def test_trace_branches_equals_the_per_point_trace(tanh2_split):
+    # tanh2 bisects every root; the cubic model over a wide window has Newton
+    # gaps and a failure note per lambda; the third model grazes zero
+    result = assert_trace_is_the_per_point_trace(
+        tanh2_split, np.linspace(0.5, 2.0, 31).tolist(), (-1.6, 1.6), 41)
+    assert result.n_branches == 3 and not result.notes
+    result = assert_trace_is_the_per_point_trace(
+        cubic_ss(), [0.5 + 0.01 * i for i in range(11)], (-4.0, 4.0), 41)
+    assert len(result.notes) == 11 and all("Newton failed" in n for n in result.notes)
+    result = assert_trace_is_the_per_point_trace(degenerate_split(), [1.0], (-1.0, 1.0), 41)
+    assert result.n_branches == 0 and "degenerate" in result.notes[0]
+
+
+@settings(deadline=None)  # examples: the hypothesis profile's
+@given(st.booleans(), st.floats(0.3, 2.2), st.floats(0.0, 0.6), st.integers(1, 4),
+       st.floats(-4.0, 1.5), st.floats(0.1, 5.0), st.integers(3, 60))
+def test_trace_branches_equals_the_per_point_trace_on_random_windows(
+        tanh2_split, cubic, lam_lo, lam_span, lam_count, alpha_lo, alpha_width, samples):
+    lams = np.linspace(lam_lo, lam_lo + lam_span, lam_count).tolist()
+    assert_trace_is_the_per_point_trace(cubic_ss() if cubic else tanh2_split, lams,
+                                        (alpha_lo, alpha_lo + alpha_width), samples)
