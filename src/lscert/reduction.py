@@ -128,13 +128,9 @@ class ReducedMap:
     def evaluate_many(self, alpha, lam) -> ReducedBatch:
         """evaluate at each row."""
         alpha, lam = np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float)
-        ss, count = self.ss, len(alpha)
-        beta, full, g = (np.empty((count, width)) for width in (ss.n_perp, ss.sys.k, ss.q))
-        errors = {}
-        for rows, part in self._chunks(count, lambda rows: (alpha[rows], lam[rows])):
-            beta[rows], full[rows], g[rows] = part.beta, part.full, part.g
-            errors.update((rows.start + i, exc) for i, exc in part.errors.items())
-        return ReducedBatch(ss, alpha, lam, beta, full, g, errors)
+        (beta, full, g), errors = self._merged(len(alpha), lambda rows: (alpha[rows], lam[rows]),
+                                               ("beta", "full", "g"))
+        return ReducedBatch(self.ss, alpha, lam, beta, full, g, errors)
 
     def g_grid(self, alphas, lambdas) -> tuple[np.ndarray, dict[int, Exception]]:
         """g at each (lambda, alpha) pair of alphas (S, q) and lambdas (L, m).
@@ -157,22 +153,18 @@ class ReducedMap:
             lams = np.repeat(lambdas[first:(rows.stop - 1) // count + 1], count, axis=0)
             return tiled[offset:offset + size], lams[offset:offset + size]
 
-        g, errors = self._g(len(lambdas) * count, pairs)
+        (g,), errors = self._merged(len(lambdas) * count, pairs, ("g",))
         return g.reshape(len(lambdas), count, self.ss.q), errors
 
-    def _g(self, total: int, points) -> tuple[np.ndarray, dict[int, Exception]]:
-        """g (total, q) at points(rows) over range(total), and the errors by row.
+    def _merged(self, total: int, points, names: tuple[str, ...]):
+        """The fields `names` of _batch at points(rows) over range(total), and the errors by row.
 
-        Of each chunk's pass only g is kept: nothing is lifted.
+        The one chunk loop of the *_many forms: only the named fields of
+        each chunk's pass are kept.
         """
-        g, errors = np.empty((total, self.ss.q)), {}
-        for rows, part in self._chunks(total, points):
-            g[rows] = part.g
-            errors.update((rows.start + i, exc) for i, exc in part.errors.items())
-        return g, errors
-
-    def _chunks(self, total: int, points):
-        """(rows, _batch of points(rows)) for each CHUNK_ROWS slice of range(total)."""
+        ss = self.ss
+        width = {"beta": ss.n_perp, "full": ss.sys.k, "g": ss.q}
+        out, errors = [np.empty((total, width[name])) for name in names], {}
         for start in range(0, total, CHUNK_ROWS):
             rows = slice(start, min(start + CHUNK_ROWS, total))
             try:
@@ -181,7 +173,10 @@ class ReducedMap:
                 for i in range(rows.start, rows.stop):
                     self._batch(*points(slice(i, i + 1)))
                 raise
-            yield rows, part
+            for array, name in zip(out, names):
+                array[rows] = getattr(part, name)
+            errors.update((start + i, exc) for i, exc in part.errors.items())
+        return out, errors
 
     def _batch(self, alpha, lam, seeds=None) -> ReducedBatch:
         """The reduced map at each row of alpha (N, q) and lam (N, m), solved in lockstep.
@@ -195,10 +190,7 @@ class ReducedMap:
         full = np.empty((len(alpha), ss.sys.k))
 
         def residual(B, rows):
-            if len(rows) == len(alpha):  # every row, in order
-                full[:], range_part = ss.lifted_many(alpha, B, lam)[1:]
-            else:
-                full[rows], range_part = ss.lifted_many(alpha[rows], B, lam[rows])[1:]
+            full[rows], range_part = ss.lifted_many(alpha[rows], B, lam[rows])[1:]
             return range_part
 
         beta, errors = damped_newton_many(
@@ -234,10 +226,8 @@ class ReducedBatch:
 
     @cached_property
     def x(self) -> np.ndarray:
-        """The lifted states V alpha + Vperp beta, (N, n)."""
-        x = self.ss.states(self.alpha, self.beta)
-        x[sorted(self.errors)] = np.nan
-        return x
+        """The lifted states V alpha + Vperp beta, (N, n); NaN where beta is."""
+        return self.ss.states(self.alpha, self.beta)
 
     @cached_property
     def residual_full(self) -> np.ndarray:
@@ -375,7 +365,8 @@ def _bisect_roots(rm: ReducedMap, lo, hi, g_lo, lam, tol: float):
         if not len(at):
             break
         mid = 0.5 * (lo + hi)
-        g_mid, errors = rm._g(len(at), lambda rows: (mid[rows, None], lam[rows, None]))
+        (g_mid,), errors = rm._merged(len(at), lambda rows: (mid[rows, None], lam[rows, None]),
+                                      ("g",))
         g_mid = g_mid[:, 0]
         left = (g_lo < 0.0) != (g_mid < 0.0)
         hi, lo, g_lo = np.where(left, mid, hi), np.where(left, lo, mid), np.where(left, g_lo, g_mid)

@@ -91,8 +91,12 @@ def certificate_report(command: str, config_echo: dict, estimator_mode: str, q, 
 # --- CSV ---------------------------------------------------------------------
 
 
-# how csv_text writes a cell, by its type: None is empty, a float goes
-# through %.17g, and anything else (an int or a string) through str
+def _other_cell(value) -> str:
+    return "%.17g" % value if isinstance(value, np.floating) else str(value)
+
+
+# how csv_text writes a cell, by its type: None is empty, a float (numpy's
+# too) goes through %.17g, and anything else (an int or a string) through str
 _CELL = {
     type(None): lambda value: "",
     bool: lambda value: "true" if value else "false",
@@ -101,11 +105,11 @@ _CELL = {
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:
-    """The CSV of the header and rows; cells are Python scalars (tolist an array first)."""
+    """The CSV of the header and rows; tolist arrays first: a Python float is the fast cell."""
     buf = io.StringIO()
     writer = csv.writer(buf)  # RFC 4180: CRLF line ends, quoting only when needed
     writer.writerow(header)
-    writer.writerows([_CELL.get(type(v), str)(v) for v in row] for row in rows)
+    writer.writerows([_CELL.get(type(v), _other_cell)(v) for v in row] for row in rows)
     return buf.getvalue()
 
 

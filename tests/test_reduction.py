@@ -25,6 +25,7 @@ from lscert import (
 )
 from lscert.errors import DomainError
 from lscert.ls_bounds import FrontierPoint
+from lscert.report import csv_text, trace_csv
 from lscert.system import _newton_steps, damped_newton_many, row_norms
 from conftest import (expr_jacobians, per_point_damped_newton, per_point_reduced, per_point_trace,
                       point_state, split_view_blocks)
@@ -549,3 +550,14 @@ def test_trace_branches_equals_the_per_point_trace_on_random_windows(
     lams = np.linspace(lam_lo, lam_lo + lam_span, lam_count).tolist()
     assert_trace_is_the_per_point_trace(cubic_ss() if cubic else tanh2_split, lams,
                                         (alpha_lo, alpha_lo + alpha_width), samples)
+
+
+def test_numpy_floats_write_the_same_csv_cells_as_python_floats(tanh2_split):
+    lams = np.linspace(0.5, 2.0, 31)
+    rm = ReducedMap(tanh2_split)
+    text = trace_csv(trace_branches(rm, lams, (-1.6, 1.6), alpha_samples=41), 2)
+    assert text == trace_csv(trace_branches(rm, lams.tolist(), (-1.6, 1.6), alpha_samples=41), 2)
+    assert "0.55000000000000004," in text
+    cells = [np.float64(0.55), np.float32(0.1), np.int64(3), 7, np.True_, True, None, "w"]
+    assert csv_text(["c"] * len(cells), [cells]) == \
+        "c,c,c,c,c,c,c,c\r\n0.55000000000000004,0.10000000149011612,3,7,True,true,,w\r\n"
