@@ -70,13 +70,17 @@ class SplitFunction:
 
     dy_box, where given, encloses the dy block: dy_box(x_lo, x_hi, y_lo,
     y_hi) takes the ends of N x-boxes, each (N, n_x), and the ends of one
-    y-box, each (n_y,), and returns (lo, hi), each (N, n_y, n_y), such that
-    dy_many at (x, y) lies between lo[i] and hi[i] for every x in the i-th
-    x-box and every y in the y-box; it is -inf and inf throughout lo[i] and
-    hi[i] where jac_y_many may raise at such a point. A point is the box
-    whose ends are equal: dy_box(X, X, y_lo, y_hi) encloses the block at
-    each point X[i]. Only the views of DSL systems have one. It encloses jac_y_many as built: a copy whose
-    jac_y_many returns other values or raises elsewhere
+    y-box, each (n_y,), and returns (lo, hi, spectral). lo and hi, each
+    (N, n_y, n_y), hold dy_many at (x, y) between lo[i] and hi[i] for every
+    x in the i-th x-box and every y in the y-box; they are -inf and inf
+    throughout where jac_y_many may raise at such a point. spectral is None
+    or a function spectral(block) that gives, from the same enclosure walk,
+    an (N,) upper bound of ||dy_many - block||_2 over each box, inf where
+    jac_y_many may raise: the kernel split's full-state bound (see
+    SplitSystem.as_split_function). A point is the box whose ends are equal:
+    dy_box(X, X, y_lo, y_hi) encloses the block at each point X[i]. Only
+    the views of DSL systems have one. It encloses jac_y_many as built: a
+    copy whose jac_y_many returns other values or raises elsewhere
     (dataclasses.replace) must replace dy_box too, or set it to None.
     """
 
@@ -137,9 +141,9 @@ def system_split(sys, n_x: int, n_y: int, embed, x_chain, y_chain,
     Where sys has a jac_box, embed_box and y_chain_box give the view its
     dy_box: embed_box(x_lo, x_hi, y_lo, y_hi) returns the ends of the state
     and parameter boxes, each (N, n) or (N, m), that hold E(x, y) for every
-    x of the i-th x-box and every y of the y-box, and y_chain_box(part) the
-    (lo, hi) enclosure of dE/dy's block from part(0) and part(1), the
-    (lo, hi) enclosures of D_x Phi and D_lambda Phi.
+    x of the i-th x-box and every y of the y-box, and y_chain_box(part)
+    dy_box's (lo, hi, spectral) from part(0) and part(1), the (lo, hi)
+    enclosures of D_x Phi and D_lambda Phi.
     """
     def projected(stack):
         return stack if project is None else project(stack)
@@ -191,7 +195,7 @@ def index_split(sys, x_indices, y_indices) -> SplitFunction:
         return s_lo, s_hi, l_lo, l_hi
 
     def y_chain_box(part):
-        return tuple(gather(y_idx)(lambda i: part(i)[end]) for end in (0, 1))
+        return (*(gather(y_idx)(lambda i: part(i)[end]) for end in (0, 1)), None)
 
     return system_split(sys, len(x_idx), len(y_idx), embed, gather(x_idx), gather(y_idx),
                         embed_box=embed_box, y_chain_box=y_chain_box)
@@ -410,10 +414,13 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
 
     Without a box the pairs run in the order of itertools.product(pts_x,
     pts_y). box, if given (and pts_x has two points or more), is the dy_box
-    of an unweighted call (L_y), and box_norm_bounds bounds the deviation
-    norm over each box it encloses, always times the bounding box of pts_y.
-    The x-points are grouped into cells (_cells), and it is called at most
-    three times:
+    of an unweighted call (L_y), and _box_bounds bounds the deviation norm
+    over each box it encloses, always times the bounding box of pts_y:
+    box_norm_bounds of the enclosure, and for the spectral norm the least of
+    that and the view's full-state bound where it has one (the kernel
+    split's, n - q >= 2). Either is an upper bound, so a tighter one only
+    skips more under the rules below. The x-points are grouped into cells
+    (_cells), and box is called at most three times:
 
     1. once over the cells' bounding boxes, where there are two cells or
        more; each x-point starts with its cell's bound;
@@ -548,11 +555,18 @@ def _sampled_L(blocks, base_block, pts_x, pts_y, norm_kind, weights=None, stop=N
 
 
 def _box_bounds(box, base_block, x_lo, x_hi, y_lo, y_hi, norm_kind):
-    """box_norm_bounds of the deviation from base_block over each box box(...) encloses."""
-    lo, hi = box(x_lo, x_hi, y_lo, y_hi)
+    """Upper bounds of the deviation norm from base_block over each box of box(...).
+
+    box_norm_bounds of the enclosure's deviation, and for the spectral norm
+    the least of that and the view's own bound, where it gives one.
+    """
+    lo, hi, spectral = box(x_lo, x_hi, y_lo, y_hi)
     with np.errstate(all="ignore"):  # a non-finite end gives an inf bound
-        return box_norm_bounds(np.nextafter(lo - base_block, -np.inf),
-                               np.nextafter(hi - base_block, np.inf), norm_kind)
+        bound = box_norm_bounds(np.nextafter(lo - base_block, -np.inf),
+                                np.nextafter(hi - base_block, np.inf), norm_kind)
+    if spectral is not None and norm_kind == "spectral":
+        bound = np.minimum(bound, spectral(base_block))
+    return bound
 
 
 def _deviation_bound(which, radii, f, x0, y0, base, est, norm_kind, x_weights, balls,

@@ -25,6 +25,9 @@ matvec_box and sandwich_box carry boxes through the split views' linear maps
 in midpoint-radius form (Rump, "Fast and parallel interval arithmetic", BIT
 39, 1999), with the rounding of the float products in the radius (Higham,
 Accuracy and Stability of Numerical Algorithms, 2002, section 3.5).
+sandwich_deviation bounds the spectral norm of such a product's deviation
+through the whole box of J, which the kernel split takes where the product's
+entrywise hull mixes signs.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import numpy as np
 
 from .expr import KINK_TOL, Binary, Func, Neg, Node, ParamVar, Pow, StateVar, compile_tree
+from .norms import box_norm_bounds
 
 EPS = float(np.finfo(float).eps)  # 2^-52, twice the unit roundoff
 
@@ -419,3 +423,67 @@ def sandwich_box(left: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         inner = left.shape[1] + right.shape[0]
         radius = (mag_l @ rad) @ mag_r + 2.0 * _gamma(inner) * ((mag_l @ (np.abs(mid) + rad)) @ mag_r)
         return _around((left[None] @ mid) @ right[None], radius, 2 * inner + 4)
+
+
+def _frobenius_up(a: np.ndarray) -> np.ndarray:
+    """At least the Frobenius norm of each matrix of a stack (..., r, c).
+
+    The squares and their sum round by at most gamma_{rc}. A square that
+    underflows loses at most 2^-1074, far inside PRUNE_MARGIN of any bound
+    a pruning compares past SAFE_SCALE[0].
+    """
+    terms = a.shape[-2] * a.shape[-1]
+    return _up(np.sqrt(_up(np.square(a).sum(axis=(-2, -1)) * (1.0 + _gamma(terms)))))
+
+
+def _spectral_up(a: np.ndarray) -> float:
+    """At least ||a||_2 of one matrix: sqrt(|| |G| ||_inf) for its smaller Gram matrix G.
+
+    lambda_max(G) is at most any induced norm of G. The float G rounds by at
+    most gamma_k |a|^T |a| (k the inner dimension), which is added, twice
+    over to cover the rounding of that product too.
+    """
+    mag = np.abs(a)
+    gram, size = (np.abs(a @ a.T), mag @ mag.T) if len(a) < a.shape[1] else (np.abs(a.T @ a),
+                                                                              mag.T @ mag)
+    rows = (gram + 2.0 * _gamma(max(a.shape)) * size).sum(axis=1)
+    return float(_up(np.sqrt(_up(rows.max() * (1.0 + _gamma(len(rows) + 2))))))
+
+
+def sandwich_deviation(left: np.ndarray, center: np.ndarray, right: np.ndarray):
+    """Spectral bounds of the float (left J) right's deviation from a block, over boxes of J.
+
+    Returns deviation(lo, hi, block), which gives for each box lo <= J <= hi
+    of the stacks (N, r, c) an upper bound of ||fl(fl(left J) right) -
+    block||_2 over the box. It bounds the whole J's deviation from the fixed
+    center instead of the product's entrywise hull (sandwich_box), which mixes
+    the signs of J's entries: with P = fl(fl(left center) right),
+
+        ||left||_2 ||right||_2 B + gamma_{r+c} ||left||_F ||right||_F (||M||_F + ||center||_F)
+            + ||P - block||_F,
+
+    where B, box_norm_bounds over [lo - center, hi - center] rounded outward,
+    bounds ||J - center||_2, M = max(|lo|, |hi|) bounds |J| entrywise, and
+    the gamma term bounds the rounding of the float products at J and at
+    center, gamma_{r+c} |left| |J| |right| each (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.5). The norms of
+    left, right and center are taken here, once. Each term rounds a few
+    times and the sum is rounded up past that; a box with a non-finite end
+    gets inf.
+    """
+    inner = left.shape[1] + right.shape[0]
+    scale = _up(_spectral_up(left) * _spectral_up(right))
+    rounding = _up(_up(_gamma(inner) * _frobenius_up(left)) * _frobenius_up(right))
+    center_size = _frobenius_up(center)
+    product = (left @ center) @ right
+
+    def deviation(lo: np.ndarray, hi: np.ndarray, block: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):  # a non-finite end gives an inf bound
+            spread = box_norm_bounds(np.nextafter(lo - center, -np.inf),
+                                     np.nextafter(hi - center, np.inf))
+            size = _frobenius_up(np.maximum(np.abs(lo), np.abs(hi)))
+            bound = _up((scale * spread + rounding * (size + center_size)
+                         + _frobenius_up(block - product)) * (1.0 + _gamma(6)))
+        return np.where(np.isfinite(bound), bound, np.inf)
+
+    return deviation

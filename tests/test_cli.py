@@ -678,8 +678,9 @@ def test_svds_run_only_where_the_whole_calls_bounds_cannot_rule_a_matrix_out(tmp
             # the refused frontier midpoint r_par = 1.5 stops after its first
             # x-point's bounds and skips its deferred batch of 35. At r_par 1
             # and 2 the box bounds rule out the centre x-point, whose zero
-            # deviation at the base point norm_survivors cannot bound
-            ("ls-certify", "ring4_certify_sampled.json", "ring4_sampled_nonmeta.json", 118),
+            # deviation at the base point norm_survivors cannot bound, and
+            # the full-state box bound rules out 9 more than the hull's would
+            ("ls-certify", "ring4_certify_sampled.json", "ring4_sampled_nonmeta.json", 109),
             # nearly all of these lie within 1e-8 of their call's maximum; the
             # midpoint r_x = 0.45 is certified, so its L_y is taken in full;
             # in three of the calls the box bounds rule out the x-point of the

@@ -366,6 +366,13 @@ def _sampler_case(name):
         return _ls_case(tanh2, tanh2_jacs, 9, [(1.0, 0.5)], weights=np.array([1.0, 0.5]))
     if name == "ring4-ls":
         return _ls_case(ring4, expr_jacobians(RING4, 4, 1), 5, [(1.0, 0.5)])
+    if name == "ring4-ls-tiny":
+        # deviations of about 1e-9, which the float products round by about 1e-16
+        return _ls_case(ring4, expr_jacobians(RING4, 4, 1), 5, [(1e-9, 1e-9)])
+    if name == "ring4-ls-foreign":
+        # a base block that is not the view's own W^T J Vperp
+        f, x0, y0, base, *rest = _ls_case(ring4, expr_jacobians(RING4, 4, 1), 5, [(1.0, 0.5)])
+        return (f, x0, y0, dataclasses.replace(base, dy=base.dy + 1e-6), *rest)
     if name == "ring6-ls":
         # 5 x 5 y-blocks: most chunks hold a few survivors, and the Gram bound
         # rules out matrices that the cheap bounds keep
@@ -534,7 +541,8 @@ def test_certify_grid_equals_the_full_scan_reference(name, chunk, norm_kind, wei
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)
-@pytest.mark.parametrize("name", ["tanh2", "ring4-ls", "ring4-imft", "tanh2-cells"])
+@pytest.mark.parametrize("name", ["tanh2", "ring4-ls", "ring4-imft", "tanh2-cells",
+                                  "ring4-ls-tiny", "ring6-ls", "ring4-ls-foreign"])
 def test_pruned_L_equals_the_per_point_loop(name, norm_kind, weighted):
     # the views of DSL systems, the builtin tanh2's kernel split included,
     # have a dy enclosure: the sampled L_y skips the x-points whose box bound
@@ -547,7 +555,25 @@ def test_pruned_L_equals_the_per_point_loop(name, norm_kind, weighted):
     assert estimate_L(f, x0, y0, r_x, r_y, SupremumEstimator(samples_per_dim=spd), norm_kind, w,
                       base) == want
     lattice = len(ball_points(x0, r_x, spd, norm_kind, w)) * len(ball_points(y0, r_y, spd, norm_kind))
-    assert sum(rows) < lattice
+    # weighted ring-6 at spd 3 has 7 x-points; the one with the largest box
+    # bound, taken first, attains 0.53, below every other x-point's bound
+    if (name, norm_kind, weighted) != ("ring6-ls", "spectral", True):
+        assert sum(rows) < lattice
+
+
+def test_full_state_bound_prunes_the_ring4_benchmark_grid(monkeypatch):
+    # the ls-ring4-dsl benchmark grid at seed 0, spd 7: five L_perp calls over
+    # 19,995 lattice pairs, of which the hull bound alone leaves 10,707 to
+    # evaluate and the full-state spectral box bound 1,161; L_par adds 155
+    rows = []
+    jacobians = lscert.ParametricSystem.jacobians
+    monkeypatch.setattr(lscert.ParametricSystem, "jacobians",
+                        lambda self, X, Lam: rows.append(len(X)) or jacobians(self, X, Lam))
+    sys_ = lscert.system_from_expressions(RING4, 4, 1)
+    ss = lscert.build_split_system(sys_, lscert.evaluation_point(sys_, np.zeros(4), [1.0]))
+    rows.clear()
+    lscert.certify_ls_region(ss, [0.5, 1.0, 1.5, 2.0], [0.5], SupremumEstimator(samples_per_dim=7))
+    assert 0 < sum(rows) <= 2000
 
 
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)

@@ -14,8 +14,8 @@ from lscert import (LscertError, SupremumEstimator, estimate_L, imft_quantities,
 from lscert.config import parse_config
 from lscert.expr import (Binary, Func, Neg, Pow, StateVar, compile_duals, default_names,
                          parse_components, to_source)
-from lscert.imft import _cells, certify_grid
-from lscert.interval import compile_boxes
+from lscert.imft import _box_bounds, _cells, certify_grid
+from lscert.interval import compile_boxes, sandwich_deviation
 from lscert.norms import NORM_KINDS, box_norm_bounds, induced_norms
 from lscert.sampling import ball_points
 from conftest import _random_node
@@ -114,7 +114,7 @@ def test_ring4_box_bound_is_the_exact_range_of_its_deviation():
                                    4, 1)
     f = index_split(sys_, [4], [0, 1, 2, 3])
     ls = np.array([[-0.1], [0.5], [0.8], [1.1]])
-    lo, hi = f.dy_box(ls, ls, np.full(4, -0.3), np.full(4, 0.3))
+    lo, hi, _ = f.dy_box(ls, ls, np.full(4, -0.3), np.full(4, 0.3))
     base = f.dy(np.array([0.5]), np.zeros(4))
     bound = box_norm_bounds(lo - base, hi - base)
     l = ls[:, 0]
@@ -152,7 +152,7 @@ def test_dy_box_over_x_cells_encloses_dy_many(kind, seed):
     count, per_box = 12, 16
     x_lo, x_hi = (x0 + end for end in _boxes(rng, count, f.n_x))
     y_lo, y_hi = (y0 + end[0] for end in _boxes(rng, 1, f.n_y))
-    lo, hi = f.dy_box(x_lo, x_hi, y_lo, y_hi)
+    lo, hi, _ = f.dy_box(x_lo, x_hi, y_lo, y_hi)
     for i in range(count):
         box_lo, box_hi = np.concatenate([x_lo[i], y_lo]), np.concatenate([x_hi[i], y_hi])
         corners = rng.integers(0, 2, size=(per_box // 2, len(box_lo))).astype(bool)
@@ -164,6 +164,78 @@ def test_dy_box_over_x_cells_encloses_dy_many(kind, seed):
             assert np.isneginf(lo[i]).all() and np.isposinf(hi[i]).all()
             continue
         assert (lo[i] <= dy).all() and (dy <= hi[i]).all(), (i, box_lo, box_hi)
+
+
+def _ring_split(n):
+    """The kernel split of ring-n, -x_i + tanh(l1 x_{i+1}), at x = 0, lambda = 1 (q = 1)."""
+    source = "; ".join(f"-x{i} + tanh(l1*x{i % n + 1})" for i in range(1, n + 1))
+    sys_ = system_from_expressions(source, n, 1)
+    return lscert.build_split_system(sys_, lscert.evaluation_point(sys_, np.zeros(n), [1.0]))
+
+
+@settings(deadline=None)  # examples: the hypothesis profile's
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@pytest.mark.parametrize("n", [4, 6])
+def test_full_state_bound_holds_the_kernel_split_deviation(n, seed):
+    # the kernel split's spectral box bound, the least of the hull's and the
+    # full-state one, over random x-boxes times one y-box. Radii run down to
+    # 1e-12, where the float products' rounding, about 1e-16, is far above
+    # PRUNE_MARGIN relative to the deviation
+    rng = np.random.default_rng(seed)
+    ss = _ring_split(n)
+    f, base = ss.as_split_function(), ss.base_blocks.dy
+    count, per_box = 8, 16
+
+    def radii(size):
+        return 10.0 ** rng.uniform(-12.0, np.log10(2.0), size=size)
+
+    center = ss.par_center + rng.uniform(-1.0, 1.0, size=(count, f.n_x)) * radii((count, 1))
+    half = radii((count, 1)) * rng.choice([0.0, 1.0], size=(count, f.n_x))
+    x_lo, x_hi = center - half, center + half
+    y_lo, y_hi = ss.beta0 - radii(1), ss.beta0 + radii(1)
+    full = f.dy_box(x_lo, x_hi, y_lo, y_hi)[2](base)
+    bound = _box_bounds(f.dy_box, base, x_lo, x_hi, y_lo, y_hi, "spectral")
+    assert (bound <= full).all()
+    for i in range(count):
+        box_lo, box_hi = np.concatenate([x_lo[i], y_lo]), np.concatenate([x_hi[i], y_hi])
+        corners = rng.integers(0, 2, size=(per_box // 2, len(box_lo))).astype(bool)
+        points = np.vstack([np.where(corners, box_hi, box_lo),
+                            rng.uniform(box_lo, box_hi, size=(per_box // 2, len(box_lo)))])
+        try:
+            dy = f.dy_many(points[:, :f.n_x], points[:, f.n_x:])
+        except LscertError:
+            assert full[i] == bound[i] == np.inf
+            continue
+        norms = induced_norms(dy - base, "spectral")
+        assert (norms <= full[i]).all() and (norms <= bound[i]).all(), (i, box_lo, box_hi)
+
+
+@settings(deadline=None)  # examples: the hypothesis profile's
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@pytest.mark.parametrize("n", [4, 6])
+def test_full_state_bound_holds_at_point_boxes_of_the_jacobian(n, seed):
+    # the full-state bound where it is tight: point boxes J = J0 + s w v^T,
+    # w and v unit vectors in the spans of W and Vperp, so that the
+    # projection keeps the whole deviation, and left and right are W^T and
+    # Vperp scaled by c. At s below about 1e-3 the float products' rounding
+    # is above the bound's other slack, and at c = 2.5 the norms of left and
+    # right are far from 1
+    rng = np.random.default_rng(seed)
+    ss = _ring_split(n)
+    w_, v_ = ss.decomp.W, ss.decomp.Vperp
+    c = rng.choice([1.0, 2.5], size=2)
+    left, right, j0 = c[0] * w_.T, c[1] * v_, ss.base_jac
+    count = 32
+    w = w_ @ rng.standard_normal((n - 1, count))
+    v = v_ @ rng.standard_normal((n - 1, count))
+    s = 10.0 ** rng.uniform(-12.0, np.log10(2.0), size=count)
+    jac = j0 + (s * w / np.linalg.norm(w, axis=0)).T[:, :, None] \
+        * (v / np.linalg.norm(v, axis=0)).T[:, None, :]
+    product = (left @ j0) @ right
+    deviation = sandwich_deviation(left, j0, right)
+    for block in (product, product + 1e-6 * rng.standard_normal(product.shape)):
+        norms = induced_norms((left[None] @ jac) @ right[None] - block, "spectral")
+        assert (norms <= deviation(jac, jac, block)).all()
 
 
 def test_box_norm_bounds_hold_every_matrix_of_the_box():
@@ -202,7 +274,7 @@ def test_a_raising_model_keeps_the_error_of_the_unpruned_sampler(source, text):
         estimate_L(f, x0, y0, 0.2, 0.1, est)
     # the x-points whose boxes hold a raising point are unbounded, and only they
     pts_x, pts_y = ball_points(x0, 0.2, 5), ball_points(y0, 0.1, 5)
-    lo, hi = f.dy_box(pts_x, pts_x, pts_y.min(axis=0), pts_y.max(axis=0))
+    lo, hi, _ = f.dy_box(pts_x, pts_x, pts_y.min(axis=0), pts_y.max(axis=0))
     unbounded = np.isinf(box_norm_bounds(lo, hi))
     raises = []
     for px in pts_x:
