@@ -439,14 +439,15 @@ def _frobenius_up(a: np.ndarray) -> np.ndarray:
 def _spectral_up(a: np.ndarray) -> float:
     """At least ||a||_2 of one matrix: sqrt(|| |G| ||_inf) for its smaller Gram matrix G.
 
-    lambda_max(G) is at most any induced norm of G. The float G rounds by at
-    most gamma_k |a|^T |a| (k the inner dimension), which is added, twice
-    over to cover the rounding of that product too.
+    With a taken wide (k columns, at least as many as rows), G = a a^T and
+    ||a||_2^2 = lambda_max(G), which is at most any induced norm of G. The
+    float G rounds by at most gamma_k |a| |a|^T, which is added, twice over
+    to cover the rounding of that product too.
     """
+    if len(a) > a.shape[1]:
+        a = a.T
     mag = np.abs(a)
-    gram, size = (np.abs(a @ a.T), mag @ mag.T) if len(a) < a.shape[1] else (np.abs(a.T @ a),
-                                                                              mag.T @ mag)
-    rows = (gram + 2.0 * _gamma(max(a.shape)) * size).sum(axis=1)
+    rows = (np.abs(a @ a.T) + 2.0 * _gamma(a.shape[1]) * (mag @ mag.T)).sum(axis=1)
     return float(_up(np.sqrt(_up(rows.max() * (1.0 + _gamma(len(rows) + 2))))))
 
 
