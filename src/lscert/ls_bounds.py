@@ -63,7 +63,7 @@ class SplitSystem:
     beta0: np.ndarray   # complement coordinates of x0, shape (n-q,)
     reduced_block: np.ndarray     # W^T J Vperp, shape (n-q, n-q)
     dlambda_base: np.ndarray      # W^T D_lambda Phi(x0, lambda0), shape (n-q, m)
-    base_jac: np.ndarray          # J = D_x Phi(x0, lambda0), shape (n, n)
+    base_jac: np.ndarray          # J = D_x Phi(x0, lambda0) (J0 below), shape (n, n)
 
     @property
     def q(self) -> int:
